@@ -110,10 +110,14 @@ inline bool DumpBenchArtifact(SnsSystem* system, const std::string& bench_name) 
 // violation (after printing it).
 inline int64_t CheckStageSums(SnsSystem* system, double tolerance = 0.01) {
   int64_t checked = 0;
-  for (uint64_t trace_id : system->tracer()->TraceIds()) {
-    auto path = AnalyzeTrace(system->tracer()->Trace(trace_id));
+  bool violated = false;
+  auto check = [&](uint64_t trace_id, const std::vector<const SpanRecord*>& spans) {
+    if (violated) {
+      return;
+    }
+    auto path = AnalyzeTrace(spans);
     if (!path.has_value() || path->total <= 0) {
-      continue;
+      return;
     }
     SimDuration diff = path->StageSum() - path->total;
     if (diff < 0) diff = -diff;
@@ -122,11 +126,13 @@ inline int64_t CheckStageSums(SnsSystem* system, double tolerance = 0.01) {
                   static_cast<unsigned long long>(trace_id),
                   static_cast<long long>(path->total),
                   static_cast<long long>(path->StageSum()));
-      return -1;
+      violated = true;
+      return;
     }
     ++checked;
-  }
-  return checked;
+  };
+  system->tracer()->ForEachTrace(check);
+  return violated ? -1 : checked;
 }
 
 // Issues every universe URL once and waits for fetches to land in the cache,

@@ -79,27 +79,37 @@ SimDuration CriticalPath::StageSum() const {
 }
 
 std::optional<CriticalPath> AnalyzeTrace(const std::vector<SpanRecord>& spans) {
+  std::vector<const SpanRecord*> pointers;
+  pointers.reserve(spans.size());
+  for (const SpanRecord& span : spans) {
+    pointers.push_back(&span);
+  }
+  return AnalyzeTrace(pointers);
+}
+
+std::optional<CriticalPath> AnalyzeTrace(const std::vector<const SpanRecord*>& spans) {
   if (spans.empty()) {
     return std::nullopt;
   }
   const SpanRecord* root = nullptr;
-  for (const SpanRecord& span : spans) {
-    if (span.parent_span_id != 0) {
+  for (const SpanRecord* span : spans) {
+    if (span->parent_span_id != 0) {
       continue;
     }
     // Prefer the client's root; among several parentless spans take the earliest.
-    if (root == nullptr || (span.operation == "client.request" && root->operation != "client.request") ||
-        (span.operation == root->operation && span.start < root->start)) {
-      root = &span;
+    if (root == nullptr ||
+        (span->operation == "client.request" && root->operation != "client.request") ||
+        (span->operation == root->operation && span->start < root->start)) {
+      root = span;
     }
   }
   if (root == nullptr) {
     return std::nullopt;  // Request still in flight (or root evicted): skip.
   }
   std::unordered_map<uint64_t, std::vector<const SpanRecord*>> children;
-  for (const SpanRecord& span : spans) {
-    if (span.parent_span_id != 0 && &span != root) {
-      children[span.parent_span_id].push_back(&span);
+  for (const SpanRecord* span : spans) {
+    if (span->parent_span_id != 0 && span != root) {
+      children[span->parent_span_id].push_back(span);
     }
   }
   for (auto& [parent, kids] : children) {
@@ -150,12 +160,12 @@ void CriticalPathSummary::Add(const CriticalPath& path) {
 
 CriticalPathSummary CriticalPathSummary::FromCollector(const TraceCollector& collector) {
   CriticalPathSummary summary;
-  for (uint64_t trace_id : collector.TraceIds()) {
-    auto path = AnalyzeTrace(collector.Trace(trace_id));
+  collector.ForEachTrace([&summary](uint64_t, const std::vector<const SpanRecord*>& spans) {
+    auto path = AnalyzeTrace(spans);
     if (path.has_value()) {
       summary.Add(*path);
     }
-  }
+  });
   return summary;
 }
 
@@ -178,21 +188,34 @@ std::string CriticalPathSummary::ToJson() const {
   for (const auto& [name, stats] : stages_) {
     attributed_s += stats.total_s;
   }
-  std::string out = StrFormat(
-      "{\"requests\":%lld,\"total\":{\"count\":%lld,\"mean_s\":%.6g,\"p50_s\":%.6g,"
-      "\"p99_s\":%.6g},\"stages\":{",
-      static_cast<long long>(requests_), static_cast<long long>(total_hist_.TotalCount()),
-      total_hist_.summary().mean(), total_hist_.Percentile(0.5), total_hist_.Percentile(0.99));
+  std::string out = "{\"requests\":";
+  AppendInt(&out, requests_);
+  out += ",\"total\":{\"count\":";
+  AppendInt(&out, total_hist_.TotalCount());
+  out += ",\"mean_s\":";
+  AppendDouble6g(&out, total_hist_.summary().mean());
+  out += ",\"p50_s\":";
+  AppendDouble6g(&out, total_hist_.Percentile(0.5));
+  out += ",\"p99_s\":";
+  AppendDouble6g(&out, total_hist_.Percentile(0.99));
+  out += "},\"stages\":{";
   bool first = true;
   for (const auto& [name, stats] : stages_) {
     if (!first) out += ",";
     first = false;
-    out += StrFormat(
-        "\"%s\":{\"count\":%lld,\"total_s\":%.6g,\"share\":%.4f,\"p50_s\":%.6g,"
-        "\"p99_s\":%.6g}",
-        JsonEscape(name).c_str(), static_cast<long long>(stats.count), stats.total_s,
-        attributed_s > 0 ? stats.total_s / attributed_s : 0.0, stats.hist.Percentile(0.5),
-        stats.hist.Percentile(0.99));
+    out += '"';
+    AppendEscaped(&out, name);
+    out += "\":{\"count\":";
+    AppendInt(&out, stats.count);
+    out += ",\"total_s\":";
+    AppendDouble6g(&out, stats.total_s);
+    out += ",\"share\":";
+    AppendFixed(&out, attributed_s > 0 ? stats.total_s / attributed_s : 0.0, 4);
+    out += ",\"p50_s\":";
+    AppendDouble6g(&out, stats.hist.Percentile(0.5));
+    out += ",\"p99_s\":";
+    AppendDouble6g(&out, stats.hist.Percentile(0.99));
+    out += '}';
   }
   out += "}}";
   return out;

@@ -57,6 +57,8 @@ struct CriticalPath {
 // nullopt for traces without a root span (requests still in flight when the
 // collector was read, or partially evicted traces).
 std::optional<CriticalPath> AnalyzeTrace(const std::vector<SpanRecord>& spans);
+// The same over pointers in that order, as TraceCollector::ForEachTrace hands them out.
+std::optional<CriticalPath> AnalyzeTrace(const std::vector<const SpanRecord*>& spans);
 
 // Aggregates per-request decompositions into per-stage histograms and a
 // p50/p99 breakdown table.

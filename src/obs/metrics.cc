@@ -1,38 +1,132 @@
 #include "src/obs/metrics.h"
 
+#include <bit>
+#include <charconv>
+#include <cmath>
+
 #include "src/util/strings.h"
 
 namespace sns {
 
+namespace {
+
+// A %lld / %llu / %.6g rendering takes at most 20 bytes ("-9223372036854775808",
+// "-1.79769e+308"); %.Nf of the largest double needs a sign, 309 integer
+// digits, the point and N decimals.
+constexpr size_t kNumberBuf = 32;
+constexpr size_t kFixedBuf = 512;
+
+bool NeedsEscape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+// The escape sequence for a byte NeedsEscape() accepts.
+std::string_view EscapeFor(char c, char (&buf)[6]) {
+  switch (c) {
+    case '"':
+      return "\\\"";
+    case '\\':
+      return "\\\\";
+    case '\n':
+      return "\\n";
+    case '\t':
+      return "\\t";
+    case '\r':
+      return "\\r";
+    default:
+      static constexpr char kHex[] = "0123456789abcdef";
+      buf[0] = '\\';
+      buf[1] = 'u';
+      buf[2] = '0';
+      buf[3] = '0';
+      buf[4] = kHex[(c >> 4) & 0xf];
+      buf[5] = kHex[c & 0xf];
+      return {buf, 6};
+  }
+}
+
+}  // namespace
+
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
+  AppendEscaped(&out, s);
+  return out;
+}
+
+void AppendEscaped(std::string* out, std::string_view s) {
+  size_t run = 0;  // Start of the pending run of bytes that need no escape.
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (NeedsEscape(s[i])) {
+      char buf[6];
+      out->append(s.data() + run, i - run);
+      out->append(EscapeFor(s[i], buf));
+      run = i + 1;
     }
   }
-  return out;
+  out->append(s.data() + run, s.size() - run);
+}
+
+size_t EscapedLength(std::string_view s) {
+  size_t length = s.size();
+  for (char c : s) {
+    if (NeedsEscape(c)) {
+      char buf[6];
+      length += EscapeFor(c, buf).size() - 1;
+    }
+  }
+  return length;
+}
+
+void AppendInt(std::string* out, int64_t v) {
+  char buf[kNumberBuf];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr - buf);
+}
+
+void AppendUint(std::string* out, uint64_t v) {
+  char buf[kNumberBuf];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr - buf);
+}
+
+void AppendDouble6g(std::string* out, double v) {
+  // An integral value below 1e6 prints under %.6g as the plain integer (-0.0
+  // excepted: it prints "-0"). Most sampled values are counts, and the integer
+  // path is several times faster than the general-format one.
+  if (std::fabs(v) < 1e6) {
+    auto integral = static_cast<int64_t>(v);
+    if (static_cast<double>(integral) == v && (integral != 0 || !std::signbit(v))) {
+      AppendInt(out, integral);
+      return;
+    }
+  }
+  char buf[kNumberBuf];
+  out->append(buf,
+              std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 6).ptr - buf);
+}
+
+void AppendFixed(std::string* out, double v, int precision) {
+  char buf[kFixedBuf];
+  out->append(
+      buf, std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, precision).ptr - buf);
+}
+
+size_t UintLength(uint64_t v) {
+  static constexpr uint64_t kPow10[] = {
+      1ULL,           10ULL,           100ULL,           1000ULL,           10000ULL,
+      100000ULL,      1000000ULL,      10000000ULL,      100000000ULL,      1000000000ULL,
+      10000000000ULL, 100000000000ULL, 1000000000000ULL, 10000000000000ULL, 100000000000000ULL,
+      1000000000000000ULL,    10000000000000000ULL,   100000000000000000ULL,
+      1000000000000000000ULL, 10000000000000000000ULL};
+  // floor(log10(x)) is bit_width(x) * log10(2) (1233/4096), or one less. Zero
+  // has as many digits as one.
+  const uint64_t x = v | 1;
+  int log10 = (std::bit_width(x) * 1233) >> 12;
+  return static_cast<size_t>(log10) + (x >= kPow10[log10] ? 1 : 0);
+}
+
+size_t IntLength(int64_t v) {
+  // Negate in unsigned arithmetic so INT64_MIN does not overflow.
+  return v < 0 ? 1 + UintLength(0 - static_cast<uint64_t>(v)) : UintLength(static_cast<uint64_t>(v));
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/util/stats.h"
 
@@ -24,6 +25,21 @@ namespace sns {
 
 // Escapes a string for embedding inside a JSON string literal.
 std::string JsonEscape(const std::string& s);
+
+// Appenders for the JSON exporters: each writes into `out` with std::to_chars,
+// byte for byte what the printf conversion in its comment would print.
+void AppendInt(std::string* out, int64_t v);      // %lld
+void AppendUint(std::string* out, uint64_t v);    // %llu
+void AppendDouble6g(std::string* out, double v);  // %.6g
+void AppendFixed(std::string* out, double v, int precision);  // %.<precision>f, precision <= 100
+// JsonEscape(s), appended in place.
+void AppendEscaped(std::string* out, std::string_view s);
+
+// Output lengths of AppendInt/AppendUint/AppendEscaped, for sizing a buffer
+// before it is written.
+size_t IntLength(int64_t v);
+size_t UintLength(uint64_t v);
+size_t EscapedLength(std::string_view s);
 
 // Monotonically increasing count of events.
 class Counter {

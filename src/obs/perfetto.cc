@@ -51,8 +51,9 @@ std::string ExportChromeTrace(const TraceCollector& collector, const EventLog* e
   std::string metadata;
   std::string body;
 
-  for (uint64_t trace_id : collector.TraceIds()) {
-    for (const SpanRecord& span : collector.Trace(trace_id)) {
+  collector.ForEachTrace([&](uint64_t, const std::vector<const SpanRecord*>& spans) {
+    for (const SpanRecord* record : spans) {
+      const SpanRecord& span = *record;
       int lane = lanes.Lane(span.node, span.component, &metadata);
       body += StrFormat(
           "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"span\",\"pid\":%d,\"tid\":%d,"
@@ -63,7 +64,7 @@ std::string ExportChromeTrace(const TraceCollector& collector, const EventLog* e
           static_cast<unsigned long long>(span.span_id),
           static_cast<unsigned long long>(span.parent_span_id), JsonEscape(span.outcome).c_str());
     }
-  }
+  });
 
   if (events != nullptr) {
     for (const SanEvent& ev : events->messages()) {

@@ -60,7 +60,10 @@ class TimeSeriesRecorder {
   std::string ToJson() const;
 
  private:
-  void Record(const std::string& name, SimTime now, double value);
+  void Record(Series* s, SimTime now, double value);
+  // Points slots_ at the series of every instrument and probe, in sampling order.
+  void Bind();
+  size_t InstrumentCount() const;  // 0 without a registry.
 
   const MetricsRegistry* registry_;
   SimDuration interval_;
@@ -68,6 +71,12 @@ class TimeSeriesRecorder {
   int64_t samples_taken_ = 0;
   std::map<std::string, std::function<double()>> probes_;
   std::map<std::string, Series> series_;
+  // One slot per sampled value, in SampleAt's order: counters, gauges, histogram
+  // count and mean, probes. Instruments are never removed, so the slots stay
+  // valid until the instrument or probe count changes.
+  std::vector<Series*> slots_;
+  size_t bound_instruments_ = 0;
+  size_t bound_probes_ = 0;
 };
 
 }  // namespace sns

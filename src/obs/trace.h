@@ -13,6 +13,7 @@
 #include <deque>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/util/time.h"
@@ -43,7 +44,11 @@ struct SpanRecord {
   SimTime end = 0;
   std::string outcome;  // "ok", "hit", "miss", "error", "timeout", ...
 
-  std::string ToJson() const;
+  // Appends {"span_id":..,"parent_span_id":..,"component":..,"operation":..,
+  // "node":..,"start_ns":..,"end_ns":..,"outcome":..}.
+  void AppendJson(std::string* out) const;
+  // The number of bytes AppendJson appends.
+  size_t JsonLength() const;
 };
 
 // Allocates trace/span ids and accumulates finished spans, reassembling them into
@@ -67,6 +72,18 @@ class TraceCollector {
   // All spans of one trace, ordered by (start, span_id). Empty if unknown/evicted.
   std::vector<SpanRecord> Trace(uint64_t trace_id) const;
 
+  // Calls fn(trace_id, spans) for every retained trace, oldest first. `spans`
+  // holds the trace's spans in Trace()'s order but points into the collector,
+  // so nothing is copied; it is valid only during the call.
+  template <typename Fn>
+  void ForEachTrace(Fn&& fn) const {
+    std::vector<const SpanRecord*> spans;
+    for (uint64_t trace_id : trace_order_) {
+      SortedSpans(trace_id, &spans);
+      fn(trace_id, std::as_const(spans));
+    }
+  }
+
   // Trace ids currently retained, oldest first.
   std::vector<uint64_t> TraceIds() const;
 
@@ -79,6 +96,8 @@ class TraceCollector {
   std::string TraceToJson(uint64_t trace_id) const;
 
  private:
+  // Replaces *out with pointers to the trace's spans, ordered by (start, span_id).
+  void SortedSpans(uint64_t trace_id, std::vector<const SpanRecord*>* out) const;
   void EvictOldest();
 
   size_t max_traces_;

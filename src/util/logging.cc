@@ -29,7 +29,9 @@ void Logger::Write(LogLevel level, const char* component, const std::string& mes
   }
   std::string line;
   if (time_source_) {
-    line += "[" + FormatTime(time_source_()) + "] ";
+    line += '[';
+    line += FormatTime(time_source_());
+    line += "] ";
   }
   line += tag;
   line += " ";

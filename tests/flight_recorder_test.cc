@@ -18,6 +18,7 @@
 #include "src/services/transend/transend.h"
 #include "src/sns/worker_process.h"
 #include "src/util/logging.h"
+#include "src/util/strings.h"
 
 namespace sns {
 namespace {
@@ -93,6 +94,35 @@ TEST(TimeSeriesRecorderTest, SamplesCountersGaugesHistogramsAndProbes) {
   EXPECT_NE(json.find("\"fe.requests\""), std::string::npos);
   EXPECT_NE(json.find("\"node.0.cpu_util\""), std::string::npos);
   EXPECT_NE(json.find("\"interval_ns\""), std::string::npos);
+}
+
+TEST(TimeSeriesRecorderTest, InstrumentsAndProbesAddedLaterJoinTheSampling) {
+  MetricsRegistry registry;
+  registry.GetCounter("b.counter")->Increment();
+  TimeSeriesRecorder recorder(&registry, Milliseconds(10));
+  recorder.SampleAt(Milliseconds(10));
+
+  // Registered after the first tick, sorting before and after the old one.
+  registry.GetCounter("a.counter")->Increment(2);
+  registry.GetGauge("c.gauge")->Set(3.0);
+  registry.GetHistogram("d.hist", 0.0, 10.0, 10)->Add(4.0);
+  recorder.AddProbe("e.probe", [] { return 5.0; });
+  recorder.SampleAt(Milliseconds(20));
+  // Replacing a probe keeps its series and samples the new function.
+  recorder.AddProbe("e.probe", [] { return 6.0; });
+  recorder.SampleAt(Milliseconds(30));
+
+  const std::map<std::string, std::vector<double>> want = {
+      {"a.counter", {2, 2}},  {"b.counter", {1, 1, 1}}, {"c.gauge", {3, 3}},
+      {"d.hist.count", {1, 1}}, {"d.hist.mean", {4, 4}}, {"e.probe", {5, 6}},
+  };
+  EXPECT_EQ(recorder.series_count(), want.size());
+  for (const auto& [name, values] : want) {
+    const TimeSeriesRecorder::Series* series = recorder.Find(name);
+    ASSERT_NE(series, nullptr) << name;
+    EXPECT_EQ(std::vector<double>(series->v.begin(), series->v.end()), values) << name;
+    EXPECT_EQ(series->t.back(), Milliseconds(30)) << name;
+  }
 }
 
 TEST(TimeSeriesRecorderTest, RingBuffersAreBounded) {
@@ -389,6 +419,74 @@ TEST(SnapshotAuditTest, MonitorExportCoversFlightRecorderCounters) {
   std::string timeseries = service.system()->recorder()->ToJson();
   EXPECT_NE(timeseries.find("cpu_util"), std::string::npos);
   EXPECT_NE(timeseries.find("fe.0.completed_requests"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Golden export bytes: the exporters' output for one deterministic run
+// ---------------------------------------------------------------------------
+
+struct ExportDigest {
+  size_t length;
+  uint64_t fnv1a;
+};
+
+ExportDigest DigestOf(const std::string& json) { return {json.size(), Fnv1a(json)}; }
+
+// Pins the length and FNV-1a hash of each exported section of a short traced run
+// with a mid-run worker crash (so error outcomes, retries and fault instants are
+// all present). The pins were taken from the printf-based exporters; the
+// appender-based ones must reproduce them byte for byte. A deliberate format
+// change re-pins them from the failure message.
+TEST(ExportGoldenTest, SectionsMatchPinnedBytes) {
+  Logger::Get().set_min_level(LogLevel::kNone);
+  TranSendService service(DistillHeavyOptions());
+  service.Start();
+  PlaybackEngine* client = service.AddPlaybackEngine(0x601D);
+  FailureInjector injector(service.system()->cluster(), service.system()->san());
+  service.system()->AttachFailureInjector(&injector);
+
+  Rng rng(0x601D);
+  ContentUniverse* universe = service.universe();
+  client->StartConstantRate(15, [&rng, universe] {
+    TraceRecord record;
+    record.user_id = "golden";
+    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
+    return record;
+  });
+  service.sim()->RunFor(Seconds(10));
+  auto workers = service.system()->live_workers(kJpegDistillerType);
+  ASSERT_FALSE(workers.empty());
+  injector.CrashProcessAt(service.sim()->now() + Seconds(1), workers[0]->pid());
+  service.sim()->RunFor(Seconds(10));
+  client->StopLoad();
+  service.sim()->RunFor(Seconds(5));
+
+  const TraceCollector& tracer = *service.system()->tracer();
+  const std::map<std::string, ExportDigest> pinned = {
+      {"timeseries", {181449, 0x8b1b08ec69757ceULL}},
+      {"traces", {576383, 0x818835ff5939f63eULL}},
+      {"critical_path", {986, 0xb85b7404572e0547ULL}},
+      {"chrome_trace", {1809545, 0xa40a383c4d734929ULL}},
+  };
+  std::string timeseries = service.system()->recorder()->ToJson();
+  std::string traces = tracer.ToJson();
+  // The two large sections are sized before they are written: the buffer never
+  // regrows and carries no slack (allowing for an allocator's rounding).
+  EXPECT_LT(timeseries.capacity() - timeseries.size(), 16u);
+  EXPECT_LT(traces.capacity() - traces.size(), 16u);
+  const std::map<std::string, ExportDigest> actual = {
+      {"timeseries", DigestOf(timeseries)},
+      {"traces", DigestOf(traces)},
+      {"critical_path", DigestOf(CriticalPathSummary::FromCollector(tracer).ToJson())},
+      {"chrome_trace", DigestOf(ExportChromeTrace(tracer, service.system()->event_log()))},
+  };
+  for (const auto& [section, want] : pinned) {
+    const ExportDigest& got = actual.at(section);
+    EXPECT_TRUE(got.length == want.length && got.fnv1a == want.fnv1a)
+        << section << ": got {" << got.length << ", 0x" << std::hex << got.fnv1a
+        << "ULL}" << std::dec << ", pinned {" << want.length << ", 0x" << std::hex
+        << want.fnv1a << "ULL}";
+  }
 }
 
 }  // namespace

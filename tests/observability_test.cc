@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -74,6 +79,158 @@ TEST(MetricsRegistryTest, JsonEscapeHandlesSpecials) {
   EXPECT_EQ(JsonEscape("x\ny"), "x\\ny");
 }
 
+// ---------- JSON appenders vs printf (differential) -------------------------------------------
+
+// The printf-based escaper the appenders replaced: the oracle for AppendEscaped.
+std::string PrintfJsonEscape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += StrFormat("\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string Double6g(double v) {
+  std::string out;
+  AppendDouble6g(&out, v);
+  return out;
+}
+
+std::string Fixed(double v, int precision) {
+  std::string out;
+  AppendFixed(&out, v, precision);
+  return out;
+}
+
+void ExpectDoubleMatchesPrintf(double v) {
+  EXPECT_EQ(Double6g(v), StrFormat("%.6g", v)) << "bits " << std::hex << std::bit_cast<uint64_t>(v);
+  EXPECT_EQ(Fixed(v, 4), StrFormat("%.4f", v)) << "bits " << std::hex << std::bit_cast<uint64_t>(v);
+  EXPECT_EQ(Fixed(v, 3), StrFormat("%.3f", v)) << "bits " << std::hex << std::bit_cast<uint64_t>(v);
+}
+
+void ExpectIntMatchesPrintf(int64_t v) {
+  std::string out;
+  AppendInt(&out, v);
+  EXPECT_EQ(out, StrFormat("%lld", static_cast<long long>(v)));
+  EXPECT_EQ(IntLength(v), out.size()) << v;
+}
+
+void ExpectUintMatchesPrintf(uint64_t v) {
+  std::string out;
+  AppendUint(&out, v);
+  EXPECT_EQ(out, StrFormat("%llu", static_cast<unsigned long long>(v)));
+  EXPECT_EQ(UintLength(v), out.size()) << v;
+}
+
+TEST(JsonAppenderTest, EdgeDoublesMatchPrintf) {
+  const double edges[] = {
+      0.0, -0.0, 1.0, -1.0, std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(), std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(), std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), std::numeric_limits<double>::min() / 3,
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(), 1e-7, 1e-5, 1e-4, 0.0001234565, 0.5, 0.00005,
+      999999.0, 999999.4, 999999.5, -999999.5, 1e6, 1e6 - 1, 123456.5, 1234567.0, 1e15,
+      9007199254740992.0,  // 2^53
+      9007199254740993.0, static_cast<double>(std::numeric_limits<int64_t>::min()),
+      static_cast<double>(std::numeric_limits<int64_t>::max()), 0.1, 2.5, 0.00015, 1e21, 1e-300,
+      3.14159265358979, 12345.65, 0.30000000000000004};
+  for (double v : edges) {
+    ExpectDoubleMatchesPrintf(v);
+  }
+}
+
+TEST(JsonAppenderTest, SeededRandomDoublesMatchPrintf) {
+  std::mt19937_64 rng(0x70C4A125);
+  for (int i = 0; i < 10000; ++i) {
+    uint64_t bits = rng();
+    double v = 0.0;
+    switch (i % 5) {
+      case 0:  // Any bit pattern: every exponent, denormals, inf and NaN payloads.
+        v = std::bit_cast<double>(bits);
+        break;
+      case 1:  // Integers, the counters the time series mostly holds.
+        v = static_cast<double>(static_cast<int64_t>(bits >> 40) - (int64_t{1} << 23));
+        break;
+      case 2:  // Fractions in [0, 1): ratios, utilizations.
+        v = static_cast<double>(bits >> 11) * 0x1.0p-53;
+        break;
+      case 3:  // Around the %.6g switch to exponent notation at 1e6.
+        v = 999990.0 + static_cast<double>(bits % 2000) / 100.0;
+        break;
+      case 4:  // Seconds-scale latencies across twelve decades.
+        v = std::ldexp(static_cast<double>(bits >> 11), -53) *
+            std::pow(10.0, static_cast<double>(bits % 12) - 6.0);
+        break;
+    }
+    ExpectDoubleMatchesPrintf(v);
+  }
+}
+
+TEST(JsonAppenderTest, IntegersMatchPrintf) {
+  std::vector<int64_t> ints = {0, 1, -1, 9, 10, -10, 99, 100, std::numeric_limits<int64_t>::min(),
+                               std::numeric_limits<int64_t>::max(),
+                               std::numeric_limits<int64_t>::min() + 1};
+  for (int64_t p = 1; p <= std::numeric_limits<int64_t>::max() / 10; p *= 10) {
+    ints.insert(ints.end(), {p - 1, p, p + 1, -p, -p - 1});
+  }
+  for (int64_t v : ints) {
+    ExpectIntMatchesPrintf(v);
+    ExpectUintMatchesPrintf(static_cast<uint64_t>(v));
+  }
+  ExpectUintMatchesPrintf(std::numeric_limits<uint64_t>::max());
+  std::mt19937_64 rng(0x1A7);
+  for (int i = 0; i < 1000; ++i) {
+    uint64_t bits = rng() >> (i % 64);
+    ExpectIntMatchesPrintf(static_cast<int64_t>(bits));
+    ExpectUintMatchesPrintf(bits);
+  }
+}
+
+TEST(JsonAppenderTest, EscaperMatchesPrintfEscaper) {
+  std::vector<std::string> inputs = {"", "plain", "a\"b\\c", "x\ny\tz\rw", "\"\"\\\\",
+                                     "trailing\\", "caf\xc3\xa9", "\x7f\x80\xff"};
+  for (int c = 0; c < 256; ++c) {
+    inputs.push_back(std::string(1, static_cast<char>(c)));
+    inputs.push_back("pre" + std::string(1, static_cast<char>(c)) + "post");
+  }
+  std::string all_bytes;
+  for (int c = 255; c >= 0; --c) {
+    all_bytes += static_cast<char>(c);
+  }
+  inputs.push_back(all_bytes);
+  for (const std::string& s : inputs) {
+    std::string want = PrintfJsonEscape(s);
+    std::string got = "prefix:";
+    AppendEscaped(&got, s);
+    EXPECT_EQ(got, "prefix:" + want);
+    EXPECT_EQ(JsonEscape(s), want);
+    EXPECT_EQ(EscapedLength(s), want.size());
+  }
+}
+
 // ---------- TraceCollector unit tests ---------------------------------------------------------
 
 TEST(TraceCollectorTest, ChildSpansInheritTraceAndChainParents) {
@@ -130,6 +287,35 @@ TEST(TraceCollectorTest, RecordsAndReassemblesOrderedSpans) {
   std::string json = collector.TraceToJson(root.trace_id);
   EXPECT_NE(json.find("\"fe.request\""), std::string::npos);
   EXPECT_NE(json.find("\"worker.task\""), std::string::npos);
+}
+
+TEST(TraceCollectorTest, SpanJsonMatchesPrintfAndItsLength) {
+  SpanRecord root;  // Zero ids and node -1: the shortest and the signed fields.
+  root.component = "playback";
+  root.operation = "client.request";
+  root.outcome = "ok";
+  SpanRecord odd;
+  odd.span_id = std::numeric_limits<uint64_t>::max();
+  odd.parent_span_id = 1234567;
+  odd.component = "worker:distill-jpeg";
+  odd.operation = "we\"ird\\op\n\x01";
+  odd.node = std::numeric_limits<int32_t>::min();
+  odd.start = std::numeric_limits<int64_t>::min();
+  odd.end = 1200000000123;
+  odd.outcome = "\x7f\xff";
+  for (const SpanRecord& span : {root, odd}) {
+    std::string want = StrFormat(
+        "{\"span_id\":%llu,\"parent_span_id\":%llu,\"component\":\"%s\",\"operation\":\"%s\","
+        "\"node\":%d,\"start_ns\":%lld,\"end_ns\":%lld,\"outcome\":\"%s\"}",
+        static_cast<unsigned long long>(span.span_id),
+        static_cast<unsigned long long>(span.parent_span_id), JsonEscape(span.component).c_str(),
+        JsonEscape(span.operation).c_str(), span.node, static_cast<long long>(span.start),
+        static_cast<long long>(span.end), JsonEscape(span.outcome).c_str());
+    std::string got;
+    span.AppendJson(&got);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(span.JsonLength(), want.size());
+  }
 }
 
 TEST(TraceCollectorTest, EvictsOldestTraceFifo) {
