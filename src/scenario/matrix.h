@@ -3,8 +3,8 @@
 // SmokeMatrix() is the CI matrix behind the `matrix-smoke` ctest label: every
 // cell here has a blessed baseline under bench/baselines/ and is diffed against
 // it by tools/bench_diff on every run. The cell list is part of the repo's
-// contract — bench/CMakeLists.txt names each cell literally, and
-// tests/scenario_test.cc pins the list so the two cannot drift silently.
+// contract — bench/CMakeLists.txt builds one test per baseline file, and
+// tests/scenario_test.cc checks that this list names exactly those files.
 // Regenerate baselines with tools/bless_baseline after any change that
 // legitimately moves the numbers.
 

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <utility>
 
 #include "src/chaos/campaign.h"
 #include "src/cluster/failure_injector.h"
-#include "src/obs/critical_path.h"
 #include "src/obs/metrics.h"
-#include "src/obs/profiler.h"
 #include "src/services/transend/transend.h"
 #include "src/util/strings.h"
 #include "src/workload/trace.h"
@@ -190,42 +187,6 @@ std::string MatrixSectionJson(const CellResult& result, double distort_goodput) 
       static_cast<long long>(result.faults_injected),
       MetricsJson(result.metrics, distort_goodput).c_str());
 }
-
-namespace {
-
-// Writes the uniform BENCH artifact (schema v2: snapshot, timeseries,
-// critical_path, availability, profile, traces) plus the cell's "matrix"
-// section (the validator allows extra top-level keys, so matrix artifacts pass
-// the same schema check as every other bench artifact).
-bool WriteCellArtifact(SnsSystem* system, const CellResult& result,
-                       const CellRunOptions& options, const std::string& path) {
-  MonitorProcess* monitor = system->monitor();
-  std::string snapshot = monitor != nullptr ? monitor->ExportJson()
-                                            : system->metrics()->RenderJson();
-  std::string timeseries =
-      system->recorder() != nullptr ? system->recorder()->ToJson() : "{}";
-  CriticalPathSummary paths = CriticalPathSummary::FromCollector(*system->tracer());
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  std::fprintf(
-      f,
-      "{\"meta\":{\"schema_version\":2,\"bench\":\"%s\",\"time_ns\":%lld},"
-      "\"snapshot\":%s,\"timeseries\":%s,\"critical_path\":%s,"
-      "\"availability\":%s,\"profile\":%s,\"traces\":%s,"
-      "\"matrix\":%s}\n",
-      JsonEscape("matrix_" + result.cell.Name()).c_str(),
-      static_cast<long long>(system->sim()->now()), snapshot.c_str(),
-      timeseries.c_str(), paths.ToJson().c_str(),
-      system->availability()->ToJson(system->event_log()).c_str(),
-      Profiler::Get().ToJson().c_str(), system->tracer()->ToJson().c_str(),
-      MatrixSectionJson(result, options.distort_goodput).c_str());
-  std::fclose(f);
-  return true;
-}
-
-}  // namespace
 
 CellResult RunScenarioCell(const ScenarioCell& cell, const CellRunOptions& options) {
   CellResult result;
@@ -420,7 +381,12 @@ CellResult RunScenarioCell(const ScenarioCell& cell, const CellRunOptions& optio
   if (!options.artifact_dir.empty()) {
     std::string path = options.artifact_dir + "/BENCH_matrix_" + cell.Name() +
                        options.artifact_suffix + ".json";
-    result.artifact_written = WriteCellArtifact(system, result, options, path);
+    // The uniform run artifact plus the cell's "matrix" section (the validator
+    // allows extra sections, so matrix artifacts pass the same schema check).
+    std::vector<ArtifactSection> sections = system->ArtifactSections();
+    sections.push_back({"matrix", MatrixSectionJson(result, options.distort_goodput)});
+    result.artifact_written = WriteRunArtifact(path, "matrix_" + result.cell.Name(),
+                                               sim->now(), sections);
     result.artifact_path = path;
   }
   return result;

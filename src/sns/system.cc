@@ -1,6 +1,8 @@
 #include "src/sns/system.h"
 
 #include "src/cluster/failure_injector.h"
+#include "src/obs/critical_path.h"
+#include "src/obs/profiler.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
 
@@ -375,6 +377,19 @@ std::vector<FrontEndProcess*> SnsSystem::front_ends() const {
     }
   }
   return out;
+}
+
+std::vector<ArtifactSection> SnsSystem::ArtifactSections() {
+  MonitorProcess* monitor_process = monitor();
+  // Without a monitor (with_monitor=false topologies) fall back to the bare
+  // registry so the artifact still carries the metrics.
+  return {{"snapshot", monitor_process != nullptr ? monitor_process->ExportJson()
+                                                  : metrics()->RenderJson()},
+          {"timeseries", recorder_ != nullptr ? recorder_->ToJson() : "{}"},
+          {"critical_path", CriticalPathSummary::FromCollector(*tracer()).ToJson()},
+          {"availability", availability_.ToJson(&event_log_)},
+          {"profile", Profiler::Get().ToJson()},
+          {"traces", tracer()->ToJson()}};
 }
 
 MonitorProcess* SnsSystem::monitor() const {

@@ -21,6 +21,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/net/san.h"
+#include "src/obs/artifact.h"
 #include "src/obs/availability.h"
 #include "src/obs/events.h"
 #include "src/quorum/fencing.h"
@@ -167,6 +168,9 @@ class SnsSystem : public ComponentLauncher {
   const std::vector<NodeId>& worker_pool() const { return worker_pool_; }
   const std::vector<NodeId>& overflow_pool() const { return overflow_pool_; }
   NodeId origin_node() const { return origin_node_; }
+
+  // The six required run-artifact sections (src/obs/artifact.h), exported now.
+  std::vector<ArtifactSection> ArtifactSections();
 
   // Aggregate FE stats (across current incarnations).
   int64_t TotalCompletedRequests() const;

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <random>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/artifact.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/services/transend/transend.h"
@@ -476,6 +478,67 @@ TEST(MonitorExportTest, SnapshotCarriesRegistryMetricsAndComponents) {
     if (ch == '}') --depth;
   }
   EXPECT_EQ(depth, 0);
+}
+
+// ---------- Run-artifact writer ---------------------------------------------------------------
+
+std::vector<ArtifactSection> MinimalSections() {
+  std::vector<ArtifactSection> sections;
+  for (const char* name : kArtifactSections) {
+    sections.push_back({name, "{}"});
+  }
+  return sections;
+}
+
+std::string ReadAll(const std::string& path) {
+  std::string text;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f != nullptr) {
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      text.append(buf, n);
+    }
+    std::fclose(f);
+  }
+  return text;
+}
+
+TEST(ArtifactWriterTest, WritesMetaThenSectionsInOrder) {
+  std::vector<ArtifactSection> sections = MinimalSections();
+  sections[0].json = "{\"requests\":42}";
+  sections.push_back({"matrix", "{\"cell\":\"c\"}"});
+  std::string path = testing::TempDir() + "/artifact_writer_test.json";
+  ASSERT_TRUE(WriteRunArtifact(path, "na\"me", -5, sections));
+  EXPECT_EQ(ReadAll(path),
+            "{\"meta\":{\"schema_version\":2,\"bench\":\"na\\\"me\",\"time_ns\":-5},"
+            "\"snapshot\":{\"requests\":42},\"timeseries\":{},\"critical_path\":{},"
+            "\"availability\":{},\"profile\":{},\"traces\":{},"
+            "\"matrix\":{\"cell\":\"c\"}}\n");
+}
+
+TEST(ArtifactWriterTest, RejectsMissingOrMisorderedSections) {
+  std::string path = testing::TempDir() + "/artifact_writer_rejects.json";
+  std::vector<ArtifactSection> missing = MinimalSections();
+  missing.erase(missing.begin() + 3);  // No "availability".
+  EXPECT_FALSE(WriteRunArtifact(path, "b", 0, missing));
+  std::vector<ArtifactSection> swapped = MinimalSections();
+  std::swap(swapped[1], swapped[2]);
+  EXPECT_FALSE(WriteRunArtifact(path, "b", 0, swapped));
+  std::vector<ArtifactSection> extra_first = MinimalSections();
+  extra_first.insert(extra_first.begin(), {"matrix", "{}"});
+  EXPECT_FALSE(WriteRunArtifact(path, "b", 0, extra_first));
+}
+
+TEST(ArtifactWriterTest, ReportsOpenAndCloseFailures) {
+  EXPECT_FALSE(WriteRunArtifact(testing::TempDir() + "/no/such/dir/a.json", "b", 0,
+                                MinimalSections()));
+  // /dev/full accepts the open and buffered writes; the flush on close fails
+  // with ENOSPC, which the writer must report.
+  if (std::FILE* f = std::fopen("/dev/full", "w")) {
+    std::fclose(f);
+    EXPECT_FALSE(WriteRunArtifact("/dev/full", "b", 0, MinimalSections()));
+  }
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
-// Tests for the declarative scenario matrix (src/scenario): the committed
-// smoke-matrix cell list (pinned so bench/CMakeLists.txt and the blessed
-// baselines under bench/baselines/ cannot drift from it silently), the cell
+// Tests for the declarative scenario matrix (src/scenario): the smoke-matrix
+// cell list (which must match the blessed baselines under bench/baselines/,
+// from which bench/CMakeLists.txt derives the matrix-smoke tests), the cell
 // naming scheme, the recovery-gap metric, the deterministic streaming-TACC
 // frame schedule, and one full cell run end to end.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -20,32 +21,22 @@
 namespace sns {
 namespace {
 
-// The committed smoke matrix, by name and in order. bench/CMakeLists.txt names
-// these cells literally and bench/baselines/<name>.json holds one blessed
-// baseline per cell — a change here must update both (and re-bless).
-const char* const kSmokeCellNames[] = {
-    "zipf_w2fe1c2r2u_f0_nom",
-    "zipf_w2fe1c2r2u_f0_sat",
-    "zipf_w4fe2c3r3u_f31_nom",
-    "replay_w2fe2c2r1u_f0_nom",
-    "replay_w4fe2c4r2u_f0_nom",
-    "replay_w2fe1c2r1u_f0_sat",
-    "flash_w3fe2c2r2u_f0_nom",
-    "flash_w3fe2c2r2u_f47_nom",
-    "flash_w3fe2c2r1u_f47_nom",
-    "diurnal_w2fe1c2r2cw_f0_nom",
-    "diurnal_w3fe2c2r2cw_f5a_nom",
-    "stream_w2fe1c2r2u_f0_nom",
-    "stream_w3fe2c2r3u_f6b_nom",
-    "stream_w2fe1c2r2u_f0_sat",
-};
-
+// bench/baselines/<name>.json holds one blessed baseline per smoke-matrix
+// cell, and bench/CMakeLists.txt builds the matrix-smoke tests from those
+// files: adding, renaming or removing a cell must re-bless the baselines.
 TEST(ScenarioMatrixTest, SmokeMatrixPinsItsCellNames) {
-  std::vector<ScenarioCell> cells = SmokeMatrix();
-  ASSERT_EQ(cells.size(), sizeof(kSmokeCellNames) / sizeof(kSmokeCellNames[0]));
-  for (size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(cells[i].Name(), kSmokeCellNames[i]) << "cell " << i;
+  std::set<std::string> baselines;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SNS_SOURCE_DIR "/bench/baselines")) {
+    if (entry.path().extension() == ".json") {
+      baselines.insert(entry.path().stem().string());
+    }
   }
+  std::set<std::string> cells;
+  for (const ScenarioCell& cell : SmokeMatrix()) {
+    cells.insert(cell.Name());
+  }
+  EXPECT_EQ(cells, baselines);
 }
 
 TEST(ScenarioMatrixTest, SmokeMatrixCoversRequiredAxes) {

@@ -5,41 +5,23 @@
 // Each artifact must carry a "matrix" section ({"cell":...,"metrics":{...}},
 // emitted by src/scenario); its metrics are compared against the committed
 // baseline — <baseline-dir>/<cell>.json, or the single baseline file — under
-// per-metric tolerance rules:
-//
-//   latency_p50_s   current <= base * 1.35 + 0.05 s
-//   latency_p99_s   current <= base * 1.35 + 0.10 s
-//   goodput         current >= base * 0.90   (purely relative: goodput is a
-//                   ratio of integer request counts, so runs are exactly
-//                   reproducible and even a tiny base stays gateable — a 20%
-//                   regression trips in every cell, saturated ones included)
-//   hit_rate        current >= base - 0.10
-//   recovery_s      current <= base * 1.5 + 2.0 s
-//   yield           current >= base * 0.90   (same relative floor as goodput:
-//                   answered/offered over integer counts, exactly reproducible)
-//   harvest         current >= base * 0.90   (mean answer completeness; a shift
-//                   toward approximate/degraded answers trips the gate)
-//
-// (upper-bounded metrics may improve freely; lower-bounded ones likewise).
-// Other metrics in the baseline (sent, completed, ...) are informational.
-// Any regression, missing metric, NaN/Inf value, or cell-name mismatch exits
-// nonzero. Like validate_bench_artifact, this is dependency-free: a minimal
-// strict JSON reader, no third-party parser. The number scanner enforces the
-// JSON grammar, so "NaN"/"Infinity" (which strtod would happily accept) are
-// malformed input here.
+// the per-metric tolerance rules in kGates below. Other metrics in the
+// baseline (sent, completed, ...) are informational. Any regression, gated
+// metric missing from the artifact or the baseline, NaN/Inf value, or
+// cell-name mismatch exits nonzero. Like validate_bench_artifact, this is
+// dependency-free: it reads JSON with the strict reader in json_reader.h.
 
 #include <sys/stat.h>
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
-#include <vector>
+
+#include "json_reader.h"
 
 namespace {
+
+using sns::JsonReader;
 
 struct MetricsDoc {
   std::string cell;
@@ -47,348 +29,77 @@ struct MetricsDoc {
   double schema_version = -1;
 };
 
-struct Parser {
-  const char* p;
-  const char* end;
-  std::string error;
-
-  explicit Parser(const std::string& text)
-      : p(text.data()), end(text.data() + text.size()) {}
-
-  bool Fail(const std::string& what) {
-    if (error.empty()) {
-      error = what;
+// Reads an object carrying "cell" / "metrics" / "schema_version"; other
+// members are skipped. Every metric value must be a finite number.
+bool ReadCapture(JsonReader* reader, MetricsDoc* doc) {
+  return reader->Object([&](const std::string& key) {
+    if (key == "cell") {
+      return doc->cell.empty() ? reader->String(&doc->cell)
+                               : reader->Fail("duplicate \"cell\"");
     }
-    return false;
-  }
-
-  void SkipWs() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
+    if (key == "metrics") {
+      return reader->Object([&](const std::string& metric) {
+        return reader->Number(&doc->metrics[metric]);
+      });
     }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
+    if (key == "schema_version") {
+      return reader->Number(&doc->schema_version);
     }
-    return Fail(std::string("expected '") + c + "'");
-  }
-
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (p >= end || *p != '"') {
-      return Fail("expected string");
-    }
-    ++p;
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        ++p;
-        if (p >= end) {
-          return Fail("truncated escape");
-        }
-        if (*p == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++p;
-            if (p >= end || !isxdigit(static_cast<unsigned char>(*p))) {
-              return Fail("bad \\u escape");
-            }
-          }
-          if (out != nullptr) out->push_back('?');
-        } else if (std::strchr("\"\\/bfnrt", *p) != nullptr) {
-          if (out != nullptr) out->push_back(*p);
-        } else {
-          return Fail("bad escape character");
-        }
-        ++p;
-      } else {
-        if (out != nullptr) out->push_back(*p);
-        ++p;
-      }
-    }
-    if (p >= end) {
-      return Fail("unterminated string");
-    }
-    ++p;
-    return true;
-  }
-
-  // Strict JSON number: '-'? int frac? exp?, then a finiteness check. Rejects
-  // the NaN/Inf spellings strtod accepts.
-  bool ParseNumber(double* out) {
-    SkipWs();
-    const char* start = p;
-    if (p < end && *p == '-') ++p;
-    if (p >= end || !isdigit(static_cast<unsigned char>(*p))) {
-      return Fail("malformed number");
-    }
-    while (p < end && isdigit(static_cast<unsigned char>(*p))) ++p;
-    if (p < end && *p == '.') {
-      ++p;
-      if (p >= end || !isdigit(static_cast<unsigned char>(*p))) {
-        return Fail("malformed number fraction");
-      }
-      while (p < end && isdigit(static_cast<unsigned char>(*p))) ++p;
-    }
-    if (p < end && (*p == 'e' || *p == 'E')) {
-      ++p;
-      if (p < end && (*p == '+' || *p == '-')) ++p;
-      if (p >= end || !isdigit(static_cast<unsigned char>(*p))) {
-        return Fail("malformed number exponent");
-      }
-      while (p < end && isdigit(static_cast<unsigned char>(*p))) ++p;
-    }
-    double v = std::strtod(std::string(start, p).c_str(), nullptr);
-    if (!std::isfinite(v)) {
-      return Fail("non-finite number");
-    }
-    if (out != nullptr) {
-      *out = v;
-    }
-    return true;
-  }
-
-  bool Literal(const char* word) {
-    SkipWs();
-    for (const char* w = word; *w != '\0'; ++w, ++p) {
-      if (p >= end || *p != *w) {
-        return Fail(std::string("expected '") + word + "'");
-      }
-    }
-    return true;
-  }
-
-  bool SkipValue() {
-    SkipWs();
-    if (p >= end) {
-      return Fail("unexpected end of input");
-    }
-    switch (*p) {
-      case '{': {
-        ++p;
-        SkipWs();
-        if (p < end && *p == '}') {
-          ++p;
-          return true;
-        }
-        while (true) {
-          if (!ParseString(nullptr) || !Consume(':') || !SkipValue()) {
-            return false;
-          }
-          SkipWs();
-          if (p < end && *p == ',') {
-            ++p;
-            continue;
-          }
-          return Consume('}');
-        }
-      }
-      case '[': {
-        ++p;
-        SkipWs();
-        if (p < end && *p == ']') {
-          ++p;
-          return true;
-        }
-        while (true) {
-          if (!SkipValue()) {
-            return false;
-          }
-          SkipWs();
-          if (p < end && *p == ',') {
-            ++p;
-            continue;
-          }
-          return Consume(']');
-        }
-      }
-      case '"':
-        return ParseString(nullptr);
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return ParseNumber(nullptr);
-    }
-  }
-
-  // {"metric": <number>, ...} — every value must be a strict finite number.
-  bool ParseMetricsObject(std::map<std::string, double>* out) {
-    if (!Consume('{')) {
-      return false;
-    }
-    SkipWs();
-    if (p < end && *p == '}') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      double value = 0;
-      if (!ParseString(&key) || !Consume(':') || !ParseNumber(&value)) {
-        return false;
-      }
-      (*out)[key] = value;
-      SkipWs();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      return Consume('}');
-    }
-  }
-
-  // Object carrying "cell" / "metrics" / "schema_version"; other keys skipped.
-  bool ParseCaptureObject(MetricsDoc* doc) {
-    if (!Consume('{')) {
-      return false;
-    }
-    SkipWs();
-    if (p < end && *p == '}') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      if (!ParseString(&key) || !Consume(':')) {
-        return false;
-      }
-      if (key == "cell") {
-        if (!ParseString(&doc->cell)) {
-          return false;
-        }
-      } else if (key == "metrics") {
-        if (!ParseMetricsObject(&doc->metrics)) {
-          return false;
-        }
-      } else if (key == "schema_version") {
-        if (!ParseNumber(&doc->schema_version)) {
-          return false;
-        }
-      } else if (!SkipValue()) {
-        return false;
-      }
-      SkipWs();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      return Consume('}');
-    }
-  }
-};
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return false;
-  }
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  std::fclose(f);
-  return true;
+    return reader->Skip();
+  });
 }
 
+// Reads a document's capture object and returns what is wrong with it, or "".
 // from_artifact: capture the top-level "matrix" section and skip the rest of
 // the (large) artifact. Otherwise the document itself is the capture object
 // (the baseline-file layout).
-bool ParseDoc(const std::string& text, bool from_artifact, MetricsDoc* doc,
-              std::string* error) {
-  Parser parser(text);
-  if (!from_artifact) {
-    if (!parser.ParseCaptureObject(doc)) {
-      *error = parser.error;
-      return false;
-    }
-  } else {
-    if (!parser.Consume('{')) {
-      *error = "top level is not a JSON object";
-      return false;
-    }
-    bool saw_matrix = false;
-    while (true) {
-      std::string key;
-      if (!parser.ParseString(&key) || !parser.Consume(':')) {
-        *error = "malformed top-level key: " + parser.error;
-        return false;
-      }
-      bool ok = key == "matrix" ? (saw_matrix = true, parser.ParseCaptureObject(doc))
-                                : parser.SkipValue();
-      if (!ok) {
-        *error = "malformed value for \"" + key + "\": " + parser.error;
-        return false;
-      }
-      parser.SkipWs();
-      if (parser.p < parser.end && *parser.p == ',') {
-        ++parser.p;
-        continue;
-      }
-      if (!parser.Consume('}')) {
-        *error = "unterminated top-level object";
-        return false;
-      }
-      break;
-    }
-    if (!saw_matrix) {
-      *error = "artifact has no \"matrix\" section";
-      return false;
-    }
+std::string ReadDoc(const std::string& text, bool from_artifact, MetricsDoc* doc) {
+  JsonReader reader(text);
+  bool saw_matrix = false;
+  bool ok = !from_artifact ? ReadCapture(&reader, doc)
+                           : reader.Object([&](const std::string& key) {
+                               if (key != "matrix") {
+                                 return reader.Skip();
+                               }
+                               saw_matrix = true;
+                               return ReadCapture(&reader, doc);
+                             });
+  if (!ok) {
+    return reader.error();
+  }
+  if (from_artifact && !saw_matrix) {
+    return "artifact has no \"matrix\" section";
   }
   if (doc->cell.empty()) {
-    *error = "missing \"cell\"";
-    return false;
+    return "missing \"cell\"";
   }
-  if (doc->metrics.empty()) {
-    *error = "missing or empty \"metrics\"";
-    return false;
+  if (!from_artifact && doc->schema_version != 2) {
+    return "schema_version is not 2 (re-bless with tools/bless_baseline)";
   }
-  return true;
+  return doc->metrics.empty() ? "missing or empty \"metrics\"" : "";
 }
 
-// Gated tolerance rules. Returns true when `metric` is gated, storing the
-// acceptance verdict and the limit that applied.
-bool GateMetric(const std::string& metric, double base, double current, bool* ok,
-                double* limit, const char** direction) {
-  if (metric == "latency_p50_s") {
-    *limit = base * 1.35 + 0.05;
-    *ok = current <= *limit;
-    *direction = "<=";
-    return true;
-  }
-  if (metric == "latency_p99_s") {
-    *limit = base * 1.35 + 0.10;
-    *ok = current <= *limit;
-    *direction = "<=";
-    return true;
-  }
-  if (metric == "goodput" || metric == "yield" || metric == "harvest") {
-    *limit = base * 0.90;
-    *ok = current >= *limit;
-    *direction = ">=";
-    return true;
-  }
-  if (metric == "hit_rate") {
-    *limit = base - 0.10;
-    *ok = current >= *limit;
-    *direction = ">=";
-    return true;
-  }
-  if (metric == "recovery_s") {
-    *limit = base * 1.5 + 2.0;
-    *ok = current <= *limit;
-    *direction = "<=";
-    return true;
-  }
-  return false;
-}
+// The gated metrics: the current value must stay at or below (upper) or at or
+// above base * scale + offset, so every metric may improve freely.
+struct Gate {
+  const char* metric;
+  double scale;
+  double offset;
+  bool upper;
+};
+constexpr Gate kGates[] = {
+    // goodput and yield are ratios of integer request counts, so runs are
+    // exactly reproducible and a purely relative floor gates even a tiny base:
+    // a 20% regression trips in every cell, saturated ones included.
+    {"goodput", 0.90, 0, false},
+    // Mean answer completeness: a shift toward degraded answers trips it.
+    {"harvest", 0.90, 0, false},
+    {"hit_rate", 1.0, -0.10, false},
+    {"latency_p50_s", 1.35, 0.05, true},
+    {"latency_p99_s", 1.35, 0.10, true},
+    {"recovery_s", 1.5, 2.0, true},
+    {"yield", 0.90, 0, false},
+};
 
 bool IsDirectory(const std::string& path) {
   struct stat st;
@@ -398,13 +109,13 @@ bool IsDirectory(const std::string& path) {
 int DiffOne(const std::string& baseline_arg, bool baseline_is_dir,
             const std::string& artifact_path) {
   std::string text;
-  if (!ReadFile(artifact_path, &text)) {
+  if (!sns::ReadFile(artifact_path.c_str(), &text)) {
     std::fprintf(stderr, "%s: MISSING\n", artifact_path.c_str());
     return 1;
   }
   MetricsDoc current;
-  std::string error;
-  if (!ParseDoc(text, /*from_artifact=*/true, &current, &error)) {
+  std::string error = ReadDoc(text, /*from_artifact=*/true, &current);
+  if (!error.empty()) {
     std::fprintf(stderr, "%s: INVALID: %s\n", artifact_path.c_str(), error.c_str());
     return 1;
   }
@@ -412,22 +123,16 @@ int DiffOne(const std::string& baseline_arg, bool baseline_is_dir,
   std::string baseline_path =
       baseline_is_dir ? baseline_arg + "/" + current.cell + ".json" : baseline_arg;
   std::string baseline_text;
-  if (!ReadFile(baseline_path, &baseline_text)) {
+  if (!sns::ReadFile(baseline_path.c_str(), &baseline_text)) {
     std::fprintf(stderr, "%s: no baseline %s (bless it with tools/bless_baseline)\n",
                  artifact_path.c_str(), baseline_path.c_str());
     return 1;
   }
   MetricsDoc baseline;
-  if (!ParseDoc(baseline_text, /*from_artifact=*/false, &baseline, &error)) {
+  error = ReadDoc(baseline_text, /*from_artifact=*/false, &baseline);
+  if (!error.empty()) {
     std::fprintf(stderr, "%s: INVALID baseline: %s\n", baseline_path.c_str(),
                  error.c_str());
-    return 1;
-  }
-  if (baseline.schema_version != 2) {
-    std::fprintf(stderr,
-                 "%s: baseline schema_version is not 2 (re-bless with "
-                 "tools/bless_baseline)\n",
-                 baseline_path.c_str());
     return 1;
   }
   if (baseline.cell != current.cell) {
@@ -438,22 +143,20 @@ int DiffOne(const std::string& baseline_arg, bool baseline_is_dir,
 
   int regressions = 0;
   std::printf("%s (cell %s):\n", artifact_path.c_str(), current.cell.c_str());
-  for (const auto& [metric, base] : baseline.metrics) {
-    auto it = current.metrics.find(metric);
-    bool ok = false;
-    double limit = 0;
-    const char* direction = "";
-    if (!GateMetric(metric, base, 0, &ok, &limit, &direction)) {
-      continue;  // Informational metric; not gated.
-    }
-    if (it == current.metrics.end()) {
-      std::printf("  %-16s REGRESSION: metric missing from artifact\n", metric.c_str());
+  for (const Gate& gate : kGates) {
+    auto base = baseline.metrics.find(gate.metric);
+    auto it = current.metrics.find(gate.metric);
+    if (base == baseline.metrics.end() || it == current.metrics.end()) {
+      std::printf("  %-16s REGRESSION: gated metric missing from %s\n", gate.metric,
+                  base == baseline.metrics.end() ? "baseline" : "artifact");
       ++regressions;
       continue;
     }
-    GateMetric(metric, base, it->second, &ok, &limit, &direction);
-    std::printf("  %-16s %11.6g vs base %11.6g (need %s %.6g) %s\n", metric.c_str(),
-                it->second, base, direction, limit, ok ? "ok" : "REGRESSION");
+    double limit = base->second * gate.scale + gate.offset;
+    bool ok = gate.upper ? it->second <= limit : it->second >= limit;
+    std::printf("  %-16s %11.6g vs base %11.6g (need %s %.6g) %s\n", gate.metric,
+                it->second, base->second, gate.upper ? "<=" : ">=", limit,
+                ok ? "ok" : "REGRESSION");
     if (!ok) {
       ++regressions;
     }

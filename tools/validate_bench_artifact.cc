@@ -1,5 +1,5 @@
-// Validates a BENCH_<name>.json run artifact against the uniform schema every
-// bench binary emits (see bench/bench_common.h::DumpRunArtifact):
+// Validates a BENCH_<name>.json run artifact against the uniform schema that
+// src/obs/artifact.h defines and WriteRunArtifact writes:
 //
 //   {"meta":{"schema_version":2,"bench":<non-empty string>,"time_ns":<int>},
 //    "snapshot":{...},"timeseries":{...},"critical_path":{...},
@@ -18,387 +18,107 @@
 // Both gates also require profile.enabled == true (an artifact from a run that
 // never enabled the profiler carries no evidence either way).
 //
-// The parser below is a minimal recursive-descent JSON reader — just enough to
-// verify well-formedness and pull out the handful of fields the schema pins
-// down. No third-party JSON dependency.
+// The document is read with the strict reader in json_reader.h, and only
+// constants come from artifact.h, so this tool links no library.
 
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "json_reader.h"
+#include "src/obs/artifact.h"
+
 namespace {
 
-struct Parser {
-  const char* p;
-  const char* end;
-  std::string error;
-
-  explicit Parser(const std::string& text)
-      : p(text.data()), end(text.data() + text.size()) {}
-
-  bool Fail(const std::string& what) {
-    if (error.empty()) {
-      error = what;
-    }
-    return false;
-  }
-
-  void SkipWs() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    return Fail(std::string("expected '") + c + "'");
-  }
-
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (p >= end || *p != '"') {
-      return Fail("expected string");
-    }
-    ++p;
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        ++p;
-        if (p >= end) {
-          return Fail("truncated escape");
-        }
-        switch (*p) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            for (int i = 0; i < 4; ++i) {
-              ++p;
-              if (p >= end || !isxdigit(static_cast<unsigned char>(*p))) {
-                return Fail("bad \\u escape");
-              }
-            }
-            out->push_back('?');  // Validation only; code point not needed.
-            break;
-          }
-          default:
-            return Fail("bad escape character");
-        }
-        ++p;
-      } else {
-        out->push_back(*p);
-        ++p;
-      }
-    }
-    if (p >= end) {
-      return Fail("unterminated string");
-    }
-    ++p;  // closing quote
-    return true;
-  }
-
-  // Validates any JSON value. When `number_out`/`string_out` are non-null and
-  // the value is of that type, the parsed value is stored there.
-  bool ParseValue(double* number_out, std::string* string_out);
-
-  bool ParseObject(std::map<std::string, std::string>* keys_seen) {
-    if (!Consume('{')) {
-      return false;
-    }
-    SkipWs();
-    if (p < end && *p == '}') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      if (!ParseString(&key)) {
-        return false;
-      }
-      if (!Consume(':')) {
-        return false;
-      }
-      if (!ParseValue(nullptr, nullptr)) {
-        return false;
-      }
-      if (keys_seen != nullptr) {
-        (*keys_seen)[key] = "";
-      }
-      SkipWs();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      return Consume('}');
-    }
-  }
-
-  bool ParseArray() {
-    if (!Consume('[')) {
-      return false;
-    }
-    SkipWs();
-    if (p < end && *p == ']') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      if (!ParseValue(nullptr, nullptr)) {
-        return false;
-      }
-      SkipWs();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      return Consume(']');
-    }
-  }
-
-  // Strict JSON number grammar: '-'? int frac? exp?, then a finiteness check.
-  // strtod alone would silently accept "NaN"/"Infinity" spellings (and a
-  // printf of a NaN metric produces exactly those), so the scanner enforces
-  // the grammar itself and non-finite values are malformed input.
-  bool ParseNumber(double* out) {
-    SkipWs();
-    const char* start = p;
-    if (p < end && *p == '-') {
-      ++p;
-    }
-    if (p >= end || !isdigit(static_cast<unsigned char>(*p))) {
-      return Fail("malformed number (NaN/Inf are not valid JSON)");
-    }
-    while (p < end && isdigit(static_cast<unsigned char>(*p))) ++p;
-    if (p < end && *p == '.') {
-      ++p;
-      if (p >= end || !isdigit(static_cast<unsigned char>(*p))) {
-        return Fail("malformed number fraction");
-      }
-      while (p < end && isdigit(static_cast<unsigned char>(*p))) ++p;
-    }
-    if (p < end && (*p == 'e' || *p == 'E')) {
-      ++p;
-      if (p < end && (*p == '+' || *p == '-')) ++p;
-      if (p >= end || !isdigit(static_cast<unsigned char>(*p))) {
-        return Fail("malformed number exponent");
-      }
-      while (p < end && isdigit(static_cast<unsigned char>(*p))) ++p;
-    }
-    double v = std::strtod(std::string(start, p).c_str(), nullptr);
-    if (!std::isfinite(v)) {
-      return Fail("non-finite number value");
-    }
-    if (out != nullptr) {
-      *out = v;
-    }
-    return true;
-  }
-
-  bool Literal(const char* word) {
-    SkipWs();
-    for (const char* w = word; *w != '\0'; ++w, ++p) {
-      if (p >= end || *p != *w) {
-        return Fail(std::string("expected '") + word + "'");
-      }
-    }
-    return true;
-  }
-};
-
-bool Parser::ParseValue(double* number_out, std::string* string_out) {
-  SkipWs();
-  if (p >= end) {
-    return Fail("unexpected end of input");
-  }
-  switch (*p) {
-    case '{':
-      return ParseObject(nullptr);
-    case '[':
-      return ParseArray();
-    case '"': {
-      std::string s;
-      if (!ParseString(&s)) {
-        return false;
-      }
-      if (string_out != nullptr) {
-        *string_out = s;
-      }
-      return true;
-    }
-    case 't':
-      return Literal("true");
-    case 'f':
-      return Literal("false");
-    case 'n':
-      return Literal("null");
-    default:
-      return ParseNumber(number_out);
-  }
-}
+using sns::JsonReader;
 
 // Profiler quality figures pulled out of the artifact's "profile" section.
 struct ProfileFacts {
-  bool present = false;
   bool enabled = false;
   double coverage = 0;
   double self_overhead = 1.0;
 };
 
-// Parses the artifact's top level, recording which keys are present and
-// validating the pinned `meta` fields along the way.
-bool ValidateArtifact(const std::string& text, std::string* error,
-                      ProfileFacts* profile) {
-  Parser parser(text);
-  parser.SkipWs();
-  if (!parser.Consume('{')) {
-    *error = "top level is not a JSON object";
-    return false;
+// Reads a number into `out`; a value of any other type reads as -1.
+bool NumberOrMinusOne(JsonReader* reader, double* out) {
+  char c = reader->Peek();
+  if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
+    return reader->Number(out);
   }
-  std::map<std::string, bool> seen;
+  *out = -1;
+  return reader->Skip();
+}
+
+// Reads the profile section; an empty profile object is malformed.
+bool ReadProfile(JsonReader* reader, ProfileFacts* profile) {
+  int fields = 0;
+  bool ok = reader->Object([&](const std::string& key) {
+    ++fields;
+    if (key == "enabled") {
+      profile->enabled = false;
+      char c = reader->Peek();
+      return c == 't' || c == 'f' ? reader->Bool(&profile->enabled) : reader->Skip();
+    }
+    if (key == "coverage") {
+      return NumberOrMinusOne(reader, &profile->coverage);
+    }
+    if (key == "self_overhead") {
+      return NumberOrMinusOne(reader, &profile->self_overhead);
+    }
+    return reader->Skip();
+  });
+  return ok && (fields > 0 || reader->Fail("profile is an empty object"));
+}
+
+// Checks the artifact's schema. Returns what is wrong with it, or "".
+std::string Validate(const std::string& text, ProfileFacts* profile) {
+  JsonReader reader(text);
+  std::set<std::string> seen;
   double schema_version = -1;
-  bool has_schema_version = false;
   std::string bench_name;
   bool has_time_ns = false;
-  while (true) {
-    std::string key;
-    if (!parser.ParseString(&key) || !parser.Consume(':')) {
-      *error = "malformed top-level key: " + parser.error;
-      return false;
+  bool ok = reader.Object([&](const std::string& key) {
+    seen.insert(key);
+    if (key == "profile") {
+      return ReadProfile(&reader, profile);
     }
-    seen[key] = true;
-    if (key == "meta") {
-      // Walk meta's fields individually so schema_version/bench are checked.
-      if (!parser.Consume('{')) {
-        *error = "meta is not an object";
-        return false;
-      }
-      while (true) {
-        std::string meta_key;
-        if (!parser.ParseString(&meta_key) || !parser.Consume(':')) {
-          *error = "malformed meta key: " + parser.error;
-          return false;
-        }
-        double num = -1;
-        std::string str;
-        if (!parser.ParseValue(&num, &str)) {
-          *error = "malformed meta value: " + parser.error;
-          return false;
-        }
-        if (meta_key == "schema_version") {
-          schema_version = num;
-          has_schema_version = true;
-        } else if (meta_key == "bench") {
-          bench_name = str;
-        } else if (meta_key == "time_ns") {
-          has_time_ns = true;
-        }
-        parser.SkipWs();
-        if (parser.p < parser.end && *parser.p == ',') {
-          ++parser.p;
-          continue;
-        }
-        if (!parser.Consume('}')) {
-          *error = "unterminated meta object";
-          return false;
-        }
-        break;
-      }
-    } else if (key == "profile") {
-      // Walk profile's top-level fields so enabled/coverage/self_overhead are
-      // captured for the profile-smoke gates (zones etc. are just validated).
-      profile->present = true;
-      if (!parser.Consume('{')) {
-        *error = "profile is not an object";
-        return false;
-      }
-      while (true) {
-        std::string profile_key;
-        if (!parser.ParseString(&profile_key) || !parser.Consume(':')) {
-          *error = "malformed profile key: " + parser.error;
-          return false;
-        }
-        parser.SkipWs();
-        bool bool_true = parser.p < parser.end && *parser.p == 't';
-        double num = -1;
-        if (!parser.ParseValue(&num, nullptr)) {
-          *error = "malformed profile value: " + parser.error;
-          return false;
-        }
-        if (profile_key == "enabled") {
-          profile->enabled = bool_true;
-        } else if (profile_key == "coverage") {
-          profile->coverage = num;
-        } else if (profile_key == "self_overhead") {
-          profile->self_overhead = num;
-        }
-        parser.SkipWs();
-        if (parser.p < parser.end && *parser.p == ',') {
-          ++parser.p;
-          continue;
-        }
-        if (!parser.Consume('}')) {
-          *error = "unterminated profile object";
-          return false;
-        }
-        break;
-      }
-    } else if (!parser.ParseValue(nullptr, nullptr)) {
-      *error = "malformed value for \"" + key + "\": " + parser.error;
-      return false;
+    if (key != "meta") {
+      return reader.Skip();
     }
-    parser.SkipWs();
-    if (parser.p < parser.end && *parser.p == ',') {
-      ++parser.p;
-      continue;
-    }
-    if (!parser.Consume('}')) {
-      *error = "unterminated top-level object";
-      return false;
-    }
-    break;
+    return reader.Object([&](const std::string& field) {
+      if (field == "schema_version") {
+        return NumberOrMinusOne(&reader, &schema_version);
+      }
+      if (field == "bench") {
+        bench_name.clear();
+        return reader.Peek() == '"' ? reader.String(&bench_name) : reader.Skip();
+      }
+      has_time_ns |= field == "time_ns";
+      return reader.Skip();
+    });
+  });
+  if (!ok) {
+    return "malformed JSON: " + reader.error();
   }
-  parser.SkipWs();
-  if (parser.p != parser.end) {
-    *error = "trailing content after top-level object";
-    return false;
+  if (!reader.AtEnd()) {
+    return "trailing content after top-level object";
   }
-
-  for (const char* required : {"meta", "snapshot", "timeseries", "critical_path",
-                               "availability", "profile", "traces"}) {
-    if (seen.find(required) == seen.end()) {
-      *error = std::string("missing top-level section \"") + required + "\"";
-      return false;
+  for (const char* section : sns::kArtifactSections) {
+    if (seen.count(section) == 0) {
+      return std::string("missing top-level section \"") + section + "\"";
     }
   }
-  if (!has_schema_version) {
-    *error = "meta.schema_version is missing";
-    return false;
-  }
-  if (schema_version != 2) {
-    *error = "meta.schema_version is not 2";
-    return false;
+  if (schema_version != sns::kArtifactSchemaVersion) {
+    return "meta or meta.schema_version is missing, or the version is not " +
+           std::to_string(sns::kArtifactSchemaVersion);
   }
   if (bench_name.empty()) {
-    *error = "meta.bench is missing or empty";
-    return false;
+    return "meta.bench is missing or empty";
   }
-  if (!has_time_ns) {
-    *error = "meta.time_ns is missing";
-    return false;
-  }
-  return true;
+  return has_time_ns ? "" : "meta.time_ns is missing";
 }
 
 }  // namespace
@@ -426,22 +146,15 @@ int main(int argc, char** argv) {
   }
   int bad = 0;
   for (const char* path : paths) {
-    std::FILE* f = std::fopen(path, "rb");
-    if (f == nullptr) {
+    std::string text;
+    if (!sns::ReadFile(path, &text)) {
       std::fprintf(stderr, "%s: MISSING (bench did not emit its artifact)\n", path);
       ++bad;
       continue;
     }
-    std::string text;
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(f);
-    std::string error;
     ProfileFacts profile;
-    if (!ValidateArtifact(text, &error, &profile)) {
+    std::string error = Validate(text, &profile);
+    if (!error.empty()) {
       std::fprintf(stderr, "%s: INVALID: %s\n", path, error.c_str());
       ++bad;
       continue;
