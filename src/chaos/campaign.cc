@@ -27,10 +27,6 @@ TranSendOptions ChaosOptions(const CampaignConfig& config) {
   options.topology.worker_pool_nodes = config.worker_pool_nodes;
   options.topology.front_ends = config.front_ends;
   options.topology.cache_nodes = config.cache_nodes;
-  options.sns.manager_epoch_fencing = config.epoch_fencing;
-  options.sns.quorum_membership = config.quorum_membership;
-  options.sns.stonith_fencing = config.stonith_fencing;
-  options.sns.profile_write_acks = config.profile_write_acks;
   options.sns.cache_replication = config.cache_replication;
   return options;
 }
@@ -207,11 +203,9 @@ ChaosRunResult RunSchedule(const FaultSchedule& schedule, const CampaignConfig& 
   // t=0 keeps sent == completed + timeouts + send_failures exact.
   sim->RunFor(config.warmup);
 
-  // The ledgered writer starts only after warmup: before the first manager
-  // beacon reaches the front ends, the pre-PR-8 fire-and-forget path false-acks
-  // puts into the void, so a t=0 writer would make even the empty schedule lose
-  // acked writes under the baseline config — the contract under test is
-  // steady-state durability across faults, not the cold-start race.
+  // The ledgered writer starts only after warmup: the contract under test is
+  // steady-state durability across faults, not the cold start before the first
+  // manager beacon reaches the front ends.
   int64_t write_seq = 0;
   writer->StartConstantRate(
       config.profile_write_rate, [&ledger, &ledger_index, &write_seq, universe] {

@@ -22,17 +22,6 @@ namespace sns {
 
 struct CampaignConfig {
   ScheduleGenConfig gen;
-  // Gates the tentpole fix: with fencing off, a failover during a partition leaves
-  // two manager incarnations beaconing forever after heal — the pre-epoch behavior
-  // the regression tests demonstrate.
-  bool epoch_fencing = true;
-  // Quorum membership, STONITH fencing, and the durable write-ack contract
-  // (DESIGN.md §14). All default on; turning them off reproduces the PR 3
-  // epoch-only baseline, under which the acked-write-durable invariant is
-  // demonstrably violated (the quorum regression test).
-  bool quorum_membership = true;
-  bool stonith_fencing = true;
-  bool profile_write_acks = true;
   // Profile-write side load: a second client writes one unique user's prefs at
   // this rate; each write is ledgered and the acked ones must survive to quiesce.
   double profile_write_rate = 2.0;

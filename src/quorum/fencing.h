@@ -53,25 +53,20 @@ class FenceAgent {
 };
 
 // SCSI-reserve analog for a shared KvStore: the highest generation to claim
-// the reservation holds it. With enforcement off (the pre-quorum baseline)
-// every incarnation "holds" it, reproducing the unfenced free-for-all.
+// the reservation holds it.
 class StoreReservation {
  public:
-  explicit StoreReservation(bool enforce = true) : enforce_(enforce) {}
-
-  void set_enforce(bool enforce) { enforce_ = enforce; }
   void Claim(uint64_t generation) {
     if (generation > holder_) {
       holder_ = generation;
     }
   }
   bool HeldBy(uint64_t generation) const {
-    return !enforce_ || generation >= holder_;
+    return generation >= holder_;
   }
   uint64_t holder() const { return holder_; }
 
  private:
-  bool enforce_;
   uint64_t holder_ = 0;
 };
 

@@ -65,7 +65,7 @@ void CacheNodeProcess::OnMessage(const Message& msg) {
 }
 
 void CacheNodeProcess::HandleBeacon(const ManagerBeaconPayload& beacon) {
-  if (sns_config_.manager_epoch_fencing && beacon.epoch < manager_epoch_) {
+  if (beacon.epoch < manager_epoch_) {
     return;  // Stale incarnation still beaconing after failover; ignore.
   }
   manager_epoch_ = beacon.epoch;

@@ -37,15 +37,6 @@ struct SnsConfig {
   // FE-side: beacon silence after which the front end declares the manager dead and
   // restarts it (process-peer fault tolerance).
   SimDuration manager_silence_restart = Seconds(4);
-  // Manager-epoch fencing (split-brain resolution). When a partition strands the
-  // incumbent manager and the majority side fails over, two manager incarnations
-  // coexist until the partition heals. With fencing on, every component accepts
-  // only the highest epoch seen and the stale manager demotes itself (self-crash)
-  // on observing a higher-epoch beacon or registration, so the cluster converges
-  // to exactly one manager within a beacon period of the heal. Off reproduces the
-  // pre-epoch behavior (components flap between rival beacons forever) — kept as a
-  // switch so regression tests can demonstrate the failure mode.
-  bool manager_epoch_fencing = true;
   // How long the manager stub keeps a worker's view (estimator state, in-flight
   // count) after the worker goes missing from a beacon. Beacons ride best-effort
   // multicast, so a single dropped datagram must not reset a worker's load
@@ -60,9 +51,8 @@ struct SnsConfig {
   // a minority-side manager degrades to read-only (keeps beaconing with
   // quorate=false, stops policy actions) instead of acting on a stale world view,
   // and relaunch requests from non-quorate requesters are refused. Exact 50/50
-  // splits are broken by the quorum-disk lease. Off reproduces the PR 3
-  // epoch-only baseline where a minority manager keeps serving while partitioned.
-  bool quorum_membership = true;
+  // splits are broken by the quorum-disk lease.
+
   // Votes per infrastructure node (cman's per-node `votes`, default 1). Client /
   // load-generator nodes always carry zero votes.
   int node_votes = 1;
@@ -73,20 +63,9 @@ struct SnsConfig {
   // cost the manager quorum over the stateful tier — the cman per-node `votes`
   // knob applied along Gray's clones-vs-partitions split. 0 = uniform layout.
   int infra_node_votes = 0;
-  // STONITH: before a successor is promoted over an incumbent that is alive but
-  // unreachable from the requester, the incumbent is killed through the fence
-  // agent's out-of-band channel, so two incarnations never coexist even during
-  // the partition. Also arms the profile store's generation reservation.
-  bool stonith_fencing = true;
   // Validity of a quorum-disk lease without renewal. Must exceed the beacon
   // period (the renewal tick) by enough to ride out a couple of missed renewals.
   SimDuration quorum_disk_lease = Seconds(3);
-  // Durable profile-DB write contract: a front end acknowledges a profile write
-  // to the client only after the DB has committed it to the shared store and
-  // replied. Off reproduces the historic fire-and-forget write-through, where
-  // the client's OK races the datagram (a write toward a dead or partitioned DB
-  // is silently lost after being acknowledged).
-  bool profile_write_acks = true;
 
   // --- Load balancing (§3.1.2, §4.5) ---------------------------------------------
   // Weight of the newest report in the manager's weighted moving average.

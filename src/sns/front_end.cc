@@ -17,8 +17,6 @@ Rng* RequestContext::rng() { return &fe_->rng_; }
 
 void RequestContext::GetProfile(ProfileCb cb) { fe_->DoGetProfile(this, std::move(cb)); }
 
-void RequestContext::PutProfile(const UserProfile& profile) { fe_->DoPutProfile(profile); }
-
 void RequestContext::PutProfile(const UserProfile& profile, PutCb cb) {
   fe_->DoPutProfile(this, profile, std::move(cb));
 }
@@ -477,36 +475,9 @@ void FrontEndProcess::HandleProfileReply(const Message& msg) {
   }
 }
 
-void FrontEndProcess::DoPutProfile(const UserProfile& profile) {
-  // Write-through: update the local cache and persist to the ACID store.
-  profile_cache_.Put(profile.user_id(), profile);
-  profile_cache_gauge_->Set(static_cast<double>(profile_cache_.used_bytes()));
-  const Endpoint& db = stub_.profile_db();
-  if (!db.valid()) {
-    return;
-  }
-  auto payload = std::make_shared<ProfilePutPayload>();
-  payload->profile = profile;
-  Message msg;
-  msg.dst = db;
-  msg.type = kMsgProfilePut;
-  msg.transport = Transport::kReliable;
-  msg.size_bytes = 64 + profile.WireSize();
-  msg.payload = payload;
-  Send(std::move(msg));
-}
-
 void FrontEndProcess::DoPutProfile(RequestContext* ctx, const UserProfile& profile,
                                    RequestContext::PutCb cb) {
-  if (!config_.profile_write_acks) {
-    // Baseline (pre-§14) contract: fire-and-forget, then tell the caller Ok
-    // immediately. If the DB is partitioned away the write silently evaporates
-    // after the ack — exactly the false ack the chaos regression demonstrates.
-    DoPutProfile(profile);
-    cb(ctx, Status::Ok());
-    return;
-  }
-  if (config_.quorum_membership && stub_.ManagerKnown() && !stub_.cluster_quorate()) {
+  if (stub_.ManagerKnown() && !stub_.cluster_quorate()) {
     // The manager itself says it is on a minority side: fail fast rather than
     // burn the request's budget waiting for a DB nack.
     cb(ctx, UnavailableError("cluster not quorate; write refused"));

@@ -65,11 +65,8 @@ class RequestContext {
 
   // Profile database access with the FE's write-through cache (§3.1.4).
   void GetProfile(ProfileCb cb);
-  void PutProfile(const UserProfile& profile);
   // Acknowledged write (DESIGN.md §14): `cb` fires with Ok only after the DB
-  // commits and acks — the local cache is updated then, not before. With
-  // config_.profile_write_acks off this degrades to the legacy fire-and-forget
-  // (immediate Ok), the false-ack baseline the chaos regression exercises.
+  // commits and acks — the local cache is updated then, not before.
   void PutProfile(const UserProfile& profile, PutCb cb);
 
   // The profile attached to this request. Once set (typically inside the GetProfile
@@ -267,7 +264,6 @@ class FrontEndProcess : public Process {
 
   // --- Facilities used by RequestContext ---------------------------------------------
   void DoGetProfile(RequestContext* ctx, RequestContext::ProfileCb cb);
-  void DoPutProfile(const UserProfile& profile);
   void DoPutProfile(RequestContext* ctx, const UserProfile& profile,
                     RequestContext::PutCb cb);
   void DoCacheGet(RequestContext* ctx, const std::string& key, RequestContext::CacheCb cb);

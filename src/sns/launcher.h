@@ -37,9 +37,9 @@ class ComponentLauncher {
   // commercial deployments use primary/backup failover for the ACID component,
   // §3.2; here the manager detects the silence and fails over to a fresh
   // incarnation — with a higher generation — recovering from the shared WAL).
-  // Same reachability-aware idempotence contract as RelaunchManager; with
-  // STONITH enabled an alive-but-unreachable incumbent is fenced before the
-  // successor starts.
+  // Same reachability-aware idempotence contract as RelaunchManager; an
+  // alive-but-unreachable incumbent is fenced (STONITH) before the successor
+  // starts.
   virtual ProcessId RelaunchProfileDb(NodeId requester = kInvalidNode) = 0;
 };
 

@@ -78,7 +78,7 @@ void ManagerProcess::OnMessage(const Message& msg) {
 }
 
 bool ManagerProcess::FenceAgainst(uint64_t observed_epoch, const char* evidence) {
-  if (!config_.manager_epoch_fencing || observed_epoch <= epoch_) {
+  if (observed_epoch <= epoch_) {
     return false;
   }
   demoted_ = true;
@@ -233,7 +233,7 @@ void ManagerProcess::Beacon() {
   bool quorate = true;
   int32_t votes_held = 0;
   int32_t votes_total = 0;
-  if (config_.quorum_membership && membership_ != nullptr) {
+  if (membership_ != nullptr) {
     MembershipView view = membership_->Regroup(node(), now, /*renew=*/true);
     quorate = view.quorate;
     votes_held = view.votes_held;

@@ -42,10 +42,10 @@ class ManagerProcess : public Process {
   // and a manager that observes a higher epoch (a rival's beacon, or a
   // registration stamped with one) demotes itself, so split-brain resolves
   // deterministically once a partition heals.
-  // `membership` (optional) is the vote-based membership oracle: when set and
-  // config.quorum_membership is on, every beacon tick runs a regroup round and
-  // the manager only acts (policy, expiry, relaunches) while its side holds a
-  // quorum of votes. Null keeps the pre-quorum behavior (always quorate).
+  // `membership` (optional) is the vote-based membership oracle: when set, every
+  // beacon tick runs a regroup round and the manager only acts (policy, expiry,
+  // relaunches) while its side holds a quorum of votes. Null (bare processes in
+  // unit tests) means always quorate.
   ManagerProcess(const SnsConfig& config, ComponentLauncher* launcher, uint64_t epoch = 1,
                  MembershipService* membership = nullptr);
 

@@ -7,7 +7,7 @@
 namespace sns {
 
 bool ManagerStub::OnBeacon(const ManagerBeaconPayload& beacon, SimTime now) {
-  if (config_.manager_epoch_fencing && beacon.epoch < manager_epoch_) {
+  if (beacon.epoch < manager_epoch_) {
     // Stale incarnation (lower epoch than one we already follow): after a
     // partition heals, the stranded manager may beacon a few more times before it
     // demotes; acting on those would flap the whole worker/cache view back.

@@ -242,7 +242,7 @@ struct ProfilePutPayload : Payload {
   UserProfile profile;
   // Write-ack contract (DESIGN.md §14): when reply_to is valid the DB replies
   // with a ProfilePutAckPayload carrying op_id after the commit lands (or with
-  // the refusal reason). Defaults keep the legacy fire-and-forget shape.
+  // the refusal reason). The front end always sets both.
   uint64_t op_id = 0;
   Endpoint reply_to;
 };

@@ -35,7 +35,7 @@ void MonitorProcess::OnMessage(const Message& msg) {
   switch (msg.type) {
     case kMsgManagerBeacon: {
       const auto& beacon = static_cast<const ManagerBeaconPayload&>(*msg.payload);
-      if (config_.manager_epoch_fencing && beacon.epoch < manager_epoch_) {
+      if (beacon.epoch < manager_epoch_) {
         stale_beacons_fenced_->Increment();
         break;  // A superseded incarnation must not refresh liveness or views.
       }

@@ -157,7 +157,7 @@ void ProfileDbProcess::HandlePut(const Message& msg) {
       ++writes_rejected_;
       writes_rejected_counter_->Increment();
       Supersede("store reservation");
-    } else if (config_.quorum_write_gate && !quorate) {
+    } else if (!quorate) {
       // Minority side: refusing here (rather than committing and hoping) is
       // what makes "no minority partition ever acknowledges a write" hold.
       status = UnavailableError("profile db not quorate; write refused");
@@ -166,8 +166,9 @@ void ProfileDbProcess::HandlePut(const Message& msg) {
     } else {
       ++writes_;
       if (!quorate) {
-        // Only reachable with the gate off (the pre-quorum baseline): a
-        // minority-side commit the campaign invariant flags as a violation.
+        // A commit applied while the regroup view is non-quorate. The gate above
+        // makes this unreachable; the counter is the detector behind the
+        // campaign's no-minority-ack invariant, so a broken gate shows up there.
         writes_nonquorate_->Increment();
       }
       store_->Put(put->profile.user_id(), put->profile.Serialize());

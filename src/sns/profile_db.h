@@ -27,12 +27,10 @@ struct ProfileDbConfig {
   // failovers. 0 (unit tests, hand-built processes) disables generation fencing.
   uint64_t generation = 0;
   // Quorum oracle (owned by SnsSystem). When set, every commit runs a regroup
-  // round from the DB's node at the commit instant; a write applied while
-  // non-quorate bumps profiledb.writes_nonquorate, and with `quorum_write_gate`
-  // set it is refused outright (nacked, nothing hits the store). Null keeps the
-  // pre-quorum behavior.
+  // round from the DB's node at the commit instant, and a write that finds the
+  // DB's side non-quorate is refused outright (nacked, nothing hits the store).
+  // Null (bare processes in unit tests) means always quorate.
   MembershipService* membership = nullptr;
-  bool quorum_write_gate = false;
   // SCSI-reserve analog on the shared store: a commit from an incarnation that
   // lost the reservation to a newer generation is refused and the stale
   // incarnation self-demotes. Null = unreserved store.

@@ -12,8 +12,7 @@ SnsSystem::SnsSystem(const SnsConfig& config, const SystemTopology& topology)
     : config_(config),
       topology_(topology),
       san_(&sim_, topology.san),
-      cluster_(&sim_, &san_),
-      profile_reservation_(/*enforce=*/config.stonith_fencing) {
+      cluster_(&sim_, &san_) {
   san_.set_event_log(&event_log_);
   san_.BindMetrics(cluster_.metrics());
   quorum_disk_ = std::make_unique<QuorumDisk>(&quorum_disk_store_, config_.quorum_disk_lease);
@@ -104,9 +103,7 @@ void SnsSystem::Start() {
   }
   membership_->BindMetrics(cluster_.metrics());
   fence_agent_->BindMetrics(cluster_.metrics());
-  if (config_.quorum_membership) {
-    membership_->Regroup(manager_node_, sim_.now(), /*renew=*/true);
-  }
+  membership_->Regroup(manager_node_, sim_.now(), /*renew=*/true);
 
   // --- Flight recorder: sample every metric + per-node CPU on a fixed cadence. ---
   recorder_ = std::make_unique<TimeSeriesRecorder>(cluster_.metrics(),
@@ -217,12 +214,10 @@ ProcessId SnsSystem::RelaunchManager(NodeId requester) {
     // device's out-of-band channel before the successor exists, so the two
     // incarnations never coexist (epoch fencing then becomes a backstop, not
     // the primary mechanism).
-    if (config_.stonith_fencing) {
-      fence_agent_->Fence(manager_pid_,
-                          StrFormat("stale manager epoch %llu, promoting epoch %llu",
-                                    static_cast<unsigned long long>(next_manager_epoch_),
-                                    static_cast<unsigned long long>(next_manager_epoch_ + 1)));
-    }
+    fence_agent_->Fence(manager_pid_,
+                        StrFormat("stale manager epoch %llu, promoting epoch %llu",
+                                  static_cast<unsigned long long>(next_manager_epoch_),
+                                  static_cast<unsigned long long>(next_manager_epoch_ + 1)));
   }
   manager_pid_ = cluster_.Spawn(
       node, std::make_unique<ManagerProcess>(config_, this, ++next_manager_epoch_,
@@ -280,7 +275,7 @@ ProcessId SnsSystem::RelaunchProfileDb(NodeId requester) {
   if (node == kInvalidNode) {
     return kInvalidProcess;
   }
-  if (incumbent != nullptr && config_.stonith_fencing) {
+  if (incumbent != nullptr) {
     // Fence the stranded incumbent before its successor recovers the WAL, so a
     // stale primary can never commit (and falsely acknowledge) a write after
     // the failover. The store reservation is the belt to this suspender.
@@ -294,7 +289,6 @@ ProcessId SnsSystem::RelaunchProfileDb(NodeId requester) {
   ProfileDbConfig db_config = topology_.profile_db;
   db_config.generation = ++next_profile_db_generation_;
   db_config.membership = membership_.get();
-  db_config.quorum_write_gate = config_.quorum_membership;
   db_config.reservation = &profile_reservation_;
   profile_db_pid_ = cluster_.Spawn(
       node, std::make_unique<ProfileDbProcess>(db_config, &profile_store_));
@@ -344,7 +338,7 @@ bool SnsSystem::RequesterCanReach(NodeId requester, NodeId target) const {
 }
 
 bool SnsSystem::RequesterQuorate(NodeId requester, const char* action) {
-  if (!config_.quorum_membership || requester == kInvalidNode) {
+  if (requester == kInvalidNode) {
     return true;
   }
   MembershipView view = membership_->Regroup(requester, sim_.now());

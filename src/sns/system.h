@@ -154,8 +154,8 @@ class SnsSystem : public ComponentLauncher {
   KvStore* profile_store() { return &profile_store_; }
   // Generation of the most recently launched profile-DB incarnation (1 = original).
   uint64_t profile_db_generation() const { return next_profile_db_generation_; }
-  // Quorum subsystem (DESIGN.md §14). Always constructed; config_.quorum_membership
-  // and config_.stonith_fencing govern whether anything consults/arms them.
+  // Quorum subsystem (DESIGN.md §14): regroup, quorum disk, STONITH agent and the
+  // profile store's generation reservation.
   MembershipService* membership() { return membership_.get(); }
   QuorumDisk* quorum_disk() { return quorum_disk_.get(); }
   FenceAgent* fence_agent() { return fence_agent_.get(); }
@@ -185,8 +185,8 @@ class SnsSystem : public ComponentLauncher {
   // on the requester's side of any SAN partition.
   bool RequesterCanReach(NodeId requester, NodeId target) const;
   // Quorum gate for relaunches: a requester on a minority side of a partition may
-  // not promote replacement incumbents. Always true when quorum is off or the
-  // requester has no vantage point.
+  // not promote replacement incumbents. Always true when the requester has no
+  // vantage point.
   bool RequesterQuorate(NodeId requester, const char* action);
 
   SnsConfig config_;

@@ -48,7 +48,7 @@ void WorkerProcess::OnMessage(const Message& msg) {
 }
 
 void WorkerProcess::HandleBeacon(const ManagerBeaconPayload& beacon) {
-  if (config_.manager_epoch_fencing && beacon.epoch < manager_epoch_) {
+  if (beacon.epoch < manager_epoch_) {
     return;  // Stale incarnation still beaconing after failover; ignore.
   }
   if (beacon.manager != manager_) {

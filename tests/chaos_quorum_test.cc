@@ -1,20 +1,22 @@
 // Quorum membership, fencing, and the durable write-ack contract (DESIGN.md
-// §14): two-node quorum-disk tiebreaking at the unit level, fenced failover and
-// symmetric-partition arbitration at the system level, a 20-seed chaos campaign
-// holding the acked-write-durable / no-minority-ack invariants, and the
-// regression run proving the pre-quorum baseline loses acknowledged writes.
+// §14): two-node quorum-disk tiebreaking at the unit level, the profile DB's
+// own quorum write gate, fenced failover and symmetric-partition arbitration at
+// the system level, a 20-seed chaos campaign holding the acked-write-durable /
+// no-minority-ack invariants, and a profile-DB partition that loses no
+// acknowledged write.
 
 #include <gtest/gtest.h>
 
 #include "src/chaos/campaign.h"
 #include "src/chaos/invariants.h"
-#include "src/chaos/minimizer.h"
+#include "src/cluster/cluster.h"
 #include "src/cluster/failure_injector.h"
 #include "src/net/san.h"
 #include "src/quorum/membership.h"
 #include "src/quorum/quorum_disk.h"
 #include "src/services/transend/transend.h"
 #include "src/sim/simulator.h"
+#include "src/sns/profile_db.h"
 #include "src/store/kvstore.h"
 #include "src/tacc/profile.h"
 #include "src/util/logging.h"
@@ -151,6 +153,84 @@ TEST_F(MembershipFixture, ChallengerClaimsOnlyAfterLeaseExpiry) {
   san_.SetNodeUp(0, true);
   EXPECT_TRUE(membership.Regroup(0, Seconds(15)).quorate);
   EXPECT_TRUE(membership.Regroup(1, Seconds(15), /*renew=*/true).quorate);
+}
+
+// ---------- profile-DB quorum write gate ------------------------------------------------
+
+// Sends one acknowledged ProfilePut straight to the DB (no front end in the way)
+// and records the ack's status.
+class ProfilePutClient : public Process {
+ public:
+  ProfilePutClient(Endpoint db, UserProfile profile)
+      : Process("profile-put-client"), db_(db), profile_(std::move(profile)) {}
+
+  void OnStart() override {
+    auto payload = std::make_shared<ProfilePutPayload>();
+    payload->profile = profile_;
+    payload->op_id = 7;
+    payload->reply_to = endpoint();
+    Message msg;
+    msg.dst = db_;
+    msg.type = kMsgProfilePut;
+    msg.transport = Transport::kReliable;
+    msg.size_bytes = 64 + profile_.WireSize();
+    msg.payload = payload;
+    Send(std::move(msg));
+  }
+
+  void OnMessage(const Message& msg) override {
+    if (msg.type == kMsgProfilePutAck) {
+      acks.push_back(static_cast<const ProfilePutAckPayload&>(*msg.payload).status);
+    }
+  }
+
+  std::vector<Status> acks;
+
+ private:
+  Endpoint db_;
+  UserProfile profile_;
+};
+
+// A profile DB on the minority side of a partition refuses a write that reaches
+// it directly: the front end's own fail-fast is not what keeps a minority from
+// committing.
+TEST(QuorumWriteGateTest, MinorityProfileDbRefusesDirectPut) {
+  Logger::Get().set_min_level(LogLevel::kNone);
+  Simulator sim;
+  San san(&sim, SanConfig{});
+  Cluster cluster(&sim, &san);
+  MembershipService membership(&san, nullptr);
+  std::vector<NodeId> voters = cluster.AddNodes(3);
+  for (NodeId node : voters) {
+    membership.SetVotes(node, 1);
+  }
+  NodeId db_node = voters[2];
+  NodeId client_node = cluster.AddNode();  // Zero votes.
+
+  KvStore store;
+  ProfileDbConfig db_config;
+  db_config.membership = &membership;
+  ProcessId db_pid = cluster.Spawn(db_node, std::make_unique<ProfileDbProcess>(db_config, &store));
+  Endpoint db = cluster.Find(db_pid)->endpoint();
+  Counter* rejected = cluster.metrics()->GetCounter("profiledb.writes_rejected");
+  Counter* nonquorate = cluster.metrics()->GetCounter("profiledb.writes_nonquorate");
+  int64_t rejected_before = rejected->value();
+
+  // The DB and the client share the minority side: 1 of 3 votes.
+  san.SetPartition(db_node, 1);
+  san.SetPartition(client_node, 1);
+  UserProfile profile("minority-user");
+  profile.Set("qpref", "v1");
+  auto owner = std::make_unique<ProfilePutClient>(db, profile);
+  ProfilePutClient* client = owner.get();
+  cluster.Spawn(client_node, std::move(owner));
+  sim.RunFor(Seconds(1));
+
+  ASSERT_EQ(client->acks.size(), 1u);
+  EXPECT_EQ(client->acks[0].code(), StatusCode::kUnavailable) << client->acks[0].ToString();
+  EXPECT_FALSE(store.Get("minority-user").has_value());
+  EXPECT_EQ(rejected->value(), rejected_before + 1);
+  EXPECT_EQ(nonquorate->value(), 0);
 }
 
 // ---------- system-level: degrade, fence, failover --------------------------------------
@@ -363,54 +443,24 @@ TEST(QuorumCampaignTest, TwentySeedsCacheReplicationThreeConverges) {
   EXPECT_GT(cache_faults, 0) << "campaign never crashed a cache node";
 }
 
-// The regression the tentpole exists to prevent: with quorum, STONITH, and the
-// write-ack contract all off (the PR 3 baseline), partitioning the profile DB
-// while writes flow loses acknowledged writes — the front end fire-and-forgets
-// the put and tells the client Ok while the SAN drops the message. The failing
-// schedule minimizes to the single partition event, and the same schedule
-// passes with the contract on.
-TEST(QuorumRegressionTest, BaselineLosesAckedWritesAndMinimizes) {
+// A profile-DB partition while writes flow: the stranded DB is fenced, its
+// successor recovers the WAL on the majority side, and no acknowledged write is
+// lost — unacked writes may be, acknowledged ones never.
+TEST(QuorumCampaignTest, ProfileDbPartitionLosesNoAckedWrite) {
   Logger::Get().set_min_level(LogLevel::kNone);
-  CampaignConfig baseline = QuorumCampaignConfig();
-  baseline.quorum_membership = false;
-  baseline.stonith_fencing = false;
-  baseline.profile_write_acks = false;
-
   FaultSchedule schedule;
   schedule.seed = 0xFA15EACC;
-  FaultEvent noise;
-  noise.at = Seconds(2);
-  noise.kind = FaultKind::kCrashWorker;
-  schedule.events.push_back(noise);
   FaultEvent split;
   split.at = Seconds(5);
   split.kind = FaultKind::kPartitionProfileDb;
   split.duration = Seconds(15);
   schedule.events.push_back(split);
 
-  ChaosRunResult run = RunSchedule(schedule, baseline);
-  EXPECT_FALSE(run.passed()) << "baseline unexpectedly held the write contract";
-  EXPECT_GT(run.writes_lost, 0) << run.Describe() << run.trace;
-  bool durability_violated = false;
-  for (const InvariantViolation& v : run.report.violations) {
-    if (v.invariant == "acked-write-durable") {
-      durability_violated = true;
-    }
-  }
-  EXPECT_TRUE(durability_violated) << run.report.ToString();
-
-  // The minimizer strips the worker-crash noise: the partition alone loses writes.
-  MinimizeResult minimized = MinimizeSchedule(schedule, baseline, /*max_runs=*/12);
-  EXPECT_TRUE(minimized.still_fails);
-  ASSERT_EQ(minimized.minimal.events.size(), 1u) << minimized.Repro();
-  EXPECT_EQ(minimized.minimal.events[0].kind, FaultKind::kPartitionProfileDb);
-
-  // Control: the identical schedule under the shipped defaults holds the
-  // contract — unacked writes may be lost, acknowledged ones never.
-  ChaosRunResult fixed = RunSchedule(schedule, QuorumCampaignConfig());
-  EXPECT_TRUE(fixed.passed()) << fixed.Describe() << fixed.trace;
-  EXPECT_EQ(fixed.writes_lost, 0);
-  EXPECT_EQ(fixed.nonquorate_writes, 0);
+  ChaosRunResult run = RunSchedule(schedule, QuorumCampaignConfig());
+  EXPECT_TRUE(run.passed()) << run.Describe() << run.trace;
+  EXPECT_GT(run.writes_acked, 0) << run.Describe();
+  EXPECT_EQ(run.writes_lost, 0);
+  EXPECT_EQ(run.nonquorate_writes, 0);
 }
 
 }  // namespace

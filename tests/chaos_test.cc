@@ -1,8 +1,10 @@
 // Chaos-campaign harness tests: seeded schedules hold the cluster-wide
-// invariants, replays are deterministic, a manager partition provably creates
-// split-brain that epoch fencing resolves, fencing off reproduces the pre-epoch
-// persistent split-brain, and the minimizer shrinks failing schedules to a
-// replayable minimal repro.
+// invariants, replays are deterministic, a rival higher-epoch manager is demoted
+// by epoch fencing, a manager partition is failed over through STONITH without
+// ever running two managers, the invariant checker reports a second manager and
+// a lost acknowledged write, the minimizer shrinks failing schedules to a
+// replayable minimal repro, and the majority fails over while the minority-side
+// manager is still alive.
 
 #include <gtest/gtest.h>
 
@@ -121,52 +123,88 @@ TEST(ChaosCampaignTest, ReplayIsDeterministic) {
   EXPECT_EQ(first.max_concurrent_managers, second.max_concurrent_managers);
 }
 
-// The PR 3 tentpole scenario: partitioning the manager's node forces the majority
-// side to fail over while the stranded incumbent is still alive — two concurrent
-// incarnations — and epoch fencing demotes the loser within a beacon period of
-// the heal, so every invariant holds at quiesce. Quorum membership and STONITH
-// (PR 8) are pinned off: with them on the stranded incumbent is shot at failover
-// time and the split-brain window this test is about never opens.
+// Split-brain created directly: a higher-epoch manager incarnation appears
+// beside the incumbent. The incumbent hears the rival's beacon, demotes itself
+// (self-crash) within a beacon period, and only the higher epoch survives.
 TEST(ChaosCampaignTest, ManagerPartitionCreatesAndResolvesSplitBrain) {
   Logger::Get().set_min_level(LogLevel::kNone);
-  CampaignConfig config = SmokeConfig();
-  config.quorum_membership = false;
-  config.stonith_fencing = false;
-  ChaosRunResult run = RunSchedule(ManagerPartitionSchedule(0x5B17), config);
-  EXPECT_TRUE(run.passed()) << run.Describe() << run.trace;
-  EXPECT_GE(run.max_concurrent_managers, 2) << run.trace;
-  EXPECT_GE(run.final_manager_epoch, 2u);
-  EXPECT_GE(run.manager_demotions, 1);
+  TranSendOptions options = DefaultTranSendOptions();
+  options.topology.worker_pool_nodes = 4;
+  TranSendService service(options);
+  service.Start();
+  service.sim()->RunFor(Seconds(3));
+
+  SnsSystem* system = service.system();
+  ManagerProcess* incumbent = system->manager();
+  ASSERT_NE(incumbent, nullptr);
+  ProcessId incumbent_pid = incumbent->pid();
+  uint64_t rival_epoch = incumbent->epoch() + 1;
+  system->cluster()->Spawn(system->worker_pool()[0],
+                           std::make_unique<ManagerProcess>(system->config(), system,
+                                                            rival_epoch,
+                                                            system->membership()));
+  ASSERT_EQ(LiveManagers(system).size(), 2u);
+
+  service.sim()->RunFor(system->config().manager_beacon_period);
+  EXPECT_EQ(system->cluster()->Find(incumbent_pid), nullptr);
+  EXPECT_GE(system->metrics()->GetCounter("manager.demotions")->value(), 1);
+  std::vector<ManagerProcess*> after = LiveManagers(system);
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0]->epoch(), rival_epoch);
 }
 
-// Pre-fix behavior: with fencing off, failover still happens (reachability-aware
-// relaunch is unconditional), but after the heal both incarnations beacon forever
-// — the exactly-one-manager invariant fails at quiesce.
-TEST(ChaosCampaignTest, FencingOffReproducesPersistentSplitBrain) {
+// The same partition under the shipped defaults never opens a split-brain
+// window: the stranded incumbent degrades, and the majority fences it (STONITH)
+// before promoting its successor.
+TEST(ChaosCampaignTest, ManagerPartitionIsFencedWithoutSplitBrain) {
   Logger::Get().set_min_level(LogLevel::kNone);
-  CampaignConfig config = SmokeConfig();
-  config.epoch_fencing = false;
-  config.quorum_membership = false;
-  config.stonith_fencing = false;
-  ChaosRunResult run = RunSchedule(ManagerPartitionSchedule(0x5B17), config);
-  EXPECT_FALSE(run.passed()) << run.Describe() << run.trace;
-  EXPECT_GE(run.max_concurrent_managers, 2);
+  ChaosRunResult run = RunSchedule(ManagerPartitionSchedule(0x5B17), SmokeConfig());
+  EXPECT_TRUE(run.passed()) << run.Describe() << run.trace;
+  EXPECT_EQ(run.max_concurrent_managers, 1) << run.trace;
+  EXPECT_GE(run.fence_kills, 1) << run.trace;
+  EXPECT_GE(run.final_manager_epoch, 2u);
+}
+
+// The checker itself: a hand-spawned second manager incarnation and an
+// acknowledged write missing from the store are both reported.
+TEST(ChaosInvariantTest, ReportsSecondManagerAndLostAckedWrite) {
+  Logger::Get().set_min_level(LogLevel::kNone);
+  TranSendService service(DefaultTranSendOptions());
+  service.Start();
+  service.sim()->RunFor(Seconds(3));
+  SnsSystem* system = service.system();
+  ASSERT_TRUE(CheckInvariantsAtQuiesce(system, {}).ok());
+
+  system->cluster()->Spawn(system->worker_pool()[0],
+                           std::make_unique<ManagerProcess>(system->config(), system,
+                                                            system->manager_epoch() + 1,
+                                                            system->membership()));
+  ProfileWriteLedger ledger;
+  ledger.entries.push_back({"never-stored", "qpref", "v0", /*acked=*/true});
+
+  InvariantReport report = CheckInvariantsAtQuiesce(system, {}, &ledger);
   bool split_brain = false;
-  for (const InvariantViolation& v : run.report.violations) {
-    if (v.invariant == "exactly-one-manager") {
-      split_brain = true;
-    }
+  bool lost_write = false;
+  for (const InvariantViolation& v : report.violations) {
+    split_brain |= v.invariant == "exactly-one-manager";
+    lost_write |= v.invariant == "acked-write-durable";
   }
-  EXPECT_TRUE(split_brain) << run.report.ToString();
+  EXPECT_TRUE(split_brain) << report.ToString();
+  EXPECT_TRUE(lost_write) << report.ToString();
 }
 
 TEST(ChaosMinimizerTest, ShrinksFailingScheduleToMinimalRepro) {
   Logger::Get().set_min_level(LogLevel::kNone);
-  CampaignConfig config = SmokeConfig();
-  config.epoch_fencing = false;  // Guarantees the partition event alone fails.
-  config.quorum_membership = false;
-  config.stonith_fencing = false;  // STONITH would resolve the split instead.
-  FaultSchedule schedule = ManagerPartitionSchedule(0x31);
+  // A front end partitioned away for good: the manager relaunches it on the
+  // majority side while the stranded incarnation lives on, so the roster never
+  // converges. That event alone fails the run.
+  FaultSchedule schedule;
+  schedule.seed = 0x31;
+  FaultEvent split;
+  split.at = Seconds(5);
+  split.kind = FaultKind::kPartitionFrontEnd;
+  split.duration = Seconds(3600);
+  schedule.events.push_back(split);
   // Pad with noise the system masks on its own; the minimizer should strip it.
   FaultEvent crash;
   crash.at = Seconds(2);
@@ -183,12 +221,14 @@ TEST(ChaosMinimizerTest, ShrinksFailingScheduleToMinimalRepro) {
   late_crash.index = 3;
   schedule.events.push_back(late_crash);
 
-  MinimizeResult result = MinimizeSchedule(schedule, config, /*max_runs=*/24);
+  MinimizeResult result = MinimizeSchedule(schedule, SmokeConfig(), /*max_runs=*/24);
   EXPECT_TRUE(result.still_fails);
   ASSERT_EQ(result.minimal.events.size(), 1u) << result.Repro();
-  EXPECT_EQ(result.minimal.events[0].kind, FaultKind::kPartitionManager);
+  EXPECT_EQ(result.minimal.events[0].kind, FaultKind::kPartitionFrontEnd);
   EXPECT_FALSE(result.failure.ok());
-  EXPECT_NE(result.Repro().find("partition_manager"), std::string::npos);
+  EXPECT_NE(result.failure.ToString().find("roster-convergence"), std::string::npos)
+      << result.Repro();
+  EXPECT_NE(result.Repro().find("partition_front_end"), std::string::npos);
   EXPECT_GT(result.runs_used, 1);
 }
 
@@ -206,17 +246,14 @@ TEST(ChaosMinimizerTest, PassingScheduleIsReportedAsNotFailing) {
 }
 
 // System-level regression for the relaunch fix: the majority side must fail over
-// WHILE the minority-side incumbent is still alive (pre-fix, the launcher's
-// Find()-based idempotence check blocked failover for the whole outage), and the
-// pair must converge to exactly the higher epoch after the heal.
+// WHILE the minority-side incumbent is still alive (before the fix, the
+// launcher's Find()-based idempotence check blocked failover for the whole
+// outage). The live incumbent is shot through the fence device at failover, so
+// the pair never coexists and exactly the higher epoch survives the heal.
 TEST(PartitionToleranceTest, MajorityFailsOverWhileMinorityManagerAlive) {
   Logger::Get().set_min_level(LogLevel::kNone);
   TranSendOptions options = DefaultTranSendOptions();
   options.topology.worker_pool_nodes = 4;
-  // Epoch-only story (PR 3): quorum + STONITH would fence the minority-side
-  // incumbent at failover instead of leaving it alive to demote after the heal.
-  options.sns.quorum_membership = false;
-  options.sns.stonith_fencing = false;
   TranSendService service(options);
   service.Start();
   service.sim()->RunFor(Seconds(3));
@@ -226,33 +263,32 @@ TEST(PartitionToleranceTest, MajorityFailsOverWhileMinorityManagerAlive) {
   ASSERT_NE(incumbent, nullptr);
   EXPECT_EQ(incumbent->epoch(), 1u);
   NodeId manager_node = incumbent->node();
+  ProcessId incumbent_pid = incumbent->pid();
 
   FailureInjector injector(system->cluster(), system->san());
   SimTime now = service.sim()->now();
   injector.PartitionAt(now + Seconds(1), {manager_node}, now + Seconds(20));
 
   // Mid-partition: the majority's front ends detected beacon silence and failed
-  // over even though the incumbent still runs across the split.
+  // over even though the incumbent still ran across the split; the fence device
+  // killed that live incumbent as a stale epoch-1 manager.
   service.sim()->RunFor(Seconds(12));
+  EXPECT_EQ(system->manager_epoch(), 2u) << "failover blocked by unreachable incumbent";
+  EXPECT_EQ(system->cluster()->Find(incumbent_pid), nullptr);
+  EXPECT_GE(system->metrics()->GetCounter("fencing.kills")->value(), 1);
+  ASSERT_FALSE(system->fence_agent()->log().empty());
+  EXPECT_NE(system->fence_agent()->log()[0].find("stale manager epoch 1"), std::string::npos)
+      << system->fence_agent()->log()[0];
   std::vector<ManagerProcess*> during = LiveManagers(system);
-  ASSERT_EQ(during.size(), 2u) << "failover blocked by unreachable incumbent";
-  EXPECT_EQ(system->manager_epoch(), 2u);
-  bool incumbent_alive = false;
-  for (ManagerProcess* m : during) {
-    if (m->epoch() == 1) {
-      incumbent_alive = true;
-      EXPECT_EQ(m->node(), manager_node);
-    }
-  }
-  EXPECT_TRUE(incumbent_alive);
+  ASSERT_EQ(during.size(), 1u);
+  EXPECT_EQ(during[0]->epoch(), 2u);
+  EXPECT_NE(during[0]->node(), manager_node);
 
-  // Post-heal: the stale incarnation hears the higher epoch and demotes; exactly
-  // one manager remains within a few beacon periods.
+  // Post-heal: exactly the higher epoch remains.
   service.sim()->RunFor(Seconds(15));
   std::vector<ManagerProcess*> after = LiveManagers(system);
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(after[0]->epoch(), 2u);
-  EXPECT_GE(system->metrics()->GetCounter("manager.demotions")->value(), 1);
 }
 
 }  // namespace

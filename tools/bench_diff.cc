@@ -7,8 +7,9 @@
 // baseline — <baseline-dir>/<cell>.json, or the single baseline file — under
 // the per-metric tolerance rules in kGates below. Other metrics in the
 // baseline (sent, completed, ...) are informational. Any regression, gated
-// metric missing from the artifact or the baseline, NaN/Inf value, or
-// cell-name mismatch exits nonzero. Like validate_bench_artifact, this is
+// metric missing from the artifact or the baseline, NaN/Inf value,
+// cell-name mismatch, or content after a document's top-level object exits
+// nonzero. Like validate_bench_artifact, this is
 // dependency-free: it reads JSON with the strict reader in json_reader.h.
 
 #include <sys/stat.h>
@@ -66,6 +67,9 @@ std::string ReadDoc(const std::string& text, bool from_artifact, MetricsDoc* doc
                              });
   if (!ok) {
     return reader.error();
+  }
+  if (!reader.AtEnd()) {
+    return "trailing content after top-level object";
   }
   if (from_artifact && !saw_matrix) {
     return "artifact has no \"matrix\" section";
