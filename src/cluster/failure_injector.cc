@@ -99,70 +99,4 @@ void FailureInjector::ScheduleNextRandomCrash(Rng* rng, SimDuration mean_interva
       });
 }
 
-void FailureInjector::RandomFaults(Rng* rng, const RandomFaultMix& mix) {
-  ScheduleNextRandomFault(rng, std::make_shared<const RandomFaultMix>(mix));
-}
-
-void FailureInjector::ScheduleNextRandomFault(Rng* rng,
-                                              std::shared_ptr<const RandomFaultMix> mix) {
-  auto delay =
-      static_cast<SimDuration>(rng->Exponential(static_cast<double>(mix->mean_interval)));
-  SimTime when = cluster_->sim()->now() + delay;
-  if (when > mix->until) {
-    return;
-  }
-  cluster_->sim()->ScheduleAt(when, [this, rng, mix = std::move(mix)] {
-    ApplyRandomFault(rng, *mix);
-    ScheduleNextRandomFault(rng, mix);
-  });
-}
-
-void FailureInjector::ApplyRandomFault(Rng* rng, const RandomFaultMix& mix) {
-  // A class without a picker can never fire, whatever its weight says.
-  std::vector<double> weights = {
-      mix.process_victim ? mix.process_crash_weight : 0.0,
-      mix.node_victim ? mix.node_outage_weight : 0.0,
-      mix.partition_victims ? mix.partition_weight : 0.0,
-  };
-  if (weights[0] <= 0 && weights[1] <= 0 && weights[2] <= 0) {
-    return;
-  }
-  SimTime now = cluster_->sim()->now();
-  switch (rng->WeightedIndex(weights)) {
-    case 0: {
-      ProcessId victim = mix.process_victim();
-      if (victim != kInvalidProcess && cluster_->Find(victim) != nullptr) {
-        ++injected_;
-        SNS_LOG(kInfo, "inject") << "random crash of pid " << victim;
-        LogEvent(StrFormat("random crash pid %ld", victim));
-        cluster_->Crash(victim);
-      }
-      break;
-    }
-    case 1: {
-      NodeId victim = mix.node_victim();
-      if (victim != kInvalidNode && cluster_->NodeUp(victim)) {
-        ++injected_;
-        LogEvent(StrFormat("random node outage: node %d for %s", victim,
-                           FormatTime(mix.node_downtime).c_str()));
-        cluster_->CrashNode(victim);
-        RestartNodeAt(now + mix.node_downtime, victim);
-      }
-      break;
-    }
-    case 2: {
-      std::vector<NodeId> minority = mix.partition_victims();
-      if (!minority.empty()) {
-        LogEvent(StrFormat("random partition of %zu node(s) for %s", minority.size(),
-                           FormatTime(mix.partition_duration).c_str()));
-        // PartitionAt schedules at absolute times; firing "now" applies instantly.
-        PartitionAt(now, minority, now + mix.partition_duration);
-      }
-      break;
-    }
-    default:
-      break;
-  }
-}
-
 }  // namespace sns

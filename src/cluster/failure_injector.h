@@ -10,7 +10,6 @@
 #define SRC_CLUSTER_FAILURE_INJECTOR_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,23 +43,6 @@ class FailureInjector {
   void RandomProcessCrashes(Rng* rng, SimDuration mean_interval, SimTime until,
                             std::function<ProcessId()> victim_picker);
 
-  // Mixed randomized faults: each round picks a fault class by weight. A picker
-  // returning no victim (kInvalidProcess / kInvalidNode / empty vector) skips the
-  // round; a class with weight 0 or no picker is never drawn.
-  struct RandomFaultMix {
-    SimDuration mean_interval = Seconds(10);
-    SimTime until = 0;
-    double process_crash_weight = 1.0;
-    double node_outage_weight = 0.0;  // CrashNode, then RestartNode after downtime.
-    double partition_weight = 0.0;    // Timed split, healed after duration.
-    SimDuration node_downtime = Seconds(5);
-    SimDuration partition_duration = Seconds(5);
-    std::function<ProcessId()> process_victim;
-    std::function<NodeId()> node_victim;
-    std::function<std::vector<NodeId>()> partition_victims;
-  };
-  void RandomFaults(Rng* rng, const RandomFaultMix& mix);
-
   // --- Observability --------------------------------------------------------------
   int64_t injected_count() const { return injected_; }
   // Human-readable, sim-time-stamped record of every fault actually applied (in
@@ -76,8 +58,6 @@ class FailureInjector {
  private:
   void ScheduleNextRandomCrash(Rng* rng, SimDuration mean_interval, SimTime until,
                                std::function<ProcessId()> victim_picker);
-  void ScheduleNextRandomFault(Rng* rng, std::shared_ptr<const RandomFaultMix> mix);
-  void ApplyRandomFault(Rng* rng, const RandomFaultMix& mix);
   void LogEvent(const std::string& what);
 
   Cluster* cluster_;

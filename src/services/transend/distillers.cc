@@ -18,12 +18,16 @@ constexpr int64_t kMinDistilledBytes = 160;
 // Opaque content transform: produce undecodable bytes of the modeled size.
 ContentPtr OpaqueOutput(const TaccRequest& request, MimeType mime, int64_t out_size) {
   std::vector<uint8_t> bytes(static_cast<size_t>(std::max(out_size, kMinDistilledBytes)));
+  // xorshift64*, each output word written out as 8 little-endian bytes.
   uint64_t h = Fnv1a(request.url) * 0x9E3779B97F4A7C15ULL;
-  for (size_t i = 0; i < bytes.size(); ++i) {
+  for (size_t i = 0; i < bytes.size();) {
     h ^= h >> 12;
     h ^= h << 25;
     h ^= h >> 27;
-    bytes[i] = static_cast<uint8_t>(h * 0x2545F4914F6CDD1DULL >> 56);
+    uint64_t word = h * 0x2545F4914F6CDD1DULL;
+    for (int k = 0; k < 8 && i < bytes.size(); ++k, ++i, word >>= 8) {
+      bytes[i] = static_cast<uint8_t>(word);
+    }
   }
   if (bytes.size() >= 2) {
     bytes[0] = 'X';

@@ -1,6 +1,7 @@
 #include "src/sns/worker_process.h"
 
 #include "src/cluster/cluster.h"
+#include "src/obs/profiler.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
 
@@ -198,7 +199,11 @@ void WorkerProcess::StartNext() {
       cluster()->Crash(pid());
       return;
     }
-    TaccResult result = worker_->Process(request);
+    TaccResult result;
+    {
+      SNS_PROFILE_ZONE("worker.distill");
+      result = worker_->Process(request);
+    }
     completed_->Increment();
     RecordSpan(ChildSpan(span), "worker.service", service_start,
                result.status.ok() ? "ok" : "error");

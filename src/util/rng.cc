@@ -39,6 +39,28 @@ uint64_t Rng::Next() {
   return result;
 }
 
+void Rng::FillBytes(uint8_t* out, size_t n) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // Spelled out so the compiler merges them into one store on little-endian hosts.
+    uint64_t word = Next();
+    out[i] = static_cast<uint8_t>(word);
+    out[i + 1] = static_cast<uint8_t>(word >> 8);
+    out[i + 2] = static_cast<uint8_t>(word >> 16);
+    out[i + 3] = static_cast<uint8_t>(word >> 24);
+    out[i + 4] = static_cast<uint8_t>(word >> 32);
+    out[i + 5] = static_cast<uint8_t>(word >> 40);
+    out[i + 6] = static_cast<uint8_t>(word >> 48);
+    out[i + 7] = static_cast<uint8_t>(word >> 56);
+  }
+  if (i < n) {
+    uint64_t word = Next();
+    for (; i < n; ++i, word >>= 8) {
+      out[i] = static_cast<uint8_t>(word);
+    }
+  }
+}
+
 double Rng::NextDouble() {
   // 53 random mantissa bits.
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;

@@ -21,6 +21,11 @@ class Rng {
   // Uniform random 64-bit value.
   uint64_t Next();
 
+  // Fills out[0, n) with random bytes, one Next() word per 8 bytes written
+  // little-endian (platform-independent); the n % 8 tail bytes are the low bytes
+  // of one more draw.
+  void FillBytes(uint8_t* out, size_t n);
+
   // Uniform in [0, 1).
   double NextDouble();
 

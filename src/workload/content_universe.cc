@@ -7,6 +7,7 @@
 #include "src/content/html.h"
 #include "src/content/image.h"
 #include "src/content/jpeg_codec.h"
+#include "src/obs/profiler.h"
 #include "src/util/strings.h"
 
 namespace sns {
@@ -30,8 +31,10 @@ const char* ExtensionFor(MimeType mime) {
 // Pads encoded content with trailing bytes up to `target` — decoders stop at the
 // logical end of stream, so padding is ignored on decode but counts on the wire.
 void PadTo(std::vector<uint8_t>* bytes, int64_t target, Rng* rng) {
-  while (static_cast<int64_t>(bytes->size()) < target) {
-    bytes->push_back(static_cast<uint8_t>(rng->UniformInt(0, 255)));
+  size_t filled = bytes->size();
+  if (static_cast<int64_t>(filled) < target) {
+    bytes->resize(static_cast<size_t>(target));
+    rng->FillBytes(bytes->data() + filled, bytes->size() - filled);
   }
 }
 
@@ -91,6 +94,7 @@ ContentPtr ContentUniverse::GetContent(const std::string& url) {
   if (it != cache_.end()) {
     return it->second;
   }
+  SNS_PROFILE_ZONE("content.generate");
   ContentPtr content = Generate(url, TraitsOf(url));
   generated_bytes_ += content->size();
   cache_[url] = content;
@@ -152,9 +156,7 @@ ContentPtr ContentUniverse::Generate(const std::string& url, const UrlTraits& tr
       } else {
         // Opaque image: correct size, undecodable (no codec magic).
         bytes.resize(static_cast<size_t>(traits.size));
-        for (auto& b : bytes) {
-          b = static_cast<uint8_t>(rng.UniformInt(0, 255));
-        }
+        rng.FillBytes(bytes.data(), bytes.size());
         if (bytes.size() >= 2) {
           bytes[0] = 'X';  // Ensure the magic check fails.
           bytes[1] = 'X';
@@ -164,9 +166,7 @@ ContentPtr ContentUniverse::Generate(const std::string& url, const UrlTraits& tr
     }
     case MimeType::kOther: {
       bytes.resize(static_cast<size_t>(traits.size));
-      for (auto& b : bytes) {
-        b = static_cast<uint8_t>(rng.UniformInt(0, 255));
-      }
+      rng.FillBytes(bytes.data(), bytes.size());
       break;
     }
   }

@@ -10,10 +10,12 @@
 //   - real:   images are synthesized and actually encoded with the SGIF/SJPG codecs,
 //             so distillers run genuine pixel transforms. Costs real host CPU;
 //             meant for examples, tests, and small universes.
-//   - opaque: content is random bytes of the modeled size (not decodable).
-//             Distillers detect this and fall back to a calibrated size-reduction
-//             model, keeping SAN/cache byte counts realistic at negligible host
-//             cost; meant for large-scale benchmarks.
+//   - opaque: content is seeded filler of exactly the modeled size, written a
+//             64-bit RNG word at a time (Rng::FillBytes); opaque images start
+//             with "XX" so the codec magic check fails. Only the size and those
+//             magic bytes are ever read: distillers fall back to a calibrated
+//             size-reduction model, keeping SAN/cache byte counts realistic at
+//             negligible host cost; meant for large-scale benchmarks.
 // HTML is always real (generation is cheap), so the HTML munger always does real
 // string rewriting.
 

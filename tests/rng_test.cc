@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -155,6 +157,27 @@ TEST(RngTest, WeightedIndexAllZeroFallsBackToUniform) {
   }
   EXPECT_GT(counts[0], 3000);
   EXPECT_GT(counts[1], 3000);
+}
+
+TEST(RngTest, FillBytesWritesLittleEndianWordsAndConsumesCeilNOver8Draws) {
+  for (size_t n : {0, 1, 7, 8, 9, 15, 16, 17}) {
+    SCOPED_TRACE(n);
+    Rng rng(19);
+    Rng twin(19);
+    std::vector<uint8_t> out(n + 1, 0xEE);
+    rng.FillBytes(out.data(), n);
+    std::vector<uint8_t> expected;
+    for (size_t draw = 0; draw < (n + 7) / 8; ++draw) {
+      uint64_t word = twin.Next();
+      for (int k = 0; k < 8 && expected.size() < n; ++k) {
+        expected.push_back(static_cast<uint8_t>(word >> (8 * k)));
+      }
+    }
+    expected.push_back(0xEE);  // The byte past the end is untouched.
+    EXPECT_EQ(out, expected);
+    // The next draw is the twin's draw number ceil(n/8) + 1.
+    EXPECT_EQ(rng.Next(), twin.Next());
+  }
 }
 
 // Property sweep: Zipf rank frequencies are monotone non-increasing and rank 0

@@ -66,6 +66,23 @@ TEST(JpegDistillerTest, OpaqueImageUsesReductionModel) {
               expected * 0.1 + 200.0);
 }
 
+TEST(JpegDistillerTest, OpaqueOutputHasModeledSizeFloorAndHeader) {
+  JpegDistiller distiller;
+  // 10001 * 0.1125 -> 1125 bytes, not a multiple of 8; 1000 * 0.1125 -> 112,
+  // under the 160-byte floor.
+  for (int64_t in_size : {10001, 1000}) {
+    SCOPED_TRACE(in_size);
+    auto out = static_cast<int64_t>(static_cast<double>(in_size) * ImageReductionRatio(2, 25));
+    TaccRequest request = ImageRequest(OpaqueImage(MimeType::kJpeg, in_size), 2, 25);
+    TaccResult result = distiller.Process(request);
+    ASSERT_TRUE(result.status.ok());
+    ASSERT_EQ(result.output->size(), std::max<int64_t>(out, 160));
+    EXPECT_EQ(result.output->bytes[0], 'X');
+    EXPECT_EQ(result.output->bytes[1], 'X');
+    EXPECT_EQ(distiller.Process(request).output->bytes, result.output->bytes);
+  }
+}
+
 TEST(JpegDistillerTest, FailsOnEmptyInput) {
   JpegDistiller distiller;
   TaccRequest request;

@@ -179,6 +179,34 @@ TEST(UniverseTest, OpaqueImagesFailMagicCheck) {
   }
 }
 
+TEST(UniverseTest, OpaqueContentHasExactlyTheModeledSize) {
+  ContentUniverseConfig config;
+  config.url_count = 400;
+  config.real_image_max_bytes = 0;  // All imagery opaque.
+  ContentUniverse universe(config);
+  int opaque_images = 0;
+  int unaligned = 0;
+  for (int i = 0; i < 400; ++i) {
+    std::string url = universe.UrlAt(i);
+    MimeType mime = universe.MimeOf(url);
+    if (mime == MimeType::kHtml) {
+      continue;
+    }
+    const std::vector<uint8_t>& bytes = universe.GetContent(url)->bytes;
+    int64_t modeled = universe.ModeledSize(url);
+    EXPECT_EQ(static_cast<int64_t>(bytes.size()), modeled) << url;
+    if (mime == MimeType::kOther || bytes[0] == '<') {
+      continue;  // Opaque data, or an HTML error page under an image URL.
+    }
+    ++opaque_images;
+    unaligned += modeled % 8 != 0 ? 1 : 0;
+    EXPECT_EQ(bytes[0], 'X') << url;
+    EXPECT_EQ(bytes[1], 'X') << url;
+  }
+  EXPECT_GT(opaque_images, 100);
+  EXPECT_GT(unaligned, 50);  // The n % 8 tail path is exercised.
+}
+
 TEST(UniverseTest, RealImagesDecode) {
   ContentUniverseConfig config;
   config.url_count = 400;
