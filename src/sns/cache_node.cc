@@ -356,11 +356,12 @@ void CacheNodeProcess::HandlePut(const Message& msg) {
   RunOnCpu(config_.cpu_per_put, [this, put, span, start] {
     --outstanding_;
     if (put->content != nullptr) {
-      // Content identity (replicas of one put/migration share the ContentPtr)
-      // tells a fresh migrated entry from a re-push of one we already hold —
-      // only the former is echoed, so anti-entropy terminates.
+      // Content equality (one ContentPtr, or equal bytes: two origin fetches of a
+      // URL are distinct ContentPtrs) tells a fresh migrated entry from a re-push
+      // of one we already hold — only the former is echoed, so anti-entropy ends.
       const ContentPtr* existing = cache_.Peek(put->key);
-      bool already_known = existing != nullptr && *existing == put->content;
+      bool already_known = existing != nullptr && (*existing == put->content ||
+                                                   (*existing)->bytes == put->content->bytes);
       cache_.Put(put->key, put->content);
       if (put->rebalance && !already_known) {
         echo_keys_.insert(put->key);

@@ -95,7 +95,7 @@ class CacheNodeProcess : public Process {
   // from peers when the snapshot is taken, so a relayed key could be stranded one
   // hop short of full replication. Every *newly learned* migrated entry is
   // therefore queued and, after a short settle, re-pushed along its whole chain
-  // (an "echo" pass). Receivers detect already-known entries by content identity
+  // (an "echo" pass). Receivers detect already-known entries by content equality
   // and do not echo again, so propagation terminates.
   void ScheduleEchoPass();
   void StartEchoPass();

@@ -89,15 +89,11 @@ MimeType ContentUniverse::MimeOf(const std::string& url) const {
   return MimeTypeFromUrl(url);
 }
 
-ContentPtr ContentUniverse::GetContent(const std::string& url) {
-  auto it = cache_.find(url);
-  if (it != cache_.end()) {
-    return it->second;
-  }
+ContentPtr ContentUniverse::GetContent(const std::string& url) const {
   SNS_PROFILE_ZONE("content.generate");
   ContentPtr content = Generate(url, TraitsOf(url));
+  ++generated_count_;
   generated_bytes_ += content->size();
-  cache_[url] = content;
   return content;
 }
 

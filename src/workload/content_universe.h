@@ -4,11 +4,12 @@
 // a pure function of (universe seed, url), so runs are reproducible and any
 // component can regenerate the same bytes — which is precisely the property BASE
 // soft state relies on ("transformed content ... can be regenerated from the
-// original", §3.1.8).
+// original", §3.1.8). So nothing is kept here: content is synthesized on every
+// call, and the cache tier is the only memo.
 //
 // Two content modes:
 //   - real:   images are synthesized and actually encoded with the SGIF/SJPG codecs,
-//             so distillers run genuine pixel transforms. Costs real host CPU;
+//             so distillers run genuine pixel transforms. Costs host CPU per call;
 //             meant for examples, tests, and small universes.
 //   - opaque: content is seeded filler of exactly the modeled size, written a
 //             64-bit RNG word at a time (Rng::FillBytes); opaque images start
@@ -24,7 +25,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/content/content.h"
@@ -53,9 +53,9 @@ class ContentUniverse {
   // Zipf-popularity URL draw (popular pages dominate, giving cache locality).
   std::string SamplePopularUrl(Rng* rng) const;
 
-  // Deterministic content for a URL (memoized). Unknown URLs still produce
-  // deterministic content keyed by their hash.
-  ContentPtr GetContent(const std::string& url);
+  // Deterministic content for a URL, synthesized and counted on every call; the
+  // caller holds the only reference. Unknown URLs hash to content too.
+  ContentPtr GetContent(const std::string& url) const;
 
   // Modeled (pre-generation) size of a URL's content; cheap, no synthesis.
   int64_t ModeledSize(const std::string& url) const;
@@ -63,7 +63,7 @@ class ContentUniverse {
 
   const SizeModel& size_model() const { return size_model_; }
 
-  size_t generated_count() const { return cache_.size(); }
+  int64_t generated_count() const { return generated_count_; }
   int64_t generated_bytes() const { return generated_bytes_; }
 
  private:
@@ -77,8 +77,8 @@ class ContentUniverse {
 
   ContentUniverseConfig config_;
   SizeModel size_model_;
-  std::unordered_map<std::string, ContentPtr> cache_;
-  int64_t generated_bytes_ = 0;
+  mutable int64_t generated_count_ = 0;
+  mutable int64_t generated_bytes_ = 0;
 };
 
 // True if `bytes` are real decodable content for their MIME type (images only;

@@ -4,7 +4,8 @@
 
 namespace sns {
 
-OriginServerProcess::OriginServerProcess(const OriginConfig& config, ContentUniverse* universe)
+OriginServerProcess::OriginServerProcess(const OriginConfig& config,
+                                         const ContentUniverse* universe)
     : Process("origin"), config_(config), universe_(universe), rng_(config.seed) {}
 
 void OriginServerProcess::OnMessage(const Message& msg) {

@@ -30,7 +30,7 @@ struct OriginConfig {
 
 class OriginServerProcess : public Process {
  public:
-  OriginServerProcess(const OriginConfig& config, ContentUniverse* universe);
+  OriginServerProcess(const OriginConfig& config, const ContentUniverse* universe);
 
   void OnMessage(const Message& msg) override;
 
@@ -39,7 +39,7 @@ class OriginServerProcess : public Process {
 
  private:
   OriginConfig config_;
-  ContentUniverse* universe_;
+  const ContentUniverse* universe_;
   Rng rng_;
   int64_t fetches_ = 0;
   int64_t bytes_ = 0;

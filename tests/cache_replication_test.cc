@@ -309,6 +309,37 @@ TEST(CacheReplicationTest, DeadlineExpiryDuringRebalanceIsNotCountedAsMiss) {
   ExpectFullReplication(&service, 2);
 }
 
+// Two origin fetches of one URL are distinct ContentPtrs with equal bytes. A
+// rebalance put of such a copy is not new to the node, so it must not start an
+// anti-entropy echo pass; a put carrying different bytes must.
+TEST(CacheReplicationTest, RebalancePutOfEqualBytesIsNotEchoed) {
+  Logger::Get().set_min_level(LogLevel::kNone);
+  TranSendService service(ReplicationOptions(2));
+  service.Start();
+  service.sim()->RunFor(Seconds(10));  // Let start-up membership passes finish.
+  CacheNodeProcess* cache = service.system()->cache_node_processes().front();
+  const std::string passes = StrFormat("cache.n%d.rebalance_passes", cache->node());
+  MetricsRegistry* metrics = service.system()->metrics();
+  auto put = [&](const std::vector<uint8_t>& bytes, bool rebalance) {
+    auto payload = std::make_shared<CachePutPayload>();
+    payload->key = "orig:http://site1.example.edu/obj1.dat";
+    payload->content = Content::Make("http://site1.example.edu/obj1.dat", MimeType::kOther, bytes);
+    payload->rebalance = rebalance;
+    Message msg;
+    msg.type = kMsgCachePut;
+    msg.payload = std::move(payload);
+    cache->OnMessage(msg);
+    service.sim()->RunFor(Seconds(5));  // Past the echo settle.
+  };
+  const std::vector<uint8_t> bytes(1000, 7);
+  put(bytes, /*rebalance=*/false);
+  int64_t before = metrics->CounterValue(passes);
+  put(bytes, /*rebalance=*/true);
+  EXPECT_EQ(metrics->CounterValue(passes), before);
+  put(std::vector<uint8_t>(1000, 8), /*rebalance=*/true);
+  EXPECT_EQ(metrics->CounterValue(passes), before + 1);
+}
+
 TEST(CacheReplicationTest, FrontEndProfileCacheStaysWithinConfiguredBytes) {
   Logger::Get().set_min_level(LogLevel::kNone);
   TranSendOptions options = ReplicationOptions(2);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <memory>
 
 #include "src/content/gif_codec.h"
 #include "src/content/html.h"
@@ -192,7 +194,8 @@ TEST(UniverseTest, OpaqueContentHasExactlyTheModeledSize) {
     if (mime == MimeType::kHtml) {
       continue;
     }
-    const std::vector<uint8_t>& bytes = universe.GetContent(url)->bytes;
+    ContentPtr content = universe.GetContent(url);
+    const std::vector<uint8_t>& bytes = content->bytes;
     int64_t modeled = universe.ModeledSize(url);
     EXPECT_EQ(static_cast<int64_t>(bytes.size()), modeled) << url;
     if (mime == MimeType::kOther || bytes[0] == '<') {
@@ -225,6 +228,60 @@ TEST(UniverseTest, RealImagesDecode) {
     }
   }
   EXPECT_GT(real_checked, 0);
+}
+
+TEST(UniverseTest, RetainsNoContentAfterCallerDropsIt) {
+  ContentUniverseConfig config;
+  config.url_count = 1000;
+  config.real_image_max_bytes = 0;  // All imagery opaque.
+  ContentUniverse universe(config);
+  // One URL of each kind: HTML, opaque image, error page under an image URL, kOther.
+  std::map<std::string, std::string> url_of_kind;
+  for (int i = 0; i < 1000 && url_of_kind.size() < 4; ++i) {
+    std::string url = universe.UrlAt(i);
+    ContentPtr content = universe.GetContent(url);
+    const char* kind = content->mime == MimeType::kHtml    ? "html"
+                       : content->mime == MimeType::kOther ? "other"
+                       : content->bytes[0] == '<'          ? "error page"
+                                                           : "opaque image";
+    url_of_kind.emplace(kind, url);
+  }
+  ASSERT_EQ(url_of_kind.size(), 4u);
+  for (const auto& [kind, url] : url_of_kind) {
+    ContentPtr content = universe.GetContent(url);
+    std::weak_ptr<const Content> weak = content;
+    ASSERT_FALSE(weak.expired()) << kind;
+    content.reset();
+    EXPECT_TRUE(weak.expired()) << kind << " " << url;
+  }
+}
+
+TEST(UniverseTest, RegeneratedContentIsByteIdentical) {
+  for (int64_t real_image_max_bytes : {int64_t{0}, int64_t{20000}}) {
+    ContentUniverseConfig config;
+    config.url_count = 200;
+    config.real_image_max_bytes = real_image_max_bytes;
+    ContentUniverse universe(config);
+    int64_t calls = 0;
+    int64_t bytes = 0;
+    int real_images = 0;
+    for (int i = 0; i < 40; ++i) {
+      std::string url = universe.UrlAt(i);
+      const Content first = *universe.GetContent(url);  // A copy; the ContentPtr is dropped.
+      ContentPtr again = universe.GetContent(url);
+      calls += 2;
+      bytes += first.size() + again->size();
+      EXPECT_EQ(again->bytes, first.bytes) << url;
+      EXPECT_EQ(again->mime, first.mime) << url;
+      EXPECT_EQ(again->url, first.url) << url;
+      real_images += IsRealImage(first.mime, first.bytes) ? 1 : 0;
+    }
+    EXPECT_EQ(universe.generated_count(), calls);
+    EXPECT_EQ(universe.generated_bytes(), bytes);
+    if (real_image_max_bytes > 0) {
+      EXPECT_GT(real_images, 0);  // The codec path is regenerated too.
+    }
+  }
 }
 
 TEST(UniverseTest, HtmlContentIsRealMarkup) {
