@@ -100,6 +100,7 @@ ProcessId Cluster::Spawn(NodeId node, std::unique_ptr<Process> process) {
   p->endpoint_ = Endpoint{node, next_port_++};
   p->cluster_ = this;
   p->running_ = true;
+  p->span_component_ = tracer_.Intern(p->name_);
   state->processes.push_back(pid);
   processes_[pid] = std::move(process);
   san_->Bind(p->endpoint_, [this, pid](const Message& msg) {

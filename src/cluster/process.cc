@@ -18,8 +18,8 @@ TraceContext Process::ChildSpan(const TraceContext& parent) const {
   return cluster_->tracer()->ChildOf(parent);
 }
 
-void Process::RecordSpan(const TraceContext& ctx, const std::string& operation, SimTime start,
-                         std::string outcome) const {
+void Process::RecordSpan(const TraceContext& ctx, std::string_view operation, SimTime start,
+                         std::string_view outcome) const {
   if (!ctx.valid()) {
     return;
   }
@@ -27,13 +27,13 @@ void Process::RecordSpan(const TraceContext& ctx, const std::string& operation, 
   span.trace_id = ctx.trace_id;
   span.span_id = ctx.span_id;
   span.parent_span_id = ctx.parent_span_id;
-  span.component = name_;
+  span.component = span_component_;
   span.operation = operation;
   span.node = endpoint_.node;
   span.start = start;
   span.end = sim()->now();
-  span.outcome = std::move(outcome);
-  cluster_->tracer()->Record(std::move(span));
+  span.outcome = outcome;
+  cluster_->tracer()->Record(span);
 }
 
 void Process::Send(Message msg, San::SendOptions opts) {
@@ -55,9 +55,16 @@ void Process::RunOnCpu(SimDuration cpu_time, std::function<void()> done) {
 }
 
 EventId Process::After(SimDuration delay, std::function<void()> fn) {
-  auto id_holder = std::make_shared<EventId>(kInvalidEventId);
-  EventId id = sim()->Schedule(delay, [this, id_holder, fn = std::move(fn)] {
-    pending_timers_.erase(*id_holder);
+  if (pending_timers_.size() == pending_timers_.capacity()) {
+    // Drop the ids of fired and cancelled timers before the vector would grow.
+    // If most survive, grow anyway so the next scan is as many timers away.
+    Simulator* s = sim();
+    std::erase_if(pending_timers_, [s](EventId id) { return !s->IsPending(id); });
+    if (pending_timers_.size() * 2 > pending_timers_.capacity()) {
+      pending_timers_.reserve(pending_timers_.capacity() * 2);
+    }
+  }
+  EventId id = sim()->Schedule(delay, [this, fn = std::move(fn)] {
     // The cluster cancels pending timers on death, so reaching here implies alive;
     // still guard for robustness against same-timestamp orderings.
     if (!running_) {
@@ -65,15 +72,10 @@ EventId Process::After(SimDuration delay, std::function<void()> fn) {
     }
     fn();
   });
-  *id_holder = id;
-  pending_timers_.insert(id);
+  pending_timers_.push_back(id);
   return id;
 }
 
-void Process::CancelTimer(EventId id) {
-  if (pending_timers_.erase(id) > 0) {
-    sim()->Cancel(id);
-  }
-}
+void Process::CancelTimer(EventId id) { sim()->Cancel(id); }
 
 }  // namespace sns

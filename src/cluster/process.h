@@ -13,7 +13,8 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_set>
+#include <string_view>
+#include <vector>
 
 #include "src/net/message.h"
 #include "src/net/san.h"
@@ -67,9 +68,10 @@ class Process {
   // invalid in, invalid out.
   TraceContext ChildSpan(const TraceContext& parent) const;
   // Records a finished span for this process: component/node filled in, end time
-  // is the current sim time. No-op for invalid contexts.
-  void RecordSpan(const TraceContext& ctx, const std::string& operation, SimTime start,
-                  std::string outcome) const;
+  // is the current sim time. No-op for invalid contexts. The span keeps views of
+  // `operation` and `outcome`, so both must be string literals (SpanRecord).
+  void RecordSpan(const TraceContext& ctx, std::string_view operation, SimTime start,
+                  std::string_view outcome) const;
 
   // Sends from this process's endpoint. msg.src is filled in automatically.
   void Send(Message msg, San::SendOptions opts = {});
@@ -95,7 +97,10 @@ class Process {
   Endpoint endpoint_;
   Cluster* cluster_ = nullptr;
   bool running_ = false;
-  std::unordered_set<EventId> pending_timers_;
+  std::string_view span_component_;  // name_, interned by the cluster's tracer.
+  // Ids of this process's timers: every pending one, plus fired or cancelled ones
+  // not yet compacted away (After drops those when the vector is full).
+  std::vector<EventId> pending_timers_;
 };
 
 }  // namespace sns

@@ -21,11 +21,20 @@ constexpr int kMaxDepth = 128;
 
 struct Walk {
   const std::unordered_map<uint64_t, std::vector<const SpanRecord*>>* children;
-  std::map<std::string, SimDuration>* stages;
+  std::map<std::string, SimDuration, std::less<>>* stages;
 };
 
+// The stage's accumulator, created at zero on first use.
+SimDuration& StageTotal(const Walk& walk, std::string_view stage) {
+  auto it = walk.stages->find(stage);
+  if (it == walk.stages->end()) {
+    it = walk.stages->emplace(stage, 0).first;
+  }
+  return it->second;
+}
+
 void Attribute(const Walk& walk, const SpanRecord& span, SimTime lo, SimTime hi, int depth) {
-  const std::string self_stage = CriticalStageFor(span.operation);
+  const std::string_view self_stage = CriticalStageFor(span.operation);
   SimTime cursor = lo;
   auto kids = walk.children->find(span.span_id);
   if (kids != walk.children->end() && depth < kMaxDepth) {
@@ -33,20 +42,20 @@ void Attribute(const Walk& walk, const SpanRecord& span, SimTime lo, SimTime hi,
       SimTime child_lo = std::clamp(child->start, cursor, hi);
       SimTime child_hi = std::clamp(child->end, child_lo, hi);
       if (child_lo > cursor) {
-        (*walk.stages)[self_stage] += child_lo - cursor;
+        StageTotal(walk, self_stage) += child_lo - cursor;
       }
       Attribute(walk, *child, child_lo, child_hi, depth + 1);
       cursor = std::max(cursor, child_hi);
     }
   }
   if (hi > cursor) {
-    (*walk.stages)[self_stage] += hi - cursor;
+    StageTotal(walk, self_stage) += hi - cursor;
   }
 }
 
 }  // namespace
 
-std::string CriticalStageFor(const std::string& operation) {
+std::string_view CriticalStageFor(std::string_view operation) {
   if (operation == "client.request") return "san_transit";
   if (operation == "fe.request") return "fe_processing";
   if (operation == "fe.queue_wait") return "fe_accept_queue_wait";

@@ -30,6 +30,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/trace.h"
@@ -40,15 +41,15 @@ namespace sns {
 
 // The stage charged for a span's self time (the parts of its window not covered
 // by children). Unknown operations attribute to their own name, keeping sums
-// exact for services that add custom spans.
-std::string CriticalStageFor(const std::string& operation);
+// exact for services that add custom spans; the result then views `operation`.
+std::string_view CriticalStageFor(std::string_view operation);
 
 // One request's decomposition. Invariant: the values in `stages` sum to `total`.
 struct CriticalPath {
   uint64_t trace_id = 0;
   SimDuration total = 0;  // Root span duration (client-observed latency).
   std::string root_outcome;
-  std::map<std::string, SimDuration> stages;
+  std::map<std::string, SimDuration, std::less<>> stages;
 
   SimDuration StageSum() const;
 };

@@ -36,7 +36,9 @@ struct SanEvent {
   int64_t size_bytes = 0;
   uint64_t trace_id = 0;  // The request trace the message was stamped with.
   uint64_t span_id = 0;
-  std::string detail;  // Drop reason ("unreachable", "saturated", ...), else empty.
+  // Drop reason ("unreachable", "saturated", ...), else empty. A string literal:
+  // the log stores the pointer, not a copy.
+  const char* detail = "";
 };
 
 // A fault the injector applied (process crash, node outage, partition, beacon

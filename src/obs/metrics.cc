@@ -47,7 +47,7 @@ std::string_view EscapeFor(char c, char (&buf)[6]) {
 
 }  // namespace
 
-std::string JsonEscape(const std::string& s) {
+std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   AppendEscaped(&out, s);

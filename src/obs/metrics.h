@@ -24,7 +24,7 @@
 namespace sns {
 
 // Escapes a string for embedding inside a JSON string literal.
-std::string JsonEscape(const std::string& s);
+std::string JsonEscape(std::string_view s);
 
 // Appenders for the JSON exporters: each writes into `out` with std::to_chars,
 // byte for byte what the printf conversion in its comment would print.

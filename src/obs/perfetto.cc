@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string_view>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -13,10 +14,11 @@ namespace sns {
 namespace {
 
 // Lanes ("threads") are allocated per (node, component-name) pair as they appear;
-// each node also gets a dedicated "san" lane for message markers.
+// each node also gets a dedicated "san" lane for message markers. Component names
+// are viewed, not copied: the caller keeps them alive for the table's lifetime.
 class LaneTable {
  public:
-  int Lane(int32_t node, const std::string& component, std::string* metadata) {
+  int Lane(int32_t node, std::string_view component, std::string* metadata) {
     auto key = std::make_pair(node, component);
     auto it = lanes_.find(key);
     if (it != lanes_.end()) {
@@ -37,7 +39,7 @@ class LaneTable {
   }
 
  private:
-  std::map<std::pair<int32_t, std::string>, int> lanes_;
+  std::map<std::pair<int32_t, std::string_view>, int> lanes_;
   std::map<int32_t, int> next_lane_per_node_;
   std::map<int32_t, int> seen_nodes_;
 };

@@ -4,6 +4,7 @@
 #include <string_view>
 
 #include "src/obs/metrics.h"
+#include "src/obs/profiler.h"
 
 namespace sns {
 
@@ -104,19 +105,30 @@ TraceContext TraceCollector::ChildOf(const TraceContext& parent) {
   return ctx;
 }
 
-void TraceCollector::Record(SpanRecord span) {
+std::string_view TraceCollector::Intern(std::string_view name) {
+  return *interned_.emplace(name).first;
+}
+
+void TraceCollector::Record(const SpanRecord& span) {
   if (span.trace_id == 0) {
     return;
   }
+  // Strided: a recycled-slot record is tens of nanoseconds.
+  SNS_PROFILE_ZONE_STRIDE("obs.span_record", 4);
   auto it = spans_by_trace_.find(span.trace_id);
   if (it == spans_by_trace_.end()) {
     if (spans_by_trace_.size() >= max_traces_) {
       EvictOldest();
     }
-    it = spans_by_trace_.emplace(span.trace_id, std::vector<SpanRecord>{}).first;
+    if (spare_.empty()) {
+      it = spans_by_trace_.emplace(span.trace_id, std::vector<SpanRecord>{}).first;
+    } else {
+      spare_.key() = span.trace_id;
+      it = spans_by_trace_.insert(std::move(spare_)).position;
+    }
     trace_order_.push_back(span.trace_id);
   }
-  it->second.push_back(std::move(span));
+  it->second.push_back(span);
   ++span_count_;
 }
 
@@ -145,14 +157,14 @@ std::vector<SpanRecord> TraceCollector::Trace(uint64_t trace_id) const {
 }
 
 std::vector<uint64_t> TraceCollector::TraceIds() const {
-  return {trace_order_.begin(), trace_order_.end()};
+  return {trace_order_.begin() + static_cast<ptrdiff_t>(order_head_), trace_order_.end()};
 }
 
 std::string TraceCollector::ToJson() const {
   // Sized exactly before writing, so the buffer never grows (it is the
   // largest section of a run artifact).
   size_t size = kTracesOpen.size() + kTracesClose.size() +
-                (trace_order_.empty() ? 0 : trace_order_.size() - 1);
+                (spans_by_trace_.empty() ? 0 : spans_by_trace_.size() - 1);
   for (const auto& [trace_id, spans] : spans_by_trace_) {
     size += TraceJsonLength(trace_id, spans);
   }
@@ -178,15 +190,20 @@ std::string TraceCollector::TraceToJson(uint64_t trace_id) const {
 }
 
 void TraceCollector::EvictOldest() {
-  if (trace_order_.empty()) {
+  if (order_head_ == trace_order_.size()) {
     return;
   }
-  uint64_t victim = trace_order_.front();
-  trace_order_.pop_front();
-  auto it = spans_by_trace_.find(victim);
-  if (it != spans_by_trace_.end()) {
-    span_count_ -= it->second.size();
-    spans_by_trace_.erase(it);
+  uint64_t victim = trace_order_[order_head_++];
+  if (order_head_ * 2 > trace_order_.size()) {
+    trace_order_.erase(trace_order_.begin(),
+                       trace_order_.begin() + static_cast<ptrdiff_t>(order_head_));
+    order_head_ = 0;
+  }
+  SpanMap::node_type node = spans_by_trace_.extract(victim);
+  if (!node.empty()) {
+    span_count_ -= node.mapped().size();
+    node.mapped().clear();
+    spare_ = std::move(node);
   }
 }
 

@@ -10,9 +10,10 @@
 #define SRC_OBS_TRACE_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -33,16 +34,20 @@ struct TraceContext {
 };
 
 // One completed unit of work inside a trace, recorded by the process that did it.
+//
+// The three text fields are views, so recording a span copies no string. Each
+// must outlive the collector's copy of the span: operations and outcomes are
+// string literals, and components are names stored by TraceCollector::Intern.
 struct SpanRecord {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
   uint64_t parent_span_id = 0;
-  std::string component;  // Process name, e.g. "front-end-0".
-  std::string operation;  // e.g. "fe.request", "cache.get", "worker.task".
+  std::string_view component;  // Process name, e.g. "front-end-0".
+  std::string_view operation;  // e.g. "fe.request", "cache.get", "worker.task".
   int32_t node = -1;
   SimTime start = 0;
   SimTime end = 0;
-  std::string outcome;  // "ok", "hit", "miss", "error", "timeout", ...
+  std::string_view outcome;  // "ok", "hit", "miss", "error", "timeout", ...
 
   // Appends {"span_id":..,"parent_span_id":..,"component":..,"operation":..,
   // "node":..,"start_ns":..,"end_ns":..,"outcome":..}.
@@ -55,6 +60,8 @@ struct SpanRecord {
 // whole-request traces. Owned by the Cluster so every Process shares one instance.
 // Retention is bounded: once more than `max_traces` distinct trace ids are held, the
 // oldest trace is evicted FIFO (long experiments keep the tail, dumps stay bounded).
+// An evicted trace's map node and span vector are kept for the next new trace, so
+// once retention is full, recording performs no heap allocation.
 class TraceCollector {
  public:
   explicit TraceCollector(size_t max_traces = 4096) : max_traces_(max_traces) {}
@@ -66,8 +73,12 @@ class TraceCollector {
   // result is invalid too (untraced work stays untraced).
   TraceContext ChildOf(const TraceContext& parent);
 
+  // Returns a view of a copy of `name` that lives as long as the collector, for
+  // SpanRecord::component. Equal names share one copy (and one data()).
+  std::string_view Intern(std::string_view name);
+
   // Records a finished span. Invalid (untraced) spans are dropped.
-  void Record(SpanRecord span);
+  void Record(const SpanRecord& span);
 
   // All spans of one trace, ordered by (start, span_id). Empty if unknown/evicted.
   std::vector<SpanRecord> Trace(uint64_t trace_id) const;
@@ -78,7 +89,8 @@ class TraceCollector {
   template <typename Fn>
   void ForEachTrace(Fn&& fn) const {
     std::vector<const SpanRecord*> spans;
-    for (uint64_t trace_id : trace_order_) {
+    for (size_t i = order_head_; i < trace_order_.size(); ++i) {
+      uint64_t trace_id = trace_order_[i];
       SortedSpans(trace_id, &spans);
       fn(trace_id, std::as_const(spans));
     }
@@ -100,12 +112,19 @@ class TraceCollector {
   void SortedSpans(uint64_t trace_id, std::vector<const SpanRecord*>* out) const;
   void EvictOldest();
 
+  using SpanMap = std::unordered_map<uint64_t, std::vector<SpanRecord>>;
+
   size_t max_traces_;
   uint64_t next_trace_id_ = 1;
   uint64_t next_span_id_ = 1;
   size_t span_count_ = 0;
-  std::deque<uint64_t> trace_order_;  // Insertion order for FIFO eviction.
-  std::unordered_map<uint64_t, std::vector<SpanRecord>> spans_by_trace_;
+  // Retained trace ids in insertion order, from order_head_ on; eviction advances
+  // the head and the drained prefix is compacted away once it is half the vector.
+  std::vector<uint64_t> trace_order_;
+  size_t order_head_ = 0;
+  SpanMap spans_by_trace_;
+  SpanMap::node_type spare_;  // The last evicted trace's node, emptied for reuse.
+  std::unordered_set<std::string> interned_;  // Node-based: views stay valid.
 };
 
 }  // namespace sns

@@ -184,6 +184,13 @@ bool Simulator::Cancel(EventId id) {
   return true;
 }
 
+bool Simulator::IsPending(EventId id) const {
+  uint32_t ri, gen;
+  if (!SplitId(id, &ri, &gen) || ri >= rec_count_) return false;
+  const Rec& r = RecAt(ri);
+  return r.gen == gen && r.state != RecState::kFree && r.state != RecState::kCancelledDue;
+}
+
 // --- Cursor advance ----------------------------------------------------------
 
 void Simulator::InsertDueSorted(uint32_t ri) {

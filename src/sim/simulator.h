@@ -61,6 +61,11 @@ class Simulator {
   // bookkeeping: pending_events() stays exact under any Cancel sequence.
   bool Cancel(EventId id);
 
+  // True iff `id` names an event that has neither fired (nor started firing) nor
+  // been cancelled: exactly when Cancel(id) would return true. Stale ids, whose
+  // slot has since been reused, are never pending.
+  bool IsPending(EventId id) const;
+
   // Runs a single event; returns false if no pending events remain.
   bool Step();
 
@@ -146,6 +151,7 @@ class Simulator {
   static constexpr uint32_t kChunkMask = kChunkSize - 1;
 
   Rec& RecAt(uint32_t ri) { return chunks_[ri >> kChunkShift][ri & kChunkMask]; }
+  const Rec& RecAt(uint32_t ri) const { return chunks_[ri >> kChunkShift][ri & kChunkMask]; }
   uint32_t AllocRec();
   void FreeRec(uint32_t ri);
 

@@ -146,7 +146,7 @@ TEST(TimeSeriesRecorderTest, RingBuffersAreBounded) {
 // Critical-path analyzer (hand-built span tree, exact arithmetic)
 // ---------------------------------------------------------------------------
 
-SpanRecord MakeSpan(uint64_t span, uint64_t parent, const std::string& op,
+SpanRecord MakeSpan(uint64_t span, uint64_t parent, std::string_view op,
                     SimTime start, SimTime end) {
   SpanRecord record;
   record.trace_id = 1;

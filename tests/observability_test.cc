@@ -373,7 +373,7 @@ TEST(TracingIntegrationTest, RequestTraceSpansClientFrontEndCacheAndWorker) {
   for (const SpanRecord& span : spans) {
     EXPECT_EQ(span.trace_id, trace_id);
     EXPECT_LE(span.start, span.end);
-    components.insert(span.component);
+    components.emplace(span.component);
     by_span_id[span.span_id] = &span;
   }
   EXPECT_GE(components.size(), 3u);
