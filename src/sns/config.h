@@ -26,12 +26,6 @@ struct SnsConfig {
   SimDuration load_report_period = Milliseconds(500);
   // Lease on a worker's registration; missing this many reports declares it dead.
   SimDuration worker_ttl = Seconds(3);
-  // Footnote 2: "distiller load is characterized in terms of the queue length at
-  // the distiller, optionally weighted by the expected cost of distilling each
-  // item." When true, load reports carry cost-weighted queue lengths (in units of
-  // `queue_cost_reference` worth of work).
-  bool weight_queue_by_cost = false;
-  SimDuration queue_cost_reference = Milliseconds(40);
   // Lease on a front end's registration (manager restarts dead FEs).
   SimDuration front_end_ttl = Seconds(5);
   // FE-side: beacon silence after which the front end declares the manager dead and

@@ -117,18 +117,28 @@ void FrontEndProcess::OnMessage(const Message& msg) {
     case kMsgTaskResponse:
       HandleTaskResponse(msg);
       break;
-    case kMsgCacheReply:
-      HandleCacheReply(msg);
+    // Facility-op replies. Op ids are unique per FE incarnation, and every
+    // incarnation has its own endpoint, so a reply's type matches its op's kind.
+    case kMsgCacheReply: {
+      const auto& reply = static_cast<const CacheReplyPayload&>(*msg.payload);
+      FinishOp(reply.op_id, reply.hit ? "hit" : "miss", &msg);
       break;
-    case kMsgProfileReply:
-      HandleProfileReply(msg);
+    }
+    case kMsgProfileReply: {
+      const auto& reply = static_cast<const ProfileReplyPayload&>(*msg.payload);
+      FinishOp(reply.op_id, reply.found ? "ok" : "miss", &msg);
       break;
-    case kMsgProfilePutAck:
-      HandleProfilePutAck(msg);
+    }
+    case kMsgProfilePutAck: {
+      const auto& ack = static_cast<const ProfilePutAckPayload&>(*msg.payload);
+      FinishOp(ack.op_id, ack.status.ok() ? "ok" : "refused", &msg);
       break;
-    case kMsgFetchResponse:
-      HandleFetchResponse(msg);
+    }
+    case kMsgFetchResponse: {
+      const auto& reply = static_cast<const FetchResponsePayload&>(*msg.payload);
+      FinishOp(reply.op_id, reply.status.ok() ? "ok" : "error", &msg);
       break;
+    }
     default:
       break;
   }
@@ -212,36 +222,16 @@ void FrontEndProcess::HandleClientRequest(const Message& msg) {
     // occupying a thread.
     deadline_expired_->Increment();
     RecordSpan(ChildSpan(msg.trace), "fe.request", sim()->now(), "deadline_expired");
-    auto reply = std::make_shared<ClientResponsePayload>();
-    reply->client_request_id = request->client_request_id;
-    reply->status = TimeoutError("deadline expired before accept");
-    reply->source = ResponseSource::kError;
-    Message out;
-    out.dst = msg.src;
-    out.type = kMsgClientResponse;
-    out.transport = Transport::kReliable;
-    out.size_bytes = 96;
-    out.payload = reply;
-    out.trace = msg.trace;
-    Send(std::move(out));
+    SendErrorResponse(msg.src, request->client_request_id,
+                      TimeoutError("deadline expired before accept"), msg.trace);
     return;
   }
   if (active_ >= config_.fe_thread_pool_size) {
     if (accept_queue_.size() >= kAcceptQueueCapacity) {
       shed_->Increment();
       RecordSpan(ChildSpan(msg.trace), "fe.request", sim()->now(), "shed");
-      auto reply = std::make_shared<ClientResponsePayload>();
-      reply->client_request_id = request->client_request_id;
-      reply->status = ResourceExhaustedError("front end saturated");
-      reply->source = ResponseSource::kError;
-      Message out;
-      out.dst = msg.src;
-      out.type = kMsgClientResponse;
-      out.transport = Transport::kReliable;
-      out.size_bytes = 96;
-      out.payload = reply;
-      out.trace = msg.trace;
-      Send(std::move(out));
+      SendErrorResponse(msg.src, request->client_request_id,
+                        ResourceExhaustedError("front end saturated"), msg.trace);
       return;
     }
     SimTime deadline = request->deadline;
@@ -383,22 +373,57 @@ void FrontEndProcess::ExpireQueuedRequest(const AcceptedRequest& entry) {
   TraceContext fe_ctx = ChildSpan(entry.trace);
   RecordSpan(ChildSpan(fe_ctx), "fe.queue_wait", entry.enqueued_at, "deadline_expired");
   RecordSpan(fe_ctx, "fe.request", entry.enqueued_at, "deadline_expired");
+  SendErrorResponse(entry.client, entry.request->client_request_id,
+                    TimeoutError("deadline expired in accept queue"), entry.trace);
+}
+
+void FrontEndProcess::SendErrorResponse(const Endpoint& client, uint64_t client_request_id,
+                                        Status status, const TraceContext& trace) {
   auto reply = std::make_shared<ClientResponsePayload>();
-  reply->client_request_id = entry.request->client_request_id;
-  reply->status = TimeoutError("deadline expired in accept queue");
+  reply->client_request_id = client_request_id;
+  reply->status = std::move(status);
   reply->source = ResponseSource::kError;
   Message out;
-  out.dst = entry.client;
+  out.dst = client;
   out.type = kMsgClientResponse;
   out.transport = Transport::kReliable;
   out.size_bytes = 96;
-  out.payload = reply;
-  out.trace = entry.trace;
+  out.payload = std::move(reply);
+  out.trace = trace;
   Send(std::move(out));
 }
 
 SimDuration FrontEndProcess::RemainingBudget(const RequestContext* ctx) const {
   return ctx->deadline_ == kTimeNever ? kTimeNever : ctx->deadline_ - sim()->now();
+}
+
+// ---------- Facility ops ----------------------------------------------------------------
+
+void FrontEndProcess::SendOp(RequestContext* ctx, uint64_t op_id, PendingOp op,
+                             SimDuration timeout, Message msg, San::SendOptions opts) {
+  op.request = msg.payload;
+  op.request_id = ctx->id_;
+  op.trace = ChildSpan(ctx->trace_);
+  op.started = sim()->now();
+  op.timeout = After(CapToBudget(timeout, RemainingBudget(ctx)),
+                     [this, op_id] { FinishOp(op_id, "timeout", nullptr); });
+  msg.transport = Transport::kReliable;
+  msg.trace = op.trace;
+  pending_ops_.emplace(op_id, std::move(op));
+  Send(std::move(msg), std::move(opts));
+}
+
+void FrontEndProcess::FinishOp(uint64_t op_id, std::string_view outcome, const Message* reply) {
+  auto it = pending_ops_.find(op_id);
+  if (it == pending_ops_.end()) {
+    return;  // A late reply after the timeout (or a failover) ended the op.
+  }
+  PendingOp op = std::move(it->second);
+  pending_ops_.erase(it);
+  CancelTimer(op.timeout);
+  RecordSpan(op.trace, op.span, op.started, outcome);
+  RequestContext* ctx = FindContext(op.request_id);
+  (this->*op.finish)(op, ctx != nullptr && !ctx->responded_ ? ctx : nullptr, reply);
 }
 
 // ---------- Profile facility -----------------------------------------------------------
@@ -411,8 +436,7 @@ void FrontEndProcess::DoGetProfile(RequestContext* ctx, RequestContext::ProfileC
     return;
   }
   const Endpoint& db = stub_.profile_db();
-  SimDuration budget = RemainingBudget(ctx);
-  if (!db.valid() || budget <= 0) {
+  if (!db.valid() || RemainingBudget(ctx) <= 0) {
     // No DB, or no time left to ask it: BASE fallback to an empty profile.
     cb(ctx, false, UserProfile(user));
     return;
@@ -422,57 +446,31 @@ void FrontEndProcess::DoGetProfile(RequestContext* ctx, RequestContext::ProfileC
   payload->op_id = op_id;
   payload->user_id = user;
   payload->reply_to = endpoint();
-  PendingProfileOp op;
-  op.request_id = ctx->id_;
-  op.cb = std::move(cb);
-  op.trace = ChildSpan(ctx->trace_);
-  op.started = sim()->now();
-  op.timeout = After(CapToBudget(config_.profile_timeout, budget), [this, op_id] {
-    auto it = pending_profile_.find(op_id);
-    if (it == pending_profile_.end()) {
-      return;
-    }
-    PendingProfileOp pending = std::move(it->second);
-    pending_profile_.erase(it);
-    RecordSpan(pending.trace, "fe.profile_get", pending.started, "timeout");
-    RequestContext* ctx2 = FindContext(pending.request_id);
-    if (ctx2 != nullptr && !ctx2->responded_) {
-      // BASE: fall back to an empty profile rather than failing the request.
-      pending.cb(ctx2, false, UserProfile(ctx2->request_->user_id));
-    }
-  });
   Message msg;
   msg.dst = db;
   msg.type = kMsgProfileGet;
-  msg.transport = Transport::kReliable;
   msg.size_bytes = 64 + static_cast<int64_t>(user.size());
-  msg.payload = payload;
-  msg.trace = op.trace;
-  pending_profile_[op_id] = std::move(op);
-  Send(std::move(msg));
+  msg.payload = std::move(payload);
+  SendOp(ctx, op_id, PendingOp("fe.profile_get", &FrontEndProcess::FinishProfileGet, std::move(cb)),
+         config_.profile_timeout, std::move(msg));
 }
 
-void FrontEndProcess::HandleProfileReply(const Message& msg) {
-  const auto& reply = static_cast<const ProfileReplyPayload&>(*msg.payload);
-  auto it = pending_profile_.find(reply.op_id);
-  if (it == pending_profile_.end()) {
-    return;  // Timed out earlier.
-  }
-  PendingProfileOp op = std::move(it->second);
-  pending_profile_.erase(it);
-  CancelTimer(op.timeout);
-  RecordSpan(op.trace, "fe.profile_get", op.started, reply.found ? "ok" : "miss");
-  RequestContext* ctx = FindContext(op.request_id);
-  if (ctx == nullptr || ctx->responded_) {
+void FrontEndProcess::FinishProfileGet(PendingOp& op, RequestContext* ctx, const Message* reply) {
+  if (ctx == nullptr) {
     return;
   }
-  if (reply.found) {
-    profile_cache_.Put(reply.profile.user_id(), reply.profile);
-    profile_cache_gauge_->Set(static_cast<double>(profile_cache_.used_bytes()));
-    op.cb(ctx, true, reply.profile);
-  } else {
-    op.cb(ctx, false, UserProfile(ctx->request_->user_id));
+  auto& cb = std::get<RequestContext::ProfileCb>(op.cb);
+  if (reply != nullptr) {
+    const auto& found = static_cast<const ProfileReplyPayload&>(*reply->payload);
+    if (found.found) {
+      profile_cache_.Put(found.profile.user_id(), found.profile);
+      profile_cache_gauge_->Set(static_cast<double>(profile_cache_.used_bytes()));
+      cb(ctx, true, found.profile);
+      return;
+    }
   }
+  // A miss, or BASE on timeout: an empty profile rather than a failed request.
+  cb(ctx, false, UserProfile(ctx->request_->user_id));
 }
 
 void FrontEndProcess::DoPutProfile(RequestContext* ctx, const UserProfile& profile,
@@ -484,8 +482,7 @@ void FrontEndProcess::DoPutProfile(RequestContext* ctx, const UserProfile& profi
     return;
   }
   const Endpoint& db = stub_.profile_db();
-  SimDuration budget = RemainingBudget(ctx);
-  if (!db.valid() || budget <= 0) {
+  if (!db.valid() || RemainingBudget(ctx) <= 0) {
     cb(ctx, UnavailableError("profile db unavailable"));
     return;
   }
@@ -494,183 +491,113 @@ void FrontEndProcess::DoPutProfile(RequestContext* ctx, const UserProfile& profi
   payload->profile = profile;
   payload->op_id = op_id;
   payload->reply_to = endpoint();
-  PendingPutOp op;
-  op.request_id = ctx->id_;
-  op.cb = std::move(cb);
-  op.profile = profile;
-  op.trace = ChildSpan(ctx->trace_);
-  op.started = sim()->now();
-  op.timeout = After(CapToBudget(config_.profile_timeout, budget), [this, op_id] {
-    auto it = pending_put_.find(op_id);
-    if (it == pending_put_.end()) {
-      return;
-    }
-    PendingPutOp pending = std::move(it->second);
-    pending_put_.erase(it);
-    RecordSpan(pending.trace, "fe.profile_put", pending.started, "timeout");
-    RequestContext* ctx2 = FindContext(pending.request_id);
-    if (ctx2 != nullptr && !ctx2->responded_) {
-      // Unlike reads there is no BASE fallback: an unacked write is a failure
-      // the client must hear about (it may or may not have committed).
-      pending.cb(ctx2, TimeoutError("profile write unacknowledged"));
-    }
-  });
   Message msg;
   msg.dst = db;
   msg.type = kMsgProfilePut;
-  msg.transport = Transport::kReliable;
   msg.size_bytes = 64 + profile.WireSize();
-  msg.payload = payload;
-  msg.trace = op.trace;
-  pending_put_[op_id] = std::move(op);
-  Send(std::move(msg));
+  msg.payload = std::move(payload);
+  SendOp(ctx, op_id, PendingOp("fe.profile_put", &FrontEndProcess::FinishProfilePut, std::move(cb)),
+         config_.profile_timeout, std::move(msg));
 }
 
-void FrontEndProcess::HandleProfilePutAck(const Message& msg) {
-  const auto& ack = static_cast<const ProfilePutAckPayload&>(*msg.payload);
-  auto it = pending_put_.find(ack.op_id);
-  if (it == pending_put_.end()) {
-    return;  // Timed out earlier.
-  }
-  PendingPutOp op = std::move(it->second);
-  pending_put_.erase(it);
-  CancelTimer(op.timeout);
-  RecordSpan(op.trace, "fe.profile_put", op.started, ack.status.ok() ? "ok" : "refused");
-  RequestContext* ctx = FindContext(op.request_id);
-  if (ctx == nullptr || ctx->responded_) {
+void FrontEndProcess::FinishProfilePut(PendingOp& op, RequestContext* ctx, const Message* reply) {
+  if (ctx == nullptr) {
     return;
   }
-  if (ack.status.ok()) {
+  auto& cb = std::get<RequestContext::PutCb>(op.cb);
+  if (reply == nullptr) {
+    // Unlike reads there is no BASE fallback: an unacked write is a failure
+    // the client must hear about (it may or may not have committed).
+    cb(ctx, TimeoutError("profile write unacknowledged"));
+    return;
+  }
+  const Status& status = static_cast<const ProfilePutAckPayload&>(*reply->payload).status;
+  if (status.ok()) {
     // Write-through only on a durable commit: a refused write must not leave a
     // phantom profile in the FE cache masking the failure from later reads.
-    profile_cache_.Put(op.profile.user_id(), op.profile);
+    const UserProfile& profile = static_cast<const ProfilePutPayload&>(*op.request).profile;
+    profile_cache_.Put(profile.user_id(), profile);
     profile_cache_gauge_->Set(static_cast<double>(profile_cache_.used_bytes()));
   }
-  op.cb(ctx, ack.status);
+  cb(ctx, status);
 }
 
 // ---------- Cache facility ------------------------------------------------------------
 
-std::optional<Endpoint> FrontEndProcess::CacheNodeForKey(const std::string& key) {
-  // Consistent-hash ring over the (soft-state) beaconed membership: a node
-  // join/leave remaps only ~1/N of the key space instead of nearly all of it.
-  return stub_.CacheNodeForKey(key);
-}
-
 void FrontEndProcess::DoCacheGet(RequestContext* ctx, const std::string& key,
                                  RequestContext::CacheCb cb) {
   std::vector<Endpoint> chain = stub_.CacheChainForKey(key);
-  SimDuration budget = RemainingBudget(ctx);
-  if (chain.empty() || budget <= 0) {
+  if (chain.empty() || RemainingBudget(ctx) <= 0) {
     cb(ctx, false, nullptr);  // No time to probe == miss (caching is an optimization).
     return;
   }
-  PendingCacheOp op;
+  PendingOp op("fe.cache_get", &FrontEndProcess::FinishCacheGet, std::move(cb));
   op.request_id = ctx->id_;
-  op.key = key;
   op.chain = std::move(chain);
-  op.attempt = 0;
-  op.cb = std::move(cb);
-  SendCacheProbe(std::move(op));
+  SendCacheProbe(std::move(op), key);
 }
 
-void FrontEndProcess::SendCacheProbe(PendingCacheOp op) {
+void FrontEndProcess::SendCacheProbe(PendingOp op, std::string key) {
   RequestContext* ctx = FindContext(op.request_id);
   if (ctx == nullptr || ctx->responded_) {
     return;
   }
-  SimDuration budget = RemainingBudget(ctx);
-  if (budget <= 0) {
+  if (RemainingBudget(ctx) <= 0) {
     // Out of deadline budget mid-chain: the request machinery will convert the
     // late completion anyway; report the op as a miss now.
-    op.cb(ctx, false, nullptr);
+    std::get<RequestContext::CacheCb>(op.cb)(ctx, false, nullptr);
     return;
   }
-  // Fresh op id per probe: a late reply from an abandoned attempt must not be
-  // taken for the current one.
   uint64_t op_id = next_id_++;
   auto payload = std::make_shared<CacheGetPayload>();
   payload->op_id = op_id;
-  payload->key = op.key;
+  payload->key = std::move(key);
   payload->reply_to = endpoint();
   payload->deadline = ctx->deadline_;
-  op.trace = ChildSpan(ctx->trace_);
-  op.started = sim()->now();
-  op.timeout = After(CapToBudget(config_.cache_timeout, budget), [this, op_id] {
-    auto it = pending_cache_.find(op_id);
-    if (it == pending_cache_.end()) {
-      return;
-    }
-    RecordSpan(it->second.trace, "fe.cache_get", it->second.started, "timeout");
-    CacheProbeFailed(op_id);
-  });
   Message msg;
   msg.dst = op.chain[op.attempt];
   msg.type = kMsgCacheGet;
-  msg.transport = Transport::kReliable;
   msg.size_bytes = WireSizeOf(*payload);
-  msg.payload = payload;
-  msg.trace = op.trace;
-  pending_cache_[op_id] = std::move(op);
+  msg.payload = std::move(payload);
   // Harvest's protocol: a fresh TCP connection per cache request (§3.1.5).
   San::SendOptions opts;
   opts.force_new_connection = true;
-  Send(std::move(msg), std::move(opts));
+  SendOp(ctx, op_id, std::move(op), config_.cache_timeout, std::move(msg), std::move(opts));
 }
 
-void FrontEndProcess::CacheProbeFailed(uint64_t op_id) {
-  auto it = pending_cache_.find(op_id);
-  if (it == pending_cache_.end()) {
+void FrontEndProcess::FinishCacheGet(PendingOp& op, RequestContext* ctx, const Message* reply) {
+  const auto* got =
+      reply != nullptr ? &static_cast<const CacheReplyPayload&>(*reply->payload) : nullptr;
+  if (got == nullptr || !got->hit) {
+    if (op.attempt + 1 < op.chain.size()) {
+      // Fail over down the replica chain: the next replica may hold the key (the
+      // head may be dead, cold after a membership change, or have evicted it).
+      ++op.attempt;
+      cache_failovers_->Increment();
+      std::string key = static_cast<const CacheGetPayload&>(*op.request).key;
+      SendCacheProbe(std::move(op), std::move(key));
+    } else if (ctx != nullptr) {
+      std::get<RequestContext::CacheCb>(op.cb)(ctx, false, nullptr);  // Whole chain missed.
+    }
     return;
   }
-  PendingCacheOp op = std::move(it->second);
-  pending_cache_.erase(it);
-  if (op.attempt + 1 < op.chain.size()) {
-    // Fail over down the replica chain: the next replica may hold the key (the
-    // head may be dead, cold after a membership change, or have evicted it).
-    ++op.attempt;
-    cache_failovers_->Increment();
-    SendCacheProbe(std::move(op));
+  if (ctx == nullptr) {
     return;
   }
-  RequestContext* ctx = FindContext(op.request_id);
-  if (ctx != nullptr && !ctx->responded_) {
-    op.cb(ctx, false, nullptr);  // Whole chain missed or timed out.
-  }
-}
-
-void FrontEndProcess::HandleCacheReply(const Message& msg) {
-  const auto& reply = static_cast<const CacheReplyPayload&>(*msg.payload);
-  auto it = pending_cache_.find(reply.op_id);
-  if (it == pending_cache_.end()) {
-    return;  // Probe already abandoned (timeout advanced the chain).
-  }
-  if (!reply.hit) {
-    RecordSpan(it->second.trace, "fe.cache_get", it->second.started, "miss");
-    CacheProbeFailed(reply.op_id);
-    return;
-  }
-  PendingCacheOp op = std::move(it->second);
-  pending_cache_.erase(it);
-  CancelTimer(op.timeout);
-  RecordSpan(op.trace, "fe.cache_get", op.started, "hit");
-  RequestContext* ctx = FindContext(op.request_id);
-  if (ctx == nullptr || ctx->responded_) {
-    return;
-  }
-  if (op.attempt > 0 && reply.content != nullptr) {
+  if (op.attempt > 0 && got->content != nullptr) {
     // Read-repair: a non-head replica answered, so every replica earlier in the
     // chain is missing the key (miss, eviction, or death — a put to a dead
     // endpoint is dropped by the SAN). Re-put so the next read hits the head.
     read_repairs_->Increment();
+    const std::string& key = static_cast<const CacheGetPayload&>(*op.request).key;
     for (size_t i = 0; i < op.attempt; ++i) {
       auto repair = std::make_shared<CachePutPayload>();
-      repair->key = op.key;
-      repair->content = reply.content;
+      repair->key = key;
+      repair->content = got->content;
       SendCachePutTo(op.chain[i], std::move(repair), ChildSpan(ctx->trace_));
     }
   }
-  op.cb(ctx, true, reply.content);
+  std::get<RequestContext::CacheCb>(op.cb)(ctx, true, got->content);
 }
 
 void FrontEndProcess::SendCachePutTo(const Endpoint& dst,
@@ -711,6 +638,7 @@ void FrontEndProcess::DoCachePut(RequestContext* ctx, const std::string& key,
   }
 }
 
+
 // ---------- Origin fetch facility --------------------------------------------------------
 
 void FrontEndProcess::DoFetch(RequestContext* ctx, const std::string& url,
@@ -719,8 +647,7 @@ void FrontEndProcess::DoFetch(RequestContext* ctx, const std::string& url,
     cb(ctx, UnavailableError("no origin configured"), nullptr);
     return;
   }
-  SimDuration budget = RemainingBudget(ctx);
-  if (budget <= 0) {
+  if (RemainingBudget(ctx) <= 0) {
     cb(ctx, TimeoutError("deadline exceeded before origin fetch"), nullptr);
     return;
   }
@@ -730,50 +657,26 @@ void FrontEndProcess::DoFetch(RequestContext* ctx, const std::string& url,
   payload->url = url;
   payload->reply_to = endpoint();
   payload->deadline = ctx->deadline_;
-  PendingFetchOp op;
-  op.request_id = ctx->id_;
-  op.cb = std::move(cb);
-  op.trace = ChildSpan(ctx->trace_);
-  op.started = sim()->now();
-  op.timeout = After(CapToBudget(config_.fetch_timeout, budget), [this, op_id] {
-    auto it = pending_fetch_.find(op_id);
-    if (it == pending_fetch_.end()) {
-      return;
-    }
-    PendingFetchOp pending = std::move(it->second);
-    pending_fetch_.erase(it);
-    RecordSpan(pending.trace, "fe.fetch", pending.started, "timeout");
-    RequestContext* ctx2 = FindContext(pending.request_id);
-    if (ctx2 != nullptr && !ctx2->responded_) {
-      pending.cb(ctx2, TimeoutError("origin fetch timed out"), nullptr);
-    }
-  });
   Message msg;
   msg.dst = options_.origin;
   msg.type = kMsgFetchRequest;
-  msg.transport = Transport::kReliable;
   msg.size_bytes = 96 + static_cast<int64_t>(url.size());
-  msg.payload = payload;
-  msg.trace = op.trace;
-  pending_fetch_[op_id] = std::move(op);
-  Send(std::move(msg));
+  msg.payload = std::move(payload);
+  SendOp(ctx, op_id, PendingOp("fe.fetch", &FrontEndProcess::FinishFetch, std::move(cb)),
+         config_.fetch_timeout, std::move(msg));
 }
 
-void FrontEndProcess::HandleFetchResponse(const Message& msg) {
-  const auto& reply = static_cast<const FetchResponsePayload&>(*msg.payload);
-  auto it = pending_fetch_.find(reply.op_id);
-  if (it == pending_fetch_.end()) {
+void FrontEndProcess::FinishFetch(PendingOp& op, RequestContext* ctx, const Message* reply) {
+  if (ctx == nullptr) {
     return;
   }
-  PendingFetchOp op = std::move(it->second);
-  pending_fetch_.erase(it);
-  CancelTimer(op.timeout);
-  RecordSpan(op.trace, "fe.fetch", op.started, reply.status.ok() ? "ok" : "error");
-  RequestContext* ctx = FindContext(op.request_id);
-  if (ctx == nullptr || ctx->responded_) {
+  auto& cb = std::get<RequestContext::ContentCb>(op.cb);
+  if (reply == nullptr) {
+    cb(ctx, TimeoutError("origin fetch timed out"), nullptr);
     return;
   }
-  op.cb(ctx, reply.status, reply.content);
+  const auto& fetched = static_cast<const FetchResponsePayload&>(*reply->payload);
+  cb(ctx, fetched.status, fetched.content);
 }
 
 // ---------- Worker dispatch ---------------------------------------------------------------

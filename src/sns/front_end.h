@@ -21,7 +21,9 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "src/cluster/process.h"
@@ -143,17 +145,10 @@ class FrontEndProcess : public Process {
   // cumulative across front-end restarts.
   int64_t completed_requests() const { return CounterOr0(completed_); }
   int64_t error_responses() const { return CounterOr0(errors_); }
-  int64_t task_timeouts() const { return CounterOr0(task_timeouts_); }
-  int64_t task_retries_used() const { return CounterOr0(task_retries_used_); }
   int64_t manager_restarts_triggered() const { return CounterOr0(manager_restarts_); }
-  int64_t requests_shed() const { return CounterOr0(shed_); }
   int64_t deadline_expired() const { return CounterOr0(deadline_expired_); }
   int64_t retries_backoff() const { return CounterOr0(retries_backoff_); }
   int64_t ring_remaps() const { return CounterOr0(ring_remaps_); }
-  // Replicated-cache read path: probes issued past the chain head, and repairs
-  // (re-puts to replicas that missed) triggered by a non-head hit.
-  int64_t cache_failover_reads() const { return CounterOr0(cache_failovers_); }
-  int64_t read_repairs() const { return CounterOr0(read_repairs_); }
   int64_t cache_replica_puts() const { return CounterOr0(replica_puts_); }
   const LruCache<std::string, UserProfile>& profile_cache() const { return profile_cache_; }
   const Histogram& latency_histogram() const { return *latency_hist_; }
@@ -193,54 +188,42 @@ class FrontEndProcess : public Process {
     SimTime enqueued_at = 0;
     SimTime deadline = kTimeNever;
   };
-  // Facility ops carry their own child span ([send .. reply/timeout]) so the
+  // A facility op (profile read or write, cache probe, origin fetch): one
+  // request message answered by one reply, with a timeout as the backstop.
+  // Each op carries its own child span ([send .. reply/timeout]) so the
   // server-side span nests inside and wire time is visible as the FE span's
-  // self time.
-  struct PendingCacheOp {
+  // self time. Worker tasks are not ops: a task id spans retries and accepts a
+  // late reply from an earlier attempt.
+  struct PendingOp;
+  // The op kind's own finish. `ctx` is null when the request is gone or has
+  // responded; `reply` is null on timeout.
+  using OpFinish = void (FrontEndProcess::*)(PendingOp& op, RequestContext* ctx,
+                                             const Message* reply);
+  // The caller's typed callback, stored as given (no second std::function).
+  using OpCallback = std::variant<RequestContext::ProfileCb, RequestContext::PutCb,
+                                  RequestContext::CacheCb, RequestContext::ContentCb>;
+  struct PendingOp {
+    PendingOp(std::string_view op_span, OpFinish op_finish, OpCallback op_cb)
+        : span(op_span), finish(op_finish), cb(std::move(op_cb)) {}
+
+    std::string_view span;  // The fe.* operation; a string literal.
+    OpFinish finish;
+    OpCallback cb;
+    std::shared_ptr<const Payload> request;  // As sent (the put's profile, the probe's key).
     uint64_t request_id = 0;
-    std::string key;
-    // Replica chain captured at issue time: probe chain[attempt], and on a miss
-    // or timeout fail over to the next replica. Each probe gets a fresh op id so
-    // a late reply from an abandoned attempt cannot masquerade as the current
-    // one.
+    TraceContext trace;
+    SimTime started = 0;
+    EventId timeout = kInvalidEventId;
+    // Cache probes: the replica chain captured at issue time. Probe
+    // chain[attempt]; on a miss or timeout fail over to the next replica.
     std::vector<Endpoint> chain;
     size_t attempt = 0;
-    RequestContext::CacheCb cb;
-    TraceContext trace;  // Current attempt's span.
-    SimTime started = 0;
-    EventId timeout = kInvalidEventId;
-  };
-  struct PendingProfileOp {
-    uint64_t request_id = 0;
-    RequestContext::ProfileCb cb;
-    TraceContext trace;
-    SimTime started = 0;
-    EventId timeout = kInvalidEventId;
-  };
-  struct PendingFetchOp {
-    uint64_t request_id = 0;
-    RequestContext::ContentCb cb;
-    TraceContext trace;
-    SimTime started = 0;
-    EventId timeout = kInvalidEventId;
-  };
-  struct PendingPutOp {
-    uint64_t request_id = 0;
-    RequestContext::PutCb cb;
-    UserProfile profile;  // Cached (write-through) only once the DB acks.
-    TraceContext trace;
-    SimTime started = 0;
-    EventId timeout = kInvalidEventId;
   };
 
   // --- Message handlers -----------------------------------------------------------
   void HandleBeacon(const ManagerBeaconPayload& beacon);
   void HandleClientRequest(const Message& msg);
   void HandleTaskResponse(const Message& msg);
-  void HandleCacheReply(const Message& msg);
-  void HandleProfileReply(const Message& msg);
-  void HandleProfilePutAck(const Message& msg);
-  void HandleFetchResponse(const Message& msg);
 
   // --- Request lifecycle ------------------------------------------------------------
   void StartRequest(std::shared_ptr<const ClientRequestPayload> request, Endpoint client,
@@ -255,6 +238,10 @@ class FrontEndProcess : public Process {
   void ExpireAcceptQueue();
   // Responds "deadline exceeded" for a request that died while still queued.
   void ExpireQueuedRequest(const AcceptedRequest& entry);
+  // Answers a request that never got a thread (dead on arrival, shed, expired
+  // while queued).
+  void SendErrorResponse(const Endpoint& client, uint64_t client_request_id, Status status,
+                         const TraceContext& trace);
   // Time left until `ctx`'s deadline; kTimeNever when the request has none.
   SimDuration RemainingBudget(const RequestContext* ctx) const;
   // An op timeout never extends past the request's remaining deadline budget.
@@ -262,16 +249,28 @@ class FrontEndProcess : public Process {
     return budget == kTimeNever ? timeout : std::min(timeout, budget);
   }
 
+  // --- Facility ops --------------------------------------------------------------------
+  // Opens the op's child span, arms its timeout (capped to the request's
+  // remaining budget), stores it under `op_id` and sends `msg` reliably.
+  void SendOp(RequestContext* ctx, uint64_t op_id, PendingOp op, SimDuration timeout,
+              Message msg, San::SendOptions opts = {});
+  // Ends op `op_id` with `outcome` (no-op once it has ended): erases it, cancels
+  // its timer, records its span and runs its finish.
+  void FinishOp(uint64_t op_id, std::string_view outcome, const Message* reply);
+  void FinishProfileGet(PendingOp& op, RequestContext* ctx, const Message* reply);
+  void FinishProfilePut(PendingOp& op, RequestContext* ctx, const Message* reply);
+  void FinishCacheGet(PendingOp& op, RequestContext* ctx, const Message* reply);
+  void FinishFetch(PendingOp& op, RequestContext* ctx, const Message* reply);
+
   // --- Facilities used by RequestContext ---------------------------------------------
   void DoGetProfile(RequestContext* ctx, RequestContext::ProfileCb cb);
   void DoPutProfile(RequestContext* ctx, const UserProfile& profile,
                     RequestContext::PutCb cb);
   void DoCacheGet(RequestContext* ctx, const std::string& key, RequestContext::CacheCb cb);
   void DoCachePut(RequestContext* ctx, const std::string& key, ContentPtr content);
-  // Sends the probe for `op`'s current attempt under a fresh op id.
-  void SendCacheProbe(PendingCacheOp op);
-  // A probe missed or timed out: advance down the chain or complete as a miss.
-  void CacheProbeFailed(uint64_t op_id);
+  // Sends the probe to `chain[attempt]` under a fresh op id, so a late reply
+  // from an abandoned attempt cannot masquerade as the current one.
+  void SendCacheProbe(PendingOp op, std::string key);
   void SendCachePutTo(const Endpoint& dst, std::shared_ptr<CachePutPayload> payload,
                       const TraceContext& trace);
   void DoFetch(RequestContext* ctx, const std::string& url, RequestContext::ContentCb cb);
@@ -287,7 +286,6 @@ class FrontEndProcess : public Process {
   void TaskAttemptFailed(uint64_t task_id, bool worker_dead);
   void FailTask(uint64_t task_id, Status status);
   void ReportWorkerDead(const Endpoint& worker, const std::string& type);
-  std::optional<Endpoint> CacheNodeForKey(const std::string& key);
 
   // --- Housekeeping -----------------------------------------------------------------
   void RegisterWithManager();
@@ -308,10 +306,7 @@ class FrontEndProcess : public Process {
   int peak_active_ = 0;
 
   std::unordered_map<uint64_t, PendingTask> pending_tasks_;
-  std::unordered_map<uint64_t, PendingCacheOp> pending_cache_;
-  std::unordered_map<uint64_t, PendingProfileOp> pending_profile_;
-  std::unordered_map<uint64_t, PendingFetchOp> pending_fetch_;
-  std::unordered_map<uint64_t, PendingPutOp> pending_put_;
+  std::unordered_map<uint64_t, PendingOp> pending_ops_;
 
   // Write-through (§3.1.4), byte-bounded: millions of distinct users must not
   // grow FE memory without limit.

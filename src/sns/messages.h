@@ -124,7 +124,7 @@ struct LoadReportPayload : Payload {
   ComponentKind kind = ComponentKind::kWorker;
   std::string worker_type;
   Endpoint component;
-  double queue_length = 0;       // Paper footnote 2: queue length, optionally weighted.
+  double queue_length = 0;       // Paper footnote 2: queue length.
   int64_t completed_tasks = 0;   // Cumulative, for throughput accounting.
   // Carried so an implicit (re-)registration via load report preserves the worker's
   // affinity class just like an explicit RegisterComponent would.

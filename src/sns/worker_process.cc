@@ -79,11 +79,6 @@ void WorkerProcess::RegisterWithManager() {
   Send(std::move(msg));
 }
 
-double WorkerProcess::WeightedQueueLength() const {
-  double reference = static_cast<double>(config_.queue_cost_reference);
-  return reference > 0 ? static_cast<double>(queued_cost_) / reference : QueueLength();
-}
-
 void WorkerProcess::ExpireTask(const TaskRequestPayload& task, const TraceContext& span,
                                SimTime start) {
   // The front end gave up on this task at its deadline; burning distiller CPU on
@@ -233,8 +228,7 @@ void WorkerProcess::ReportLoad() {
   payload->kind = ComponentKind::kWorker;
   payload->worker_type = type_;
   payload->component = endpoint();
-  payload->queue_length =
-      config_.weight_queue_by_cost ? WeightedQueueLength() : QueueLength();
+  payload->queue_length = QueueLength();
   payload->completed_tasks = completed_tasks();
   payload->interchangeable = worker_->interchangeable();
   payload->manager_epoch = manager_epoch_;

@@ -40,9 +40,6 @@ class WorkerProcess : public Process {
   // Instantaneous queue length including the in-service task — the paper's load
   // metric (footnote 2).
   double QueueLength() const { return static_cast<double>(queue_.size()) + (busy_ ? 1 : 0); }
-  // The optionally cost-weighted variant: queued work expressed in multiples of a
-  // reference item's cost (footnote 2's "weighted by the expected cost").
-  double WeightedQueueLength() const;
   int64_t completed_tasks() const { return completed_ != nullptr ? completed_->value() : 0; }
   int64_t rejected_tasks() const { return rejected_ != nullptr ? rejected_->value() : 0; }
   int64_t expired_tasks() const { return expired_ != nullptr ? expired_->value() : 0; }

@@ -1,6 +1,6 @@
 // Tests for the optional/extension SNS features: the preferences UI writing through
-// to the ACID store, cost-weighted queue reports (footnote 2), hot upgrades (§1.2),
-// profile-DB failover, dynamic front-end addition, and front-end load shedding.
+// to the ACID store, hot upgrades (§1.2), profile-DB failover, dynamic front-end
+// addition, and front-end load shedding.
 
 #include <gtest/gtest.h>
 
@@ -88,50 +88,6 @@ TEST(PrefsUiTest, UpdatedPreferencesChangeDistillation) {
   ASSERT_EQ(client->completed(), 3);
   int64_t low_bytes = client->bytes_received() - after_prefs;
   EXPECT_LT(low_bytes * 2, med_bytes);  // "low" (scale 4 / q10) is much smaller.
-}
-
-// ---------- cost-weighted queue reports (footnote 2) --------------------------------------
-
-TEST(WeightedQueueTest, WeightedLengthReflectsItemCosts) {
-  Logger::Get().set_min_level(LogLevel::kNone);
-  TranSendOptions options = TinyOptions();
-  options.sns.weight_queue_by_cost = true;
-  options.sns.queue_cost_reference = Milliseconds(40);
-  TranSendService service(options);
-  service.Start();
-  ProcessId pid = service.system()->StartWorker(kJpegDistillerType);
-  service.sim()->RunFor(Seconds(2));
-  auto* worker = dynamic_cast<WorkerProcess*>(service.system()->cluster()->Find(pid));
-  ASSERT_NE(worker, nullptr);
-  EXPECT_DOUBLE_EQ(worker->WeightedQueueLength(), 0.0);
-  // The two metrics agree on "empty" but diverge under load; exercised end-to-end
-  // below through the manager's smoothed averages.
-  EXPECT_DOUBLE_EQ(worker->QueueLength(), 0.0);
-}
-
-TEST(WeightedQueueTest, SystemRunsCleanlyWithWeightedReports) {
-  Logger::Get().set_min_level(LogLevel::kNone);
-  TranSendOptions options = TinyOptions();
-  options.sns.weight_queue_by_cost = true;
-  options.logic.cache_distilled = false;
-  TranSendService service(options);
-  service.Start();
-  PlaybackEngine* client = service.AddPlaybackEngine();
-  service.sim()->RunFor(Seconds(2));
-  std::string url = BigJpegUrl(&service);
-  ASSERT_FALSE(url.empty());
-  TraceRecord record;
-  record.user_id = "w";
-  record.url = url;
-  client->SendRequest(record);
-  service.sim()->RunFor(Seconds(140));
-  Rng rng(1);
-  client->StartConstantRate(20, [&record] { return record; });
-  service.sim()->RunFor(Seconds(30));
-  client->StopLoad();
-  service.sim()->RunFor(Seconds(5));
-  EXPECT_EQ(client->errors(), 0);
-  EXPECT_GT(client->completed(), 500);
 }
 
 // ---------- hot upgrades (§1.2: "upgrade them in place") -----------------------------------
