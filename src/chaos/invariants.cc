@@ -216,8 +216,7 @@ InvariantReport CheckInvariantsAtQuiesce(SnsSystem* system,
   for (const Endpoint& ep : cache_eps) {
     canonical.AddMember(CacheRingMemberId(ep));
   }
-  size_t r = config.cache_replication > 0 ? static_cast<size_t>(config.cache_replication)
-                                          : size_t{1};
+  size_t r = CacheReplicaCount(config);
   // Completeness (every chain member holds the key) is only decidable if no node
   // ever evicted or rejected an entry: capacity pressure legitimately leaves
   // holes. Orphans (holding a key outside one's chain) are a violation always.

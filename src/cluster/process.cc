@@ -78,4 +78,14 @@ EventId Process::After(SimDuration delay, std::function<void()> fn) {
 
 void Process::CancelTimer(EventId id) { sim()->Cancel(id); }
 
+void Process::CrashSelf() {
+  Cluster* owner = cluster_;
+  ProcessId me = pid_;
+  sim()->Schedule(0, [owner, me] {
+    if (owner->Find(me) != nullptr) {
+      owner->Crash(me);
+    }
+  });
+}
+
 }  // namespace sns

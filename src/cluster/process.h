@@ -89,6 +89,11 @@ class Process {
   EventId After(SimDuration delay, std::function<void()> fn);
   void CancelTimer(EventId id);
 
+  // Self-demotion: crashes this process on the next event. Crash destroys the
+  // process object, so it cannot run inside the dispatch that decided it; the
+  // deferred crash is a no-op if something else killed the process first.
+  void CrashSelf();
+
  private:
   friend class Cluster;
 

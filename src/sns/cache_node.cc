@@ -65,52 +65,16 @@ void CacheNodeProcess::OnMessage(const Message& msg) {
 }
 
 void CacheNodeProcess::HandleBeacon(const ManagerBeaconPayload& beacon) {
-  if (beacon.epoch < manager_epoch_) {
-    return;  // Stale incarnation still beaconing after failover; ignore.
-  }
-  manager_epoch_ = beacon.epoch;
-  if (beacon.manager != manager_) {
-    manager_ = beacon.manager;
-    auto payload = std::make_shared<RegisterComponentPayload>();
-    payload->kind = ComponentKind::kCacheNode;
-    payload->component = endpoint();
-    payload->manager_epoch = manager_epoch_;
-    Message out;
-    out.dst = manager_;
-    out.type = kMsgRegisterComponent;
-    out.transport = Transport::kReliable;
-    out.size_bytes = 96;
-    out.payload = payload;
-    Send(std::move(out));
-  }
-
-  // Mirror the beaconed cache membership onto the local ring (same member
-  // encoding as the manager stub, so every party derives identical chains).
-  std::vector<Endpoint> fresh = beacon.cache_nodes;
-  std::sort(fresh.begin(), fresh.end(), [](const Endpoint& a, const Endpoint& b) {
-    return a.node != b.node ? a.node < b.node : a.port < b.port;
-  });
-  if (fresh == ring_members_) {
+  ManagerLink::Sighting sighting = manager_.Follow(beacon);
+  if (sighting == ManagerLink::Sighting::kStale) {
     return;
   }
-  for (const Endpoint& ep : ring_members_) {
-    if (std::find(fresh.begin(), fresh.end(), ep) == fresh.end()) {
-      ring_.RemoveMember(CacheRingMemberId(ep));
-    }
+  if (sighting == ManagerLink::Sighting::kNew) {
+    Send(manager_.Registration(Load()));
   }
-  for (const Endpoint& ep : fresh) {
-    if (!ring_.HasMember(CacheRingMemberId(ep))) {
-      ring_.AddMember(CacheRingMemberId(ep));
-    }
+  if (SyncCacheRing(beacon.cache_nodes, &ring_members_, &ring_) > 0) {
+    StartRebalance();
   }
-  ring_members_ = std::move(fresh);
-  StartRebalance();
-}
-
-size_t CacheNodeProcess::ReplicaFactor() const {
-  return sns_config_.cache_replication > 0
-             ? static_cast<size_t>(sns_config_.cache_replication)
-             : size_t{1};
 }
 
 void CacheNodeProcess::StartRebalance() {
@@ -156,7 +120,7 @@ void CacheNodeProcess::StartRebalance() {
 void CacheNodeProcess::RebalanceStep() {
   SNS_PROFILE_ZONE("cache.rebalance");
   rebalance_timer_ = kInvalidEventId;
-  size_t r = ReplicaFactor();
+  size_t r = CacheReplicaCount(sns_config_);
   int64_t self = CacheRingMemberId(endpoint());
   int processed = 0;
   while (rebalance_pos_ < rebalance_queue_.size() &&
@@ -380,22 +344,19 @@ void CacheNodeProcess::RefreshGauges() {
 }
 
 void CacheNodeProcess::ReportLoad() {
-  if (!manager_.valid()) {
+  if (!manager_.known()) {
     return;
   }
-  auto payload = std::make_shared<LoadReportPayload>();
-  payload->kind = ComponentKind::kCacheNode;
-  payload->component = endpoint();
-  payload->queue_length = static_cast<double>(outstanding_);
-  payload->manager_epoch = manager_epoch_;
   RefreshGauges();
-  Message msg;
-  msg.dst = manager_;
-  msg.type = kMsgLoadReport;
-  msg.transport = Transport::kDatagram;
-  msg.size_bytes = 80;
-  msg.payload = payload;
-  Send(std::move(msg));
+  Send(manager_.Report(Load()));
+}
+
+LoadReportPayload CacheNodeProcess::Load() const {
+  LoadReportPayload load;
+  load.kind = ComponentKind::kCacheNode;
+  load.component = endpoint();
+  load.queue_length = static_cast<double>(outstanding_);
+  return load;
 }
 
 }  // namespace sns

@@ -29,6 +29,7 @@
 #include "src/obs/metrics.h"
 #include "src/sim/timer.h"
 #include "src/sns/config.h"
+#include "src/sns/manager_link.h"
 #include "src/sns/messages.h"
 #include "src/store/consistent_hash.h"
 #include "src/store/lru_cache.h"
@@ -80,6 +81,8 @@ class CacheNodeProcess : public Process {
   void HandlePut(const Message& msg);
   void RefreshGauges();
   void ReportLoad();
+  // This node's entry in the manager's soft state (registration and reports).
+  LoadReportPayload Load() const;
 
   // --- Rebalancer -----------------------------------------------------------------
   // Starts (or restarts, on a further membership change) a pass over the local
@@ -88,7 +91,6 @@ class CacheNodeProcess : public Process {
   void RebalanceStep();
   void FinishRebalance();
   void PushEntry(const std::string& key, const ContentPtr& content, const Endpoint& peer);
-  size_t ReplicaFactor() const;
   static bool InChain(const ConsistentHashRing& ring, const std::string& key, size_t r,
                       int64_t member);
   // Anti-entropy echo: a pass's snapshot misses entries that are still in flight
@@ -103,12 +105,11 @@ class CacheNodeProcess : public Process {
   SnsConfig sns_config_;
   CacheNodeConfig config_;
   LruCache<std::string, ContentPtr> cache_;
-  Endpoint manager_;
-  uint64_t manager_epoch_ = 0;  // Highest beacon epoch accepted (fencing).
+  ManagerLink manager_;
   int64_t outstanding_ = 0;
 
-  // This node's mirror of the cache ring, fed from beaconed membership with the
-  // same member encoding the manager stub uses, so both derive identical chains.
+  // This node's mirror of the cache ring, fed from beaconed membership by the
+  // same SyncCacheRing the manager stub uses, so both derive identical chains.
   ConsistentHashRing ring_;
   // Membership as of the last *completed* rebalance pass: the next pass pushes
   // only along chain deltas between this and the current ring, so a single-node

@@ -4,6 +4,8 @@
 #ifndef SRC_SNS_CONFIG_H_
 #define SRC_SNS_CONFIG_H_
 
+#include <cstddef>
+
 #include "src/util/time.h"
 
 namespace sns {
@@ -148,6 +150,11 @@ struct SnsConfig {
   // the per-node CPU probes into its ring buffers.
   SimDuration timeseries_interval = Milliseconds(250);
 };
+
+// Length R of every cache replica chain: cache_replication, clamped to at least 1.
+inline size_t CacheReplicaCount(const SnsConfig& config) {
+  return config.cache_replication > 0 ? static_cast<size_t>(config.cache_replication) : 1;
+}
 
 }  // namespace sns
 

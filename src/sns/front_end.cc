@@ -145,56 +145,34 @@ void FrontEndProcess::OnMessage(const Message& msg) {
 }
 
 void FrontEndProcess::HandleBeacon(const ManagerBeaconPayload& beacon) {
-  bool new_manager = beacon.manager != stub_.manager();
-  if (!stub_.OnBeacon(beacon, sim()->now())) {
-    return;  // Fenced: a stale incarnation still beaconing after failover.
+  ManagerLink::Sighting sighting = stub_.OnBeacon(beacon, sim()->now());
+  if (sighting == ManagerLink::Sighting::kStale) {
+    return;
   }
   uint64_t ring_changes = stub_.cache_membership_changes();
   if (ring_changes > ring_changes_seen_) {
     ring_remaps_->Increment(static_cast<int64_t>(ring_changes - ring_changes_seen_));
     ring_changes_seen_ = ring_changes;
   }
-  if (new_manager) {
-    RegisterWithManager();
+  if (sighting == ManagerLink::Sighting::kNew) {
+    Send(stub_.link().Registration(Load()));
   }
 }
 
-void FrontEndProcess::RegisterWithManager() {
-  if (!stub_.ManagerKnown()) {
-    return;
-  }
-  auto payload = std::make_shared<RegisterComponentPayload>();
-  payload->kind = ComponentKind::kFrontEnd;
-  payload->component = endpoint();
-  payload->fe_index = options_.fe_index;
-  payload->manager_epoch = stub_.manager_epoch();
-  Message msg;
-  msg.dst = stub_.manager();
-  msg.type = kMsgRegisterComponent;
-  msg.transport = Transport::kReliable;
-  msg.size_bytes = 96;
-  msg.payload = payload;
-  Send(std::move(msg));
+LoadReportPayload FrontEndProcess::Load() const {
+  LoadReportPayload load;
+  load.kind = ComponentKind::kFrontEnd;
+  load.component = endpoint();
+  load.queue_length = active_;
+  load.completed_tasks = completed_requests();
+  load.fe_index = options_.fe_index;
+  return load;
 }
 
 void FrontEndProcess::Heartbeat() {
-  if (!stub_.ManagerKnown()) {
-    return;
+  if (stub_.ManagerKnown()) {
+    Send(stub_.link().Report(Load()));
   }
-  auto payload = std::make_shared<LoadReportPayload>();
-  payload->kind = ComponentKind::kFrontEnd;
-  payload->component = endpoint();
-  payload->queue_length = active_;
-  payload->completed_tasks = completed_requests();
-  payload->fe_index = options_.fe_index;
-  payload->manager_epoch = stub_.manager_epoch();
-  Message msg;
-  msg.dst = stub_.manager();
-  msg.type = kMsgLoadReport;
-  msg.transport = Transport::kDatagram;
-  msg.size_bytes = 80;
-  msg.payload = payload;
-  Send(std::move(msg));
 }
 
 void FrontEndProcess::Watchdog() {

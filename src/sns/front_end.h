@@ -288,7 +288,8 @@ class FrontEndProcess : public Process {
   void ReportWorkerDead(const Endpoint& worker, const std::string& type);
 
   // --- Housekeeping -----------------------------------------------------------------
-  void RegisterWithManager();
+  // This front end's entry in the manager's soft state (registration and reports).
+  LoadReportPayload Load() const;
   void Heartbeat();
   void Watchdog();
 

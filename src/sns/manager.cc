@@ -55,7 +55,7 @@ void ManagerProcess::OnMessage(const Message& msg) {
   }
   switch (msg.type) {
     case kMsgRegisterComponent:
-      HandleRegister(static_cast<const RegisterComponentPayload&>(*msg.payload));
+      HandleRegister(static_cast<const LoadReportPayload&>(*msg.payload));
       break;
     case kMsgLoadReport:
       HandleLoadReport(static_cast<const LoadReportPayload&>(*msg.payload));
@@ -86,16 +86,7 @@ bool ManagerProcess::FenceAgainst(uint64_t observed_epoch, const char* evidence)
   SNS_LOG(kWarning, "manager") << "epoch " << epoch_ << " observed epoch " << observed_epoch
                                << " via " << evidence << "; demoting (self-crash)";
   beacon_timer_.reset();  // Go silent immediately; no farewell beacon.
-  // Crash destroys this process object, so it must not run inside the current
-  // message dispatch. Capture cluster + pid by value; Crash is a no-op if
-  // something else killed the process first.
-  Cluster* owner = cluster();
-  ProcessId me = pid();
-  sim()->Schedule(0, [owner, me] {
-    if (owner->Find(me) != nullptr) {
-      owner->Crash(me);
-    }
-  });
+  CrashSelf();
   return true;
 }
 
@@ -106,18 +97,22 @@ void ManagerProcess::HandleRivalBeacon(const ManagerBeaconPayload& beacon) {
   FenceAgainst(beacon.epoch, "rival beacon");
 }
 
-void ManagerProcess::HandleRegister(const RegisterComponentPayload& p) {
+void ManagerProcess::HandleRegister(const LoadReportPayload& p) {
   if (FenceAgainst(p.manager_epoch, "registration")) {
     return;  // The component already follows a newer incarnation.
   }
   SimTime now = sim()->now();
+  if (p.kind == ComponentKind::kWorker) {
+    UpsertWorker(p.component, p.worker_type, p.interchangeable, now);
+    SNS_LOG(kDebug, "manager") << "registered worker " << p.worker_type << " at "
+                               << p.component.ToString();
+  } else {
+    RefreshComponent(p, now);
+  }
+}
+
+void ManagerProcess::RefreshComponent(const LoadReportPayload& p, SimTime now) {
   switch (p.kind) {
-    case ComponentKind::kWorker: {
-      UpsertWorker(p.component, p.worker_type, p.interchangeable, now);
-      SNS_LOG(kDebug, "manager") << "registered worker " << p.worker_type << " at "
-                                 << p.component.ToString();
-      break;
-    }
     case ComponentKind::kCacheNode:
       cache_nodes_.Refresh(p.component, true, now);
       break;
@@ -161,56 +156,36 @@ void ManagerProcess::HandleLoadReport(const LoadReportPayload& p) {
   // what bounds the manager's ultimate capacity.
   RunOnCpu(config_.manager_cpu_per_report, [] {});
   SimTime now = sim()->now();
-  switch (p.kind) {
-    case ComponentKind::kWorker: {
-      if (p.queue_length < 0) {
-        // A stub observed this worker dead (broken connection); drop it now rather
-        // than waiting for TTL expiry. The death is a capacity deficit at the
-        // demand that sized the pool, so restart a replacement immediately (peer
-        // fault tolerance, §3.1.3) instead of waiting out the load path's full
-        // cooldown. Several workers dying at once can land inside the 1 s respawn
-        // guard; retry each blocked replacement once after the guard expires.
-        RemoveWorker(p.component);
-        if (!TrySpawn(p.worker_type, /*bypass_cooldown=*/true)) {
-          std::string type = p.worker_type;
-          After(Milliseconds(1100), [this, type] {
-            TrySpawn(type, /*bypass_cooldown=*/true);
-          });
-        }
-        return;
-      }
-      WorkerState* state = workers_.GetMutable(p.component, now);
-      if (state == nullptr) {
-        // Unknown sender: treat the report as an implicit (re-)registration — this
-        // is how workers rejoin a restarted manager without explicit recovery code.
-        state = UpsertWorker(p.component, p.worker_type, p.interchangeable, now);
-      } else {
-        workers_.Touch(p.component, now);
-      }
-      state->smoothed_queue.Add(p.queue_length);
-      state->last_reported_queue = p.queue_length;
-      break;
-    }
-    case ComponentKind::kCacheNode:
-      if (!cache_nodes_.Touch(p.component, now)) {
-        cache_nodes_.Refresh(p.component, true, now);
-      }
-      break;
-    case ComponentKind::kFrontEnd:
-      if (!front_ends_.Touch(p.component, now)) {
-        front_ends_.Refresh(p.component, FrontEndState{p.fe_index}, now);
-      }
-      break;
-    case ComponentKind::kProfileDb:
-      if (p.component_generation >= profile_db_generation_) {
-        profile_db_generation_ = p.component_generation;
-        profile_db_ = p.component;
-        profile_db_last_seen_ = now;
-      }
-      break;
-    default:
-      break;
+  if (p.kind != ComponentKind::kWorker) {
+    RefreshComponent(p, now);
+    return;
   }
+  if (p.queue_length < 0) {
+    // A stub observed this worker dead (broken connection); drop it now rather
+    // than waiting for TTL expiry. The death is a capacity deficit at the
+    // demand that sized the pool, so restart a replacement immediately (peer
+    // fault tolerance, §3.1.3) instead of waiting out the load path's full
+    // cooldown. Several workers dying at once can land inside the 1 s respawn
+    // guard; retry each blocked replacement once after the guard expires.
+    RemoveWorker(p.component);
+    if (!TrySpawn(p.worker_type, /*bypass_cooldown=*/true)) {
+      std::string type = p.worker_type;
+      After(Milliseconds(1100), [this, type] {
+        TrySpawn(type, /*bypass_cooldown=*/true);
+      });
+    }
+    return;
+  }
+  WorkerState* state = workers_.GetMutable(p.component, now);
+  if (state == nullptr) {
+    // Unknown sender: treat the report as an implicit (re-)registration — this
+    // is how workers rejoin a restarted manager without explicit recovery code.
+    state = UpsertWorker(p.component, p.worker_type, p.interchangeable, now);
+  } else {
+    workers_.Touch(p.component, now);
+  }
+  state->smoothed_queue.Add(p.queue_length);
+  state->last_reported_queue = p.queue_length;
 }
 
 bool ManagerProcess::HandleSpawnRequest(const SpawnRequestPayload& p) {

@@ -93,8 +93,11 @@ class ManagerProcess : public Process {
 
   static int64_t CounterOr0(const Counter* c) { return c != nullptr ? c->value() : 0; }
 
-  void HandleRegister(const RegisterComponentPayload& p);
+  void HandleRegister(const LoadReportPayload& p);
   void HandleLoadReport(const LoadReportPayload& p);
+  // Cache nodes, front ends and the profile DB: a registration and a load report
+  // leave the same soft state (workers differ: registering resets the EWMA).
+  void RefreshComponent(const LoadReportPayload& p, SimTime now);
   // A beacon from another manager incarnation arrived (the manager subscribes to
   // its own beacon group exactly to notice rivals). Higher epoch => demote.
   void HandleRivalBeacon(const ManagerBeaconPayload& beacon);

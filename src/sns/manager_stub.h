@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "src/sns/config.h"
+#include "src/sns/manager_link.h"
 #include "src/sns/messages.h"
 #include "src/store/consistent_hash.h"
 #include "src/util/rng.h"
@@ -44,12 +45,11 @@ class ManagerStub {
   ManagerStub(const SnsConfig& config, Rng* rng)
       : config_(config), rng_(rng), cache_ring_(config.cache_ring_vnodes) {}
 
-  // Feed a received beacon into the cache. Returns false when the beacon was
-  // fenced: it carries a lower epoch than the highest this stub has accepted,
-  // meaning it came from a stale manager incarnation (e.g. one stranded by a
-  // partition that has since been failed over). Fenced beacons change nothing —
-  // callers must not re-register or otherwise act on them.
-  bool OnBeacon(const ManagerBeaconPayload& beacon, SimTime now);
+  // Feed a received beacon into the cache; returns what ManagerLink::Follow made
+  // of it. A kStale beacon came from a fenced manager incarnation and changes
+  // nothing; callers must not register or otherwise act on it. On kNew the front
+  // end registers with the new manager through link().
+  ManagerLink::Sighting OnBeacon(const ManagerBeaconPayload& beacon, SimTime now);
 
   // Lottery-schedules a worker of `type`; nullopt if none is known alive. When
   // `exclude` is given (the worker a retry just failed on), it is picked only if
@@ -65,11 +65,11 @@ class ManagerStub {
   // cache immediately. Returns true if it was present.
   bool NoteWorkerDead(const Endpoint& worker);
 
-  bool ManagerKnown() const { return manager_.valid(); }
-  const Endpoint& manager() const { return manager_; }
-  // Highest beacon epoch accepted so far (stamped onto registrations so a stale
-  // manager hearing them learns it has been superseded).
-  uint64_t manager_epoch() const { return manager_epoch_; }
+  bool ManagerKnown() const { return link_.known(); }
+  const Endpoint& manager() const { return link_.manager(); }
+  // The front end's link to the manager it follows: builds its registration and
+  // load reports, stamped with the followed epoch.
+  const ManagerLink& link() const { return link_; }
   uint64_t fenced_beacons() const { return fenced_beacons_; }
   // Time since the last beacon; kTimeNever if none ever received.
   SimDuration BeaconSilence(SimTime now) const;
@@ -119,8 +119,7 @@ class ManagerStub {
   SnsConfig config_;
   Rng* rng_;
   size_t round_robin_ = 0;
-  Endpoint manager_;
-  uint64_t manager_epoch_ = 0;
+  ManagerLink link_;
   SimTime last_beacon_ = -1;
   uint64_t beacons_seen_ = 0;
   uint64_t fenced_beacons_ = 0;

@@ -1,9 +1,10 @@
 // Wire messages exchanged by SNS components.
 //
 // The protocol follows Figure 1 of the paper: front ends talk to workers through
-// manager stubs / worker stubs, the manager beacons its existence and load hints on
-// a well-known multicast channel (§3.1.2), components report to the monitor on
-// another, and everything else is point-to-point.
+// manager stubs / worker stubs, and the manager beacons its existence and load
+// hints on a well-known multicast channel (§3.1.2). The monitor learns components
+// from those beacons too. Everything else is point-to-point; registrations and load
+// reports are built in one place, ManagerLink (manager_link.h).
 
 #ifndef SRC_SNS_MESSAGES_H_
 #define SRC_SNS_MESSAGES_H_
@@ -22,9 +23,9 @@ namespace sns {
 
 // Well-known multicast groups.
 constexpr McastGroup kGroupManagerBeacon = 1;  // Manager -> stubs & workers & monitor.
-constexpr McastGroup kGroupMonitor = 2;        // Components -> monitor(s).
 
-// Message type discriminators (Message::type).
+// Message type discriminators (Message::type). Run traces record these values, so
+// a deleted type leaves its number unused.
 enum SnsMsgType : uint32_t {
   kMsgClientRequest = 1,
   kMsgClientResponse,
@@ -42,8 +43,7 @@ enum SnsMsgType : uint32_t {
   kMsgProfileReply,
   kMsgFetchRequest,
   kMsgFetchResponse,
-  kMsgMonitorReport,
-  kMsgProfilePutAck,
+  kMsgProfilePutAck = 18,
 };
 
 enum class ComponentKind {
@@ -104,34 +104,27 @@ struct ClientResponsePayload : Payload {
 
 // --- Registration & load (worker stub / manager stub <-> manager) ---------------------
 
-struct RegisterComponentPayload : Payload {
+// A component's entry in the manager's soft state. Registrations and periodic load
+// reports both carry one, built by ManagerLink. The one other sender is a front end
+// reporting a worker it observed dead: reliable, with queue_length = -1.
+struct LoadReportPayload : Payload {
   ComponentKind kind = ComponentKind::kWorker;
-  std::string worker_type;  // For kWorker: the TACC class. For others: role label.
+  std::string worker_type;  // For kWorker: the TACC class. Empty for other kinds.
   Endpoint component;       // Where the component receives traffic.
+  double queue_length = 0;       // Paper footnote 2: queue length.
+  int64_t completed_tasks = 0;   // Cumulative, for throughput accounting.
+  // Carried on reports too, so an implicit (re-)registration via load report
+  // preserves the worker's affinity class just like an explicit registration.
   bool interchangeable = true;
   int fe_index = -1;        // For front ends: identity used for peer restart.
-  // The manager epoch the sender last accepted. A manager that receives a
-  // registration stamped with a higher epoch knows a newer incarnation exists and
-  // demotes itself (split-brain fencing). 0 = sender has not seen any beacon.
+  // The manager epoch the sender follows. A manager that receives a message
+  // stamped with a higher epoch knows a newer incarnation exists and demotes
+  // itself (split-brain fencing). 0 = sender has not seen any beacon.
   uint64_t manager_epoch = 0;
   // Incarnation number of the sending component itself (today: the profile DB).
   // The manager keeps only the highest generation it has seen, so a fenced-off
   // stale incarnation can never re-enter the beacon after its successor is up.
   uint64_t component_generation = 0;
-};
-
-struct LoadReportPayload : Payload {
-  ComponentKind kind = ComponentKind::kWorker;
-  std::string worker_type;
-  Endpoint component;
-  double queue_length = 0;       // Paper footnote 2: queue length.
-  int64_t completed_tasks = 0;   // Cumulative, for throughput accounting.
-  // Carried so an implicit (re-)registration via load report preserves the worker's
-  // affinity class just like an explicit RegisterComponent would.
-  bool interchangeable = true;
-  int fe_index = -1;
-  uint64_t manager_epoch = 0;  // Same fencing role as RegisterComponentPayload's.
-  uint64_t component_generation = 0;  // Same role as RegisterComponentPayload's.
 };
 
 // One worker's entry in the manager's beaconed load hints.
@@ -272,15 +265,6 @@ struct FetchResponsePayload : Payload {
   uint64_t op_id = 0;
   Status status;
   ContentPtr content;
-};
-
-// --- Monitor -------------------------------------------------------------------------------
-
-struct MonitorReportPayload : Payload {
-  ComponentKind kind = ComponentKind::kWorker;
-  std::string name;
-  Endpoint component;
-  std::map<std::string, double> metrics;
 };
 
 // Approximate wire sizes (bytes) used to drive SAN serialization delays.

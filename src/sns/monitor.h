@@ -6,10 +6,12 @@
 // operator if a serious error occurs, for example, if it stops receiving reports
 // from some component."
 //
-// This implementation subscribes to the beacon and monitor multicast groups, keeps
-// a soft-state registry of components, raises operator alarms (a callback standing
-// in for pager/email) when a component goes silent, and renders a textual snapshot
-// — the "visualization panel" — showing per-component state and queue depths.
+// This implementation learns components from the manager's beacons alone (the
+// beacon lists every worker with its load and every cache node; no component
+// reports to the monitor directly). It keeps a soft-state registry of them, raises
+// operator alarms (a callback standing in for pager/email) when a component goes
+// silent, and renders a textual snapshot — the "visualization panel" — showing
+// per-component state and queue depths.
 
 #ifndef SRC_SNS_MONITOR_H_
 #define SRC_SNS_MONITOR_H_
@@ -25,6 +27,7 @@
 #include "src/sim/timer.h"
 #include "src/sns/config.h"
 #include "src/sns/launcher.h"
+#include "src/sns/manager_link.h"
 #include "src/sns/messages.h"
 #include "src/store/soft_state.h"
 
@@ -56,7 +59,6 @@ class MonitorProcess : public Process {
   const std::vector<MonitorAlarm>& alarms() const { return alarms_; }
   size_t LiveComponentCount() const;
   int64_t beacons_observed() const { return CounterOr0(beacons_observed_); }
-  int64_t reports_observed() const { return CounterOr0(reports_observed_); }
   int64_t manager_restarts_triggered() const { return CounterOr0(manager_restarts_); }
   int64_t stale_beacons_fenced() const { return CounterOr0(stale_beacons_fenced_); }
 
@@ -87,11 +89,10 @@ class MonitorProcess : public Process {
   std::vector<MonitorAlarm> alarms_;
   ComponentLauncher* launcher_;
   SimTime last_beacon_at_ = -1;
-  uint64_t manager_epoch_ = 0;  // Highest beacon epoch accepted (fencing).
+  ManagerLink manager_;  // Fences beacons from stale manager incarnations.
   std::unique_ptr<PeriodicTimer> sweep_timer_;
   // Registry instruments under "monitor.*", bound in OnStart.
   Counter* beacons_observed_ = nullptr;
-  Counter* reports_observed_ = nullptr;
   Counter* manager_restarts_ = nullptr;
   Counter* stale_beacons_fenced_ = nullptr;
 };

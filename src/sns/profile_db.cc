@@ -35,21 +35,18 @@ void ProfileDbProcess::OnStop() {
 }
 
 void ProfileDbProcess::Heartbeat() {
-  if (!manager_.valid() || superseded_) {
+  if (!manager_.known() || superseded_) {
     return;
   }
-  auto payload = std::make_shared<LoadReportPayload>();
-  payload->kind = ComponentKind::kProfileDb;
-  payload->component = endpoint();
-  payload->manager_epoch = manager_epoch_seen_;
-  payload->component_generation = config_.generation;
-  Message msg;
-  msg.dst = manager_;
-  msg.type = kMsgLoadReport;
-  msg.transport = Transport::kDatagram;
-  msg.size_bytes = 80;
-  msg.payload = payload;
-  Send(std::move(msg));
+  Send(manager_.Report(Load()));
+}
+
+LoadReportPayload ProfileDbProcess::Load() const {
+  LoadReportPayload load;
+  load.kind = ComponentKind::kProfileDb;
+  load.component = endpoint();
+  load.component_generation = config_.generation;
+  return load;
 }
 
 void ProfileDbProcess::Supersede(const char* evidence) {
@@ -61,14 +58,7 @@ void ProfileDbProcess::Supersede(const char* evidence) {
   SNS_LOG(kWarning, "profile-db") << "generation " << config_.generation
                                   << " superseded via " << evidence << "; self-demoting";
   heartbeat_timer_.reset();
-  // Crash destroys this process object; defer it out of the current dispatch.
-  Cluster* owner = cluster();
-  ProcessId me = pid();
-  sim()->Schedule(0, [owner, me] {
-    if (owner->Find(me) != nullptr) {
-      owner->Crash(me);
-    }
-  });
+  CrashSelf();
 }
 
 void ProfileDbProcess::OnMessage(const Message& msg) {
@@ -78,28 +68,14 @@ void ProfileDbProcess::OnMessage(const Message& msg) {
   switch (msg.type) {
     case kMsgManagerBeacon: {
       const auto& beacon = static_cast<const ManagerBeaconPayload&>(*msg.payload);
-      if (beacon.epoch < manager_epoch_seen_) {
-        break;  // Stale manager incarnation; ignore (same fencing as the stubs).
-      }
-      manager_epoch_seen_ = beacon.epoch;
-      if (config_.generation > 0 && beacon.profile_db_generation > config_.generation) {
-        Supersede("beacon generation");
+      ManagerLink::Sighting sighting = manager_.Follow(beacon);
+      if (sighting == ManagerLink::Sighting::kStale) {
         break;
       }
-      if (beacon.manager != manager_) {
-        manager_ = beacon.manager;
-        auto payload = std::make_shared<RegisterComponentPayload>();
-        payload->kind = ComponentKind::kProfileDb;
-        payload->component = endpoint();
-        payload->manager_epoch = manager_epoch_seen_;
-        payload->component_generation = config_.generation;
-        Message out;
-        out.dst = manager_;
-        out.type = kMsgRegisterComponent;
-        out.transport = Transport::kReliable;
-        out.size_bytes = 96;
-        out.payload = payload;
-        Send(std::move(out));
+      if (config_.generation > 0 && beacon.profile_db_generation > config_.generation) {
+        Supersede("beacon generation");
+      } else if (sighting == ManagerLink::Sighting::kNew) {
+        Send(manager_.Registration(Load()));
       }
       break;
     }

@@ -14,6 +14,7 @@
 #include "src/quorum/membership.h"
 #include "src/sim/timer.h"
 #include "src/sns/config.h"
+#include "src/sns/manager_link.h"
 #include "src/sns/messages.h"
 #include "src/store/kvstore.h"
 #include "src/tacc/profile.h"
@@ -56,14 +57,15 @@ class ProfileDbProcess : public Process {
   void HandleGet(const Message& msg);
   void HandlePut(const Message& msg);
   void Heartbeat();
+  // This incarnation's entry in the manager's soft state (registration, heartbeats).
+  LoadReportPayload Load() const;
   // A current-epoch beacon advertised a newer DB generation: this incarnation
   // was failed over while stranded. Stop serving and self-crash (deferred).
   void Supersede(const char* evidence);
 
   ProfileDbConfig config_;
   KvStore* store_;
-  Endpoint manager_;
-  uint64_t manager_epoch_seen_ = 0;
+  ManagerLink manager_;
   bool superseded_ = false;
   std::unique_ptr<PeriodicTimer> heartbeat_timer_;
   int64_t reads_ = 0;

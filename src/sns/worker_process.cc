@@ -49,34 +49,22 @@ void WorkerProcess::OnMessage(const Message& msg) {
 }
 
 void WorkerProcess::HandleBeacon(const ManagerBeaconPayload& beacon) {
-  if (beacon.epoch < manager_epoch_) {
-    return;  // Stale incarnation still beaconing after failover; ignore.
-  }
-  if (beacon.manager != manager_) {
+  if (manager_.Follow(beacon) == ManagerLink::Sighting::kNew) {
     // New manager incarnation (first sighting, or restart after a crash):
     // re-register. No other recovery is needed — all our state is re-derivable.
-    manager_ = beacon.manager;
-    manager_epoch_ = beacon.epoch;
-    RegisterWithManager();
-    return;
+    Send(manager_.Registration(Load()));
   }
-  manager_epoch_ = beacon.epoch;
 }
 
-void WorkerProcess::RegisterWithManager() {
-  auto payload = std::make_shared<RegisterComponentPayload>();
-  payload->kind = ComponentKind::kWorker;
-  payload->worker_type = type_;
-  payload->component = endpoint();
-  payload->interchangeable = worker_->interchangeable();
-  payload->manager_epoch = manager_epoch_;
-  Message msg;
-  msg.dst = manager_;
-  msg.type = kMsgRegisterComponent;
-  msg.transport = Transport::kReliable;
-  msg.size_bytes = 96 + static_cast<int64_t>(type_.size());
-  msg.payload = payload;
-  Send(std::move(msg));
+LoadReportPayload WorkerProcess::Load() const {
+  LoadReportPayload load;
+  load.kind = ComponentKind::kWorker;
+  load.worker_type = type_;
+  load.component = endpoint();
+  load.queue_length = QueueLength();
+  load.completed_tasks = completed_tasks();
+  load.interchangeable = worker_->interchangeable();
+  return load;
 }
 
 void WorkerProcess::ExpireTask(const TaskRequestPayload& task, const TraceContext& span,
@@ -221,25 +209,11 @@ void WorkerProcess::StartNext() {
 }
 
 void WorkerProcess::ReportLoad() {
-  if (!manager_.valid()) {
+  if (!manager_.known()) {
     return;
   }
-  auto payload = std::make_shared<LoadReportPayload>();
-  payload->kind = ComponentKind::kWorker;
-  payload->worker_type = type_;
-  payload->component = endpoint();
-  payload->queue_length = QueueLength();
-  payload->completed_tasks = completed_tasks();
-  payload->interchangeable = worker_->interchangeable();
-  payload->manager_epoch = manager_epoch_;
-  queue_gauge_->Set(payload->queue_length);
-  Message msg;
-  msg.dst = manager_;
-  msg.type = kMsgLoadReport;
-  msg.transport = Transport::kDatagram;  // Best effort; loss tolerated (soft state).
-  msg.size_bytes = 80 + static_cast<int64_t>(type_.size());
-  msg.payload = payload;
-  Send(std::move(msg));
+  queue_gauge_->Set(QueueLength());
+  Send(manager_.Report(Load()));
 }
 
 }  // namespace sns

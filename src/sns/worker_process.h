@@ -22,6 +22,7 @@
 #include "src/obs/metrics.h"
 #include "src/sim/timer.h"
 #include "src/sns/config.h"
+#include "src/sns/manager_link.h"
 #include "src/sns/messages.h"
 #include "src/tacc/worker.h"
 
@@ -55,7 +56,8 @@ class WorkerProcess : public Process {
                   const std::string& reason);
   void StartNext();
   void ReportLoad();
-  void RegisterWithManager();
+  // This worker's entry in the manager's soft state (registration and reports).
+  LoadReportPayload Load() const;
 
   SnsConfig config_;
   TaccWorkerPtr worker_;
@@ -68,8 +70,7 @@ class WorkerProcess : public Process {
     SimTime enqueued_at = 0;   // Span start: queueing time is part of worker latency.
   };
 
-  Endpoint manager_;
-  uint64_t manager_epoch_ = 0;  // Highest beacon epoch accepted (fencing).
+  ManagerLink manager_;
   std::deque<QueuedTask> queue_;
   SimDuration queued_cost_ = 0;    // Sum over queue_ + the in-service task.
   bool busy_ = false;

@@ -463,7 +463,7 @@ TEST(ExportGoldenTest, SectionsMatchPinnedBytes) {
 
   const TraceCollector& tracer = *service.system()->tracer();
   const std::map<std::string, ExportDigest> pinned = {
-      {"timeseries", {181449, 0x8b1b08ec69757ceULL}},
+      {"timeseries", {180047, 0x32a4e88b5698a949ULL}},
       {"traces", {576383, 0x818835ff5939f63eULL}},
       {"critical_path", {986, 0xb85b7404572e0547ULL}},
       {"chrome_trace", {1809545, 0xa40a383c4d734929ULL}},
