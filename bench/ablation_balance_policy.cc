@@ -29,7 +29,7 @@ struct PolicyResult {
 
 PolicyResult RunPolicy(BalancePolicy policy) {
   TranSendOptions options = DefaultTranSendOptions();
-  options.universe = benchutil::FixedJpegUniverse(40);
+  options.universe = FixedJpegUniverse(40);
   options.logic.cache_distilled = false;
   options.topology.worker_pool_nodes = 6;
   options.sns.balance_policy = policy;

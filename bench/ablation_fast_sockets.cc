@@ -20,7 +20,7 @@ namespace {
 
 double MeasureFeCapacity(double per_message_ms) {
   TranSendOptions options = DefaultTranSendOptions();
-  options.universe = benchutil::FixedJpegUniverse(40);
+  options.universe = FixedJpegUniverse(40);
   options.logic.cache_distilled = false;
   options.topology.worker_pool_nodes = 10;  // Distillers never the bottleneck here.
   LinkConfig fe_link = options.topology.san.default_link;

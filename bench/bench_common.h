@@ -29,21 +29,6 @@ inline void Header(const std::string& title, const std::string& paper_ref) {
   std::printf("================================================================\n");
 }
 
-// A universe of nearly-uniform ~10 KB JPEGs, as prepared for the scalability
-// experiment: "a trace file that repeatedly requested a fixed number of JPEG
-// images, all approximately 10KB in size" (§4.6).
-inline ContentUniverseConfig FixedJpegUniverse(int64_t urls) {
-  ContentUniverseConfig config;
-  config.url_count = urls;
-  config.sizes.gif_fraction = 0.0;
-  config.sizes.html_fraction = 0.0;
-  config.sizes.jpeg_fraction = 1.0;
-  config.sizes.jpeg_mu = 9.2335;  // exp(mu + s^2/2) ~ 10240 B
-  config.sizes.jpeg_sigma = 0.05;
-  config.sizes.error_page_fraction = 0.0;
-  return config;
-}
-
 // Emits the run artifact (src/obs/artifact.h) under the uniform name
 // "BENCH_<name>.json" in the current directory, and a Chrome-trace timeline
 // ("BENCH_<name>.trace.json", openable in ui.perfetto.dev) alongside it.

@@ -95,7 +95,7 @@ TierCounters ReadTier(SnsSystem* system, const std::vector<int>& cache_node_ids)
 
 RollResult RunRoll(int replication, bool short_mode) {
   TranSendOptions options = DefaultTranSendOptions();
-  options.universe = benchutil::FixedJpegUniverse(40);
+  options.universe = FixedJpegUniverse(40);
   options.topology.cache_nodes = 4;
   options.topology.worker_pool_nodes = 6;
   options.sns.cache_replication = replication;

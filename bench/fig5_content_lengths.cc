@@ -39,7 +39,7 @@ void Run() {
     for (TypeStats& type : stats) {
       int64_t size;
       if (model.SampleErrorPage(type.mime, &rng)) {
-        size = rng.UniformInt(model.config().error_page_min, model.config().error_page_max);
+        size = rng.UniformInt(kErrorPageMinBytes, kErrorPageMaxBytes);
         ++type.error_pages;
       } else {
         size = model.SampleSize(type.mime, &rng);

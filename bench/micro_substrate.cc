@@ -289,7 +289,7 @@ void BM_InvertedIndexSearch(benchmark::State& state) {
   std::vector<ShardPtr> shards = BuildShardedCorpus(config, 1);
   Rng rng(9);
   for (auto _ : state) {
-    std::vector<std::string> terms = SampleQueryTerms(config, &rng, 2);
+    std::vector<std::string> terms = SampleQueryTerms(&rng, 2);
     benchmark::DoNotOptimize(shards[0]->Search(terms, 10));
   }
 }

@@ -57,7 +57,7 @@ struct RunResult {
 RunResult RunPhase(double rate, SimDuration deadline, SimDuration measure,
                    bool crash_cache_mid_run, uint64_t seed, bool emit_artifact = false) {
   TranSendOptions options = DefaultTranSendOptions();
-  options.universe = benchutil::FixedJpegUniverse(30);
+  options.universe = FixedJpegUniverse(30);
   options.logic.cache_distilled = false;  // Every request re-distills (§4.6).
   options.topology.worker_pool_nodes = 1;  // Capacity ~23 req/s of distillation.
   options.topology.front_ends = 1;

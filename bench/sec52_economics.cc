@@ -28,7 +28,7 @@ void Run() {
   // scaling — the paper's "$5000 Pentium Pro server" runs the distillation work
   // for a modem bank).
   TranSendOptions options = DefaultTranSendOptions();
-  options.universe = benchutil::FixedJpegUniverse(40);
+  options.universe = FixedJpegUniverse(40);
   options.logic.cache_distilled = false;
   options.topology.worker_pool_nodes = 1;   // A single distiller node.
   options.sns.spawn_threshold_h = 1e9;      // No growth: measure the unit.

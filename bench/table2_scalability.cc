@@ -36,7 +36,7 @@ int Run(bool short_mode) {
   const SimDuration kStep = short_mode ? Seconds(10) : Seconds(30);
 
   TranSendOptions options = DefaultTranSendOptions();
-  options.universe = benchutil::FixedJpegUniverse(40);
+  options.universe = FixedJpegUniverse(40);
   options.logic.cache_distilled = false;  // Re-distill every request (§4.6).
   options.topology.worker_pool_nodes = 10;
   options.topology.front_ends = 1;

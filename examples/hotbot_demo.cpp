@@ -17,7 +17,6 @@ void Run() {
   Logger::Get().set_min_level(LogLevel::kWarning);
 
   HotBotOptions options = DefaultHotBotOptions();
-  options.shard_count = 6;
   options.logic.shard_count = 6;
   options.corpus.doc_count = 30000;
   options.topology.worker_pool_nodes = 8;
@@ -27,7 +26,7 @@ void Run() {
   service.sim()->RunFor(Seconds(3));
 
   std::printf("HotBot: %lld documents across %d randomly-partitioned shards\n",
-              static_cast<long long>(service.TotalDocuments()), options.shard_count);
+              static_cast<long long>(service.TotalDocuments()), options.logic.shard_count);
   for (const ShardPtr& shard : service.shards()) {
     std::printf("  shard %d: %lld docs, %lld terms, %lld postings\n", shard->shard_id(),
                 static_cast<long long>(shard->doc_count()),
@@ -37,7 +36,7 @@ void Run() {
 
   std::string query = VocabularyWord(3) + " " + VocabularyWord(17);
   std::printf("\n--- query \"%s\" (scatter to all %d shards in parallel) ---\n", query.c_str(),
-              options.shard_count);
+              options.logic.shard_count);
   client->SendRequest(service.MakeQuery("user1", query));
   service.sim()->RunFor(Seconds(15));
   std::printf("  completed=%lld  latency=%.3f s\n",

@@ -12,17 +12,17 @@
 namespace sns {
 namespace {
 
+// Request load offered to the TranSend front ends, requests/second.
+constexpr double kRequestRate = 15.0;
+// Profile-write side load: a second client writes one unique user's prefs at
+// this rate; each write is ledgered and the acked ones must survive to quiesce.
+constexpr double kProfileWriteRate = 2.0;
+
 TranSendOptions ChaosOptions(const CampaignConfig& config) {
   TranSendOptions options = DefaultTranSendOptions();
   // All-JPEG universe: every request re-distills, keeping the worker pool
   // load-bearing throughout the fault storm (same idiom as the fault tests).
-  options.universe.url_count = config.url_count;
-  options.universe.sizes.gif_fraction = 0.0;
-  options.universe.sizes.html_fraction = 0.0;
-  options.universe.sizes.jpeg_fraction = 1.0;
-  options.universe.sizes.jpeg_mu = 9.2335;
-  options.universe.sizes.jpeg_sigma = 0.05;
-  options.universe.sizes.error_page_fraction = 0.0;
+  options.universe = FixedJpegUniverse(config.url_count);
   options.logic.cache_distilled = false;
   options.topology.worker_pool_nodes = config.worker_pool_nodes;
   options.topology.front_ends = config.front_ends;
@@ -191,7 +191,7 @@ ChaosRunResult RunSchedule(const FaultSchedule& schedule, const CampaignConfig& 
   SnsSystem* system = service.system();
   ContentUniverse* universe = service.universe();
   Rng load_rng(schedule.seed ^ 0x10ADULL);
-  client->StartConstantRate(config.request_rate, [&load_rng, universe] {
+  client->StartConstantRate(kRequestRate, [&load_rng, universe] {
     TraceRecord record;
     record.user_id = "chaos";
     record.url = universe->UrlAt(load_rng.UniformInt(0, universe->url_count() - 1));
@@ -208,7 +208,7 @@ ChaosRunResult RunSchedule(const FaultSchedule& schedule, const CampaignConfig& 
   // manager beacon reaches the front ends.
   int64_t write_seq = 0;
   writer->StartConstantRate(
-      config.profile_write_rate, [&ledger, &ledger_index, &write_seq, universe] {
+      kProfileWriteRate, [&ledger, &ledger_index, &write_seq, universe] {
         TraceRecord record;
         record.user_id = StrFormat("qw%lld", static_cast<long long>(write_seq));
         record.url = universe->UrlAt(0);

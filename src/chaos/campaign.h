@@ -22,10 +22,6 @@ namespace sns {
 
 struct CampaignConfig {
   ScheduleGenConfig gen;
-  // Profile-write side load: a second client writes one unique user's prefs at
-  // this rate; each write is ledgered and the acked ones must survive to quiesce.
-  double profile_write_rate = 2.0;
-  double request_rate = 15.0;
   SimDuration warmup = Seconds(12);
   SimDuration request_deadline = Seconds(8);
   SimDuration request_timeout = Seconds(12);

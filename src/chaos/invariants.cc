@@ -117,16 +117,14 @@ InvariantReport CheckInvariantsAtQuiesce(SnsSystem* system,
   }
 
   // 7. Eventually exactly one live profile-DB incarnation.
-  if (system->topology().with_profile_db) {
-    std::vector<ProfileDbProcess*> dbs = LiveProfileDbProcesses(system);
-    if (dbs.size() != 1) {
-      std::string detail = StrFormat("%zu live profile-db incarnation(s):", dbs.size());
-      for (ProfileDbProcess* db : dbs) {
-        detail += StrFormat(" gen=%llu@n%d", static_cast<unsigned long long>(db->generation()),
-                            db->node());
-      }
-      violate("exactly-one-profile-db", detail);
+  std::vector<ProfileDbProcess*> dbs = LiveProfileDbProcesses(system);
+  if (dbs.size() != 1) {
+    std::string detail = StrFormat("%zu live profile-db incarnation(s):", dbs.size());
+    for (ProfileDbProcess* db : dbs) {
+      detail += StrFormat(" gen=%llu@n%d", static_cast<unsigned long long>(db->generation()),
+                          db->node());
     }
+    violate("exactly-one-profile-db", detail);
   }
 
   // 1. Eventually exactly one live manager.
@@ -212,7 +210,7 @@ InvariantReport CheckInvariantsAtQuiesce(SnsSystem* system,
   // Canonical chains from the live membership, with the same member encoding and
   // vnode count every node uses, so this recomputes exactly what they computed.
   const SnsConfig& config = system->config();
-  ConsistentHashRing canonical(config.cache_ring_vnodes);
+  ConsistentHashRing canonical(kCacheRingVnodes);
   for (const Endpoint& ep : cache_eps) {
     canonical.AddMember(CacheRingMemberId(ep));
   }

@@ -25,6 +25,14 @@ std::string RandomWord(Rng* rng) {
   return kLoremWords[rng->UniformInt(0, static_cast<int64_t>(n) - 1)];
 }
 
+// Root of every link and image URL a generated page carries.
+constexpr char kBaseUrl[] = "http://www.example.edu";
+
+// The TranSend preferences toolbar MungeHtml prepends.
+constexpr char kToolbarHtml[] =
+    "<div class=\"transend-toolbar\">[TranSend] quality: <a href=\"/prefs?q=low\">low</a> "
+    "<a href=\"/prefs?q=med\">med</a> <a href=\"/prefs?q=high\">high</a></div>";
+
 bool IsWordChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
@@ -47,7 +55,7 @@ std::string GenerateHtmlPage(Rng* rng, const HtmlGenOptions& options) {
     out += "<p>";
     for (int w = 0; w < options.words_per_paragraph; ++w) {
       if (links_left > 0 && rng->Bernoulli(0.04)) {
-        out += StrFormat("<a href=\"%s/page%lld.html\">%s</a> ", options.base_url.c_str(),
+        out += StrFormat("<a href=\"%s/page%lld.html\">%s</a> ", kBaseUrl,
                          static_cast<long long>(rng->UniformInt(0, 9999)),
                          RandomWord(rng).c_str());
         --links_left;
@@ -59,7 +67,7 @@ std::string GenerateHtmlPage(Rng* rng, const HtmlGenOptions& options) {
     out += "</p>\n";
     if (images_left > 0) {
       bool jpeg = rng->Bernoulli(0.35);
-      out += StrFormat("<img src=\"%s/img%lld.%s\" alt=\"%s\">\n", options.base_url.c_str(),
+      out += StrFormat("<img src=\"%s/img%lld.%s\" alt=\"%s\">\n", kBaseUrl,
                        static_cast<long long>(rng->UniformInt(0, 99999)), jpeg ? "jpg" : "gif",
                        RandomWord(rng).c_str());
       --images_left;
@@ -67,7 +75,7 @@ std::string GenerateHtmlPage(Rng* rng, const HtmlGenOptions& options) {
   }
   // Flush any remaining images at the bottom of the page.
   while (images_left-- > 0) {
-    out += StrFormat("<img src=\"%s/img%lld.gif\">\n", options.base_url.c_str(),
+    out += StrFormat("<img src=\"%s/img%lld.gif\">\n", kBaseUrl,
                      static_cast<long long>(rng->UniformInt(0, 99999)));
   }
   out += "</body></html>\n";
@@ -221,7 +229,7 @@ std::string MungeHtml(const std::string& html, const MungeOptions& options) {
   };
 
   if (toolbar_insert == 0 && options.add_toolbar) {
-    out += options.toolbar_html;
+    out += kToolbarHtml;
     out += "\n";
     toolbar_insert = std::string::npos;  // Done.
   }
@@ -230,12 +238,12 @@ std::string MungeHtml(const std::string& html, const MungeOptions& options) {
     if (options.add_toolbar && toolbar_insert != std::string::npos &&
         tag.end == toolbar_insert) {
       copy_until(tag.end);
-      out += options.toolbar_html;
+      out += kToolbarHtml;
       out += "\n";
       toolbar_insert = std::string::npos;
       continue;
     }
-    if (tag.name == "img" && options.annotate_images) {
+    if (tag.name == "img") {
       std::string src = TagAttr(tag, "src");
       if (!src.empty()) {
         copy_until(tag.begin);

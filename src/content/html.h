@@ -23,12 +23,11 @@ struct HtmlGenOptions {
   int words_per_paragraph = 60;
   int inline_images = 3;   // <img src=...> references emitted into the page.
   int links = 4;
-  std::string base_url = "http://www.example.edu";
 };
 
 // Produces a page with headings, lorem-style prose, links, and <img> references.
-// Image URLs are synthesized under base_url; callers collect them via
-// ExtractImageRefs to fetch/distill referenced content.
+// Link and image URLs are synthesized under http://www.example.edu; callers
+// collect them via ExtractImageRefs to fetch/distill referenced content.
 std::string GenerateHtmlPage(Rng* rng, const HtmlGenOptions& options);
 
 // --- Scanning ----------------------------------------------------------------------
@@ -60,15 +59,12 @@ std::string StripTags(const std::string& html);
 
 struct MungeOptions {
   bool add_toolbar = true;           // Prepend the TranSend preferences toolbar.
-  bool annotate_images = true;       // Rewrite <img> srcs through the proxy.
   bool add_original_links = true;    // "[original]" link next to each image.
   std::string proxy_prefix = "http://transend.berkeley.edu/distill?src=";
-  std::string toolbar_html =
-      "<div class=\"transend-toolbar\">[TranSend] quality: <a href=\"/prefs?q=low\">low</a> "
-      "<a href=\"/prefs?q=med\">med</a> <a href=\"/prefs?q=high\">high</a></div>";
 };
 
-// Applies the TranSend HTML distillation: returns the rewritten page.
+// Applies the TranSend HTML distillation: returns the rewritten page, with every
+// <img> src rewritten through the proxy.
 std::string MungeHtml(const std::string& html, const MungeOptions& options);
 
 // Wraps every occurrence of `keyword` (case-insensitive, whole word) in the given

@@ -8,6 +8,12 @@
 #include "src/util/strings.h"
 
 namespace sns {
+namespace {
+
+// Wire size of handshake packets charged to both NICs on connection setup.
+constexpr int64_t kHandshakeBytes = 40;
+
+}  // namespace
 
 San::San(Simulator* sim, SanConfig config) : sim_(sim), config_(config) {}
 
@@ -144,7 +150,7 @@ void San::Send(Message msg, SendOptions opts) {
   }
   if (setup) {
     // Handshake packets occupy the sender's NIC before the payload.
-    src_node->egress->Transmit(sim_->now(), config_.handshake_bytes, false);
+    src_node->egress->Transmit(sim_->now(), kHandshakeBytes, false);
   }
   auto departure =
       src_node->egress->Transmit(sim_->now(), msg.size_bytes, /*drop_if_saturated=*/!reliable);
@@ -175,7 +181,7 @@ void San::DeliverToNode(Message msg, SimTime arrival, bool setup, SendOptions op
       return;
     }
     if (setup) {
-      dst_node->ingress->Transmit(sim_->now(), config_.handshake_bytes, false);
+      dst_node->ingress->Transmit(sim_->now(), kHandshakeBytes, false);
     }
     auto finish = dst_node->ingress->Transmit(sim_->now(), msg.size_bytes,
                                               /*drop_if_saturated=*/!reliable);

@@ -42,8 +42,6 @@ struct SanConfig {
   // Harvest cache protocol forces a fresh connection per request
   // (force_new_connection below).
   SimDuration tcp_setup_cost = Milliseconds(1.0);
-  // Wire size of handshake packets charged to both NICs on connection setup.
-  int64_t handshake_bytes = 40;
 };
 
 class San {

@@ -178,15 +178,6 @@ CriticalPathSummary CriticalPathSummary::FromCollector(const TraceCollector& col
   return summary;
 }
 
-std::vector<std::string> CriticalPathSummary::StageNames() const {
-  std::vector<std::string> names;
-  names.reserve(stages_.size());
-  for (const auto& [name, stats] : stages_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 const LogHistogram* CriticalPathSummary::StageHistogram(const std::string& stage) const {
   auto it = stages_.find(stage);
   return it == stages_.end() ? nullptr : &it->second.hist;

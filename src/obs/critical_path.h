@@ -72,10 +72,8 @@ class CriticalPathSummary {
   static CriticalPathSummary FromCollector(const TraceCollector& collector);
 
   int64_t request_count() const { return requests_; }
-  std::vector<std::string> StageNames() const;
   // Per-request seconds spent in the stage; nullptr for unknown stages.
   const LogHistogram* StageHistogram(const std::string& stage) const;
-  const LogHistogram& TotalHistogram() const { return total_hist_; }
 
   // {"requests":N,"total":{...},"stages":{"name":{"count":..,"total_s":..,
   //  "share":..,"p50_s":..,"p99_s":..},...}} — share is the stage's fraction of

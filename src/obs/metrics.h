@@ -77,7 +77,6 @@ class MetricsRegistry {
   // Lookup without creation; nullptr when absent.
   const Counter* FindCounter(const std::string& name) const;
   const Gauge* FindGauge(const std::string& name) const;
-  const Histogram* FindHistogram(const std::string& name) const;
 
   // Convenience: counter value or 0 when the instrument does not exist yet.
   int64_t CounterValue(const std::string& name) const;

@@ -51,7 +51,6 @@ class TimeSeriesRecorder {
   SimDuration interval() const { return interval_; }
   int64_t samples_taken() const { return samples_taken_; }
   size_t series_count() const { return series_.size(); }
-  std::vector<std::string> SeriesNames() const;
   const Series* Find(const std::string& name) const;
 
   // Columnar JSON:

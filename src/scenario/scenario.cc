@@ -57,7 +57,7 @@ double CellOfferedRate(const ScenarioCell& cell) {
   switch (cell.workload) {
     case WorkloadShape::kStream:
       // Streams do not back off: the offered rate is fixed by the session count.
-      return cell.stream.sessions * cell.stream.frames_per_second;
+      return cell.stream.sessions * kStreamFramesPerSecond;
     case WorkloadShape::kFlashCrowd:
       // Base rate before the 10x step; the step itself lands at ~1.5x capacity,
       // which is what makes it a flash crowd rather than a ramp.
@@ -115,16 +115,10 @@ TranSendOptions CellOptions(const ScenarioCell& cell) {
   // re-distills, keeping the worker pool load-bearing (the chaos-campaign
   // idiom — otherwise the cache absorbs the workload and worker faults are
   // invisible).
-  options.universe.url_count =
+  options.universe = FixedJpegUniverse(
       cell.workload == WorkloadShape::kStream
           ? std::max<int64_t>(StreamUrlSpace(CellStreamConfig(cell)), 1)
-          : kUrlCount;
-  options.universe.sizes.gif_fraction = 0.0;
-  options.universe.sizes.html_fraction = 0.0;
-  options.universe.sizes.jpeg_fraction = 1.0;
-  options.universe.sizes.jpeg_mu = 9.2335;
-  options.universe.sizes.jpeg_sigma = 0.05;
-  options.universe.sizes.error_page_fraction = 0.0;
+          : kUrlCount);
   options.logic.cache_distilled = false;
   options.topology.worker_pool_nodes = cell.cluster.worker_pool_nodes;
   options.topology.front_ends = cell.cluster.front_ends;
@@ -145,13 +139,13 @@ TranSendOptions CellOptions(const ScenarioCell& cell) {
   return options;
 }
 
-std::string MetricsJson(const CellMetrics& m, double distort_goodput) {
+std::string MetricsJson(const CellMetrics& m) {
   return StrFormat(
       "{\"latency_p50_s\":%.9g,\"latency_p99_s\":%.9g,\"goodput\":%.9g,"
       "\"hit_rate\":%.9g,\"recovery_s\":%.9g,\"yield\":%.9g,\"harvest\":%.9g,"
       "\"sent\":%lld,\"completed\":%lld,"
       "\"errors\":%lld,\"timeouts\":%lld,\"late_completions\":%lld}",
-      m.latency_p50_s, m.latency_p99_s, m.goodput * distort_goodput, m.hit_rate,
+      m.latency_p50_s, m.latency_p99_s, m.goodput, m.hit_rate,
       m.recovery_s, m.yield, m.harvest, static_cast<long long>(m.sent),
       static_cast<long long>(m.completed), static_cast<long long>(m.errors),
       static_cast<long long>(m.timeouts),
@@ -163,10 +157,10 @@ std::string MetricsJson(const CellMetrics& m, double distort_goodput) {
 std::string BaselineJson(const CellResult& result) {
   return StrFormat("{\"schema_version\":2,\"cell\":\"%s\",\"metrics\":%s}\n",
                    JsonEscape(result.cell.Name()).c_str(),
-                   MetricsJson(result.metrics, 1.0).c_str());
+                   MetricsJson(result.metrics).c_str());
 }
 
-std::string MatrixSectionJson(const CellResult& result, double distort_goodput) {
+std::string MatrixSectionJson(const CellResult& result) {
   const ScenarioCell& cell = result.cell;
   std::string cluster = StrFormat(
       "{\"worker_pool_nodes\":%d,\"front_ends\":%d,\"cache_nodes\":%d,"
@@ -185,7 +179,7 @@ std::string MatrixSectionJson(const CellResult& result, double distort_goodput) 
       result.invariants.ok() ? "true" : "false",
       result.invariants.violations.size(),
       static_cast<long long>(result.faults_injected),
-      MetricsJson(result.metrics, distort_goodput).c_str());
+      MetricsJson(result.metrics).c_str());
 }
 
 CellResult RunScenarioCell(const ScenarioCell& cell, const CellRunOptions& options) {
@@ -384,7 +378,7 @@ CellResult RunScenarioCell(const ScenarioCell& cell, const CellRunOptions& optio
     // The uniform run artifact plus the cell's "matrix" section (the validator
     // allows extra sections, so matrix artifacts pass the same schema check).
     std::vector<ArtifactSection> sections = system->ArtifactSections();
-    sections.push_back({"matrix", MatrixSectionJson(result, options.distort_goodput)});
+    sections.push_back({"matrix", MatrixSectionJson(result)});
     result.artifact_written = WriteRunArtifact(path, "matrix_" + result.cell.Name(),
                                                sim->now(), sections);
     result.artifact_path = path;

@@ -126,13 +126,8 @@ struct CellResult {
 struct CellRunOptions {
   // Directory receiving BENCH_matrix_<cell>.json; empty = no artifact.
   std::string artifact_dir;
-  // Artifact-only multiplier applied to the emitted goodput metric. The run's
-  // real CellResult is untouched. Exists so the matrix-smoke regression guard
-  // can prove bench_diff catches an injected goodput regression (a WILL_FAIL
-  // ctest runs one cell with 0.8 and diffs it against the blessed baseline).
-  double distort_goodput = 1.0;
-  // Appended to the artifact *file name* (not the cell name), so a distorted
-  // artifact can sit next to the genuine one.
+  // Appended to the artifact *file name* (not the cell name), so a rerun's
+  // artifact can sit next to the first run's.
   std::string artifact_suffix;
 };
 
@@ -152,7 +147,7 @@ int64_t LongestZeroCompletionGap(const std::map<int64_t, int64_t>& completions_p
 std::string BaselineJson(const CellResult& result);
 
 // The artifact's "matrix" section (cell spec + invariant verdict + metrics).
-std::string MatrixSectionJson(const CellResult& result, double distort_goodput = 1.0);
+std::string MatrixSectionJson(const CellResult& result);
 
 }  // namespace sns
 

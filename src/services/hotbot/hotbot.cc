@@ -4,8 +4,6 @@ namespace sns {
 
 HotBotOptions DefaultHotBotOptions() {
   HotBotOptions options;
-  options.shard_count = 8;
-  options.logic.shard_count = options.shard_count;
   options.corpus.doc_count = 20000;
 
   // "The HTTP front ends in HotBot run 50-80 threads per node" (§3.2).
@@ -16,25 +14,24 @@ HotBotOptions DefaultHotBotOptions() {
 
   options.topology.front_ends = 2;
   options.topology.cache_nodes = 2;  // The integrated cache of recent searches.
-  options.topology.worker_pool_nodes = options.shard_count + 2;  // Headroom for restarts.
+  options.topology.worker_pool_nodes = options.logic.shard_count + 2;  // Headroom for restarts.
   options.topology.with_origin = false;
   return options;
 }
 
 HotBotService::HotBotService(const HotBotOptions& options)
     : options_(options),
-      shards_(BuildShardedCorpus(options.corpus, options.shard_count)),
+      shards_(BuildShardedCorpus(options.corpus, options.logic.shard_count)),
       system_(options.sns, options.topology) {
-  RegisterSearchShards(system_.registry(), shards_, options_.search_cost);
-  HotBotLogicConfig logic_config = options_.logic;
-  logic_config.shard_count = options_.shard_count;
-  system_.set_logic_factory(
-      [logic_config](int /*fe_index*/) { return std::make_shared<HotBotLogic>(logic_config); });
+  RegisterSearchShards(system_.registry(), shards_);
+  system_.set_logic_factory([logic_config = options_.logic](int /*fe_index*/) {
+    return std::make_shared<HotBotLogic>(logic_config);
+  });
 }
 
 void HotBotService::Start() {
   system_.Start();
-  for (int shard = 0; shard < options_.shard_count; ++shard) {
+  for (int shard = 0; shard < options_.logic.shard_count; ++shard) {
     system_.StartWorker(SearchShardType(shard));
   }
 }

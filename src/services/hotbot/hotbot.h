@@ -21,8 +21,6 @@ struct HotBotOptions {
   SystemTopology topology;
   HotBotLogicConfig logic;
   CorpusConfig corpus;
-  SearchCostConfig search_cost;
-  int shard_count = 8;
 };
 
 // Defaults modeled on the paper: HTTP front ends run 50-80 threads per node (§3.2);

@@ -8,6 +8,16 @@
 #include "src/util/strings.h"
 
 namespace sns {
+namespace {
+
+// Page size when the user's profile sets none.
+constexpr int kResultsPerPage = 10;
+// How many hits a search gathers and caches, regardless of page size — this is
+// what makes "incremental delivery" (Table 1) possible: page 2, 3, ... of the
+// same query are sliced from the cached result set without re-querying shards.
+constexpr int kCachedResultDepth = 50;
+
+}  // namespace
 
 std::string HotBotLogic::SearchCacheKey(const std::string& query, int k) {
   return StrFormat("search|%s|k=%d", query.c_str(), k);
@@ -73,7 +83,7 @@ void HotBotLogic::HandleRequest(RequestContext* ctx) {
     }
     // Incremental delivery (Table 1): all pages of a query share one cached result
     // set; only a full miss re-queries the partitions.
-    c->CacheGet(SearchCacheKey(query, config_.cached_result_depth),
+    c->CacheGet(SearchCacheKey(query, kCachedResultDepth),
                 [this, query, page](RequestContext* c2, bool hit, ContentPtr content) {
                   if (hit && content != nullptr) {
                     RespondPage(c2, ParseResultPage(content->bytes), page,
@@ -88,7 +98,7 @@ void HotBotLogic::HandleRequest(RequestContext* ctx) {
 void HotBotLogic::RespondPage(RequestContext* ctx, const ParsedResultPage& full, int page,
                               bool cache_hit) {
   int k = static_cast<int>(
-      ctx->profile().GetIntOr("results_per_page", config_.results_per_page));
+      ctx->profile().GetIntOr("results_per_page", kResultsPerPage));
   auto begin = static_cast<size_t>((page - 1) * k);
   std::vector<SearchHit> slice;
   for (size_t i = begin; i < full.hits.size() && slice.size() < static_cast<size_t>(k); ++i) {
@@ -135,8 +145,8 @@ void HotBotLogic::RunQuery(RequestContext* ctx, const std::string& query, int pa
                 }
                 return a.doc_id < b.doc_id;
               });
-    if (state->hits.size() > static_cast<size_t>(config_.cached_result_depth)) {
-      state->hits.resize(static_cast<size_t>(config_.cached_result_depth));
+    if (state->hits.size() > static_cast<size_t>(kCachedResultDepth)) {
+      state->hits.resize(static_cast<size_t>(kCachedResultDepth));
     }
     ParsedResultPage full;
     full.partitions_reached = state->reached;
@@ -146,7 +156,7 @@ void HotBotLogic::RunQuery(RequestContext* ctx, const std::string& query, int pa
     if (config_.cache_searches) {
       // Cache the FULL result set (depth hits) so later pages of this query are
       // incremental deliveries from the cache.
-      c->CachePut(SearchCacheKey(query, config_.cached_result_depth),
+      c->CachePut(SearchCacheKey(query, kCachedResultDepth),
                   Content::Make(c->request().url, MimeType::kHtml,
                                 RenderResultPage(full.hits, full.partitions_reached,
                                                  full.partitions_total, full.docs_searched)));
@@ -157,7 +167,7 @@ void HotBotLogic::RunQuery(RequestContext* ctx, const std::string& query, int pa
   for (int shard = 0; shard < config_.shard_count; ++shard) {
     std::map<std::string, std::string> args;
     args[kArgQuery] = query;
-    args[kArgTopK] = StrFormat("%d", config_.cached_result_depth);
+    args[kArgTopK] = StrFormat("%d", kCachedResultDepth);
     for (const auto& [key, value] : ctx->request().params) {
       if (key.rfind("__", 0) == 0) {
         args[key] = value;  // Fault-injection markers.

@@ -21,12 +21,7 @@ namespace sns {
 
 struct HotBotLogicConfig {
   int shard_count = 8;
-  int results_per_page = 10;
   bool cache_searches = true;
-  // How many hits a search gathers and caches, regardless of page size — this is
-  // what makes "incremental delivery" (Table 1) possible: page 2, 3, ... of the
-  // same query are sliced from the cached result set without re-querying shards.
-  int cached_result_depth = 50;
 };
 
 class HotBotLogic : public FrontEndLogic {
@@ -55,7 +50,7 @@ class HotBotLogic : public FrontEndLogic {
 
  private:
   void RunQuery(RequestContext* ctx, const std::string& query, int page);
-  // Slices page `page` (1-based, results_per_page hits) out of a full cached result
+  // Slices page `page` (1-based, a profile's results_per_page hits) out of a full cached result
   // set and responds with it.
   void RespondPage(RequestContext* ctx, const ParsedResultPage& full, int page,
                    bool cache_hit);

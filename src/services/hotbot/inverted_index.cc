@@ -6,6 +6,16 @@
 #include "src/util/strings.h"
 
 namespace sns {
+namespace {
+
+// Corpus vocabulary: word popularity is Zipf over kVocabulary ranks, and each
+// document carries a uniform number of terms in [kMinTerms, kMaxTerms].
+constexpr int64_t kVocabulary = 5000;
+constexpr double kTermZipfSkew = 1.05;
+constexpr int kMinTerms = 30;
+constexpr int kMaxTerms = 200;
+
+}  // namespace
 
 void InvertedIndexShard::AddDocument(const SearchDocument& doc) {
   ++doc_count_;
@@ -105,12 +115,12 @@ std::vector<ShardPtr> BuildShardedCorpus(const CorpusConfig& config, int shard_c
     SearchDocument doc;
     doc.id = id;
     doc.title = StrFormat("Document %lld (%s %s)", static_cast<long long>(id),
-                          VocabularyWord(rng.Zipf(config.vocabulary, config.term_zipf_skew)).c_str(),
-                          VocabularyWord(rng.Zipf(config.vocabulary, config.term_zipf_skew)).c_str());
-    int64_t terms = rng.UniformInt(config.min_terms, config.max_terms);
+                          VocabularyWord(rng.Zipf(kVocabulary, kTermZipfSkew)).c_str(),
+                          VocabularyWord(rng.Zipf(kVocabulary, kTermZipfSkew)).c_str());
+    int64_t terms = rng.UniformInt(kMinTerms, kMaxTerms);
     doc.terms.reserve(static_cast<size_t>(terms));
     for (int64_t t = 0; t < terms; ++t) {
-      doc.terms.push_back(VocabularyWord(rng.Zipf(config.vocabulary, config.term_zipf_skew)));
+      doc.terms.push_back(VocabularyWord(rng.Zipf(kVocabulary, kTermZipfSkew)));
     }
     // Random distribution of documents to shards (§3.2).
     auto shard = static_cast<size_t>(rng.UniformInt(0, shard_count - 1));
@@ -124,11 +134,11 @@ std::vector<ShardPtr> BuildShardedCorpus(const CorpusConfig& config, int shard_c
   return out;
 }
 
-std::vector<std::string> SampleQueryTerms(const CorpusConfig& config, Rng* rng, int terms) {
+std::vector<std::string> SampleQueryTerms(Rng* rng, int terms) {
   std::vector<std::string> out;
   out.reserve(static_cast<size_t>(terms));
   for (int i = 0; i < terms; ++i) {
-    out.push_back(VocabularyWord(rng->Zipf(config.vocabulary, config.term_zipf_skew)));
+    out.push_back(VocabularyWord(rng->Zipf(kVocabulary, kTermZipfSkew)));
   }
   return out;
 }

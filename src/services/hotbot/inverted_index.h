@@ -67,17 +67,13 @@ using ShardPtr = std::shared_ptr<const InvertedIndexShard>;
 struct CorpusConfig {
   uint64_t seed = 0x407B07;
   int64_t doc_count = 20000;
-  int64_t vocabulary = 5000;
-  double term_zipf_skew = 1.05;
-  int min_terms = 30;
-  int max_terms = 200;
 };
 
 // Builds `shard_count` shards with documents distributed randomly (as HotBot did).
 std::vector<ShardPtr> BuildShardedCorpus(const CorpusConfig& config, int shard_count);
 
 // Draws a query of `terms` Zipf-popular vocabulary words.
-std::vector<std::string> SampleQueryTerms(const CorpusConfig& config, Rng* rng, int terms);
+std::vector<std::string> SampleQueryTerms(Rng* rng, int terms);
 
 // The vocabulary word with the given rank (rank 0 = most popular).
 std::string VocabularyWord(int64_t rank);

@@ -5,6 +5,13 @@
 #include "src/util/strings.h"
 
 namespace sns {
+namespace {
+
+// Simulated CPU per query: a fixed part plus a part per thousand candidate postings.
+constexpr SimDuration kFixedCost = Milliseconds(2);
+constexpr SimDuration kCostPerThousandPostings = Milliseconds(3);
+
+}  // namespace
 
 std::string SearchShardType(int shard_id) { return StrFormat("search-shard-%d", shard_id); }
 
@@ -35,8 +42,8 @@ SimDuration SearchShardWorker::EstimateCost(const TaccRequest& request) const {
     }
   }
   double thousands = static_cast<double>(shard_->CandidatePostings(terms)) / 1000.0;
-  return cost_.fixed + static_cast<SimDuration>(
-                           static_cast<double>(cost_.per_thousand_postings) * thousands);
+  return kFixedCost + static_cast<SimDuration>(
+                          static_cast<double>(kCostPerThousandPostings) * thousands);
 }
 
 std::vector<uint8_t> EncodeSearchResults(int shard_id, int64_t doc_count,
@@ -79,12 +86,10 @@ Result<DecodedSearchResults> DecodeSearchResults(const std::vector<uint8_t>& byt
   return out;
 }
 
-void RegisterSearchShards(WorkerRegistry* registry, const std::vector<ShardPtr>& shards,
-                          const SearchCostConfig& cost) {
+void RegisterSearchShards(WorkerRegistry* registry, const std::vector<ShardPtr>& shards) {
   for (const ShardPtr& shard : shards) {
-    registry->Register(SearchShardType(shard->shard_id()), [shard, cost] {
-      return std::make_unique<SearchShardWorker>(shard, cost);
-    });
+    registry->Register(SearchShardType(shard->shard_id()),
+                       [shard] { return std::make_unique<SearchShardWorker>(shard); });
   }
 }
 

@@ -24,15 +24,9 @@ inline constexpr char kArgTopK[] = "k";
 
 std::string SearchShardType(int shard_id);
 
-struct SearchCostConfig {
-  SimDuration fixed = Milliseconds(2);
-  SimDuration per_thousand_postings = Milliseconds(3);
-};
-
 class SearchShardWorker : public TaccWorker {
  public:
-  SearchShardWorker(ShardPtr shard, const SearchCostConfig& cost)
-      : shard_(std::move(shard)), cost_(cost) {}
+  explicit SearchShardWorker(ShardPtr shard) : shard_(std::move(shard)) {}
 
   std::string type() const override { return SearchShardType(shard_->shard_id()); }
   bool interchangeable() const override { return false; }
@@ -41,7 +35,6 @@ class SearchShardWorker : public TaccWorker {
 
  private:
   ShardPtr shard_;
-  SearchCostConfig cost_;
 };
 
 // Wire format for shard results: one "doc_id<TAB>score<TAB>title" line per hit,
@@ -56,8 +49,7 @@ struct DecodedSearchResults {
 Result<DecodedSearchResults> DecodeSearchResults(const std::vector<uint8_t>& bytes);
 
 // Registers factories for all shards; each factory shares the immutable shard.
-void RegisterSearchShards(WorkerRegistry* registry, const std::vector<ShardPtr>& shards,
-                          const SearchCostConfig& cost = SearchCostConfig{});
+void RegisterSearchShards(WorkerRegistry* registry, const std::vector<ShardPtr>& shards);
 
 }  // namespace sns
 

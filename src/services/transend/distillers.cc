@@ -15,6 +15,17 @@ namespace {
 
 constexpr int64_t kMinDistilledBytes = 160;
 
+// Fig. 7: ~8 ms per input KB for the GIF distiller (decode + scale + re-encode).
+constexpr SimDuration kGifFixed = Milliseconds(4);
+constexpr SimDuration kGifPerKb = Milliseconds(8);
+// Fixed part of the JPEG cost (the slope is kJpegDistillPerKb).
+constexpr SimDuration kJpegFixed = Milliseconds(2);
+// "the HTML distiller is far more efficient".
+constexpr SimDuration kHtmlFixed = Milliseconds(1);
+constexpr SimDuration kHtmlPerKb = Milliseconds(0.8);
+// Lognormal sigma of the per-item cost noise (Fig. 7 shows large variance).
+constexpr double kNoiseSigma = 0.25;
+
 // Opaque content transform: produce undecodable bytes of the modeled size.
 ContentPtr OpaqueOutput(const TaccRequest& request, MimeType mime, int64_t out_size) {
   std::vector<uint8_t> bytes(static_cast<size_t>(std::max(out_size, kMinDistilledBytes)));
@@ -36,11 +47,10 @@ ContentPtr OpaqueOutput(const TaccRequest& request, MimeType mime, int64_t out_s
   return Content::Make(request.url, mime, std::move(bytes));
 }
 
-SimDuration NoisyCost(SimDuration fixed, SimDuration per_kb, int64_t bytes, double sigma,
-                      const std::string& url) {
-  double kb = static_cast<double>(bytes) / 1024.0;
+SimDuration NoisyCost(SimDuration fixed, SimDuration per_kb, const TaccRequest& request) {
+  double kb = static_cast<double>(request.TotalInputBytes()) / 1024.0;
   double base = static_cast<double>(fixed) + static_cast<double>(per_kb) * kb;
-  return static_cast<SimDuration>(base * CostNoiseFactor(url, sigma));
+  return static_cast<SimDuration>(base * CostNoiseFactor(request.url, kNoiseSigma));
 }
 
 }  // namespace
@@ -96,8 +106,7 @@ TaccResult JpegDistiller::Process(const TaccRequest& request) {
 }
 
 SimDuration JpegDistiller::EstimateCost(const TaccRequest& request) const {
-  return NoisyCost(cost_.jpeg_fixed, cost_.jpeg_per_kb, request.TotalInputBytes(),
-                   cost_.noise_sigma, request.url);
+  return NoisyCost(kJpegFixed, per_kb_, request);
 }
 
 // ---------- GIF distiller ------------------------------------------------------------
@@ -129,8 +138,7 @@ TaccResult GifDistiller::Process(const TaccRequest& request) {
 }
 
 SimDuration GifDistiller::EstimateCost(const TaccRequest& request) const {
-  return NoisyCost(cost_.gif_fixed, cost_.gif_per_kb, request.TotalInputBytes(),
-                   cost_.noise_sigma, request.url);
+  return NoisyCost(kGifFixed, kGifPerKb, request);
 }
 
 // ---------- HTML distiller (the munger) -------------------------------------------------
@@ -155,17 +163,14 @@ TaccResult HtmlDistiller::Process(const TaccRequest& request) {
 }
 
 SimDuration HtmlDistiller::EstimateCost(const TaccRequest& request) const {
-  return NoisyCost(cost_.html_fixed, cost_.html_per_kb, request.TotalInputBytes(),
-                   cost_.noise_sigma, request.url);
+  return NoisyCost(kHtmlFixed, kHtmlPerKb, request);
 }
 
-void RegisterTranSendDistillers(WorkerRegistry* registry, const DistillerCostConfig& cost) {
+void RegisterTranSendDistillers(WorkerRegistry* registry, SimDuration jpeg_per_kb) {
   registry->Register(kJpegDistillerType,
-                     [cost] { return std::make_unique<JpegDistiller>(cost); });
-  registry->Register(kGifDistillerType,
-                     [cost] { return std::make_unique<GifDistiller>(cost); });
-  registry->Register(kHtmlDistillerType,
-                     [cost] { return std::make_unique<HtmlDistiller>(cost); });
+                     [jpeg_per_kb] { return std::make_unique<JpegDistiller>(jpeg_per_kb); });
+  registry->Register(kGifDistillerType, [] { return std::make_unique<GifDistiller>(); });
+  registry->Register(kHtmlDistillerType, [] { return std::make_unique<HtmlDistiller>(); });
 }
 
 }  // namespace sns

@@ -35,60 +35,40 @@ inline constexpr char kJpegDistillerType[] = "distill-jpeg";
 inline constexpr char kGifDistillerType[] = "distill-gif";
 inline constexpr char kHtmlDistillerType[] = "munge-html";
 
-struct DistillerCostConfig {
-  // Fig. 7: ~8 ms per input KB for the GIF distiller (decode + scale + re-encode).
-  SimDuration gif_fixed = Milliseconds(4);
-  SimDuration gif_per_kb = Milliseconds(8);
-  // JPEG path is cheaper (no palette work); calibrated so a distiller sustains
-  // ~23 requests/second on the ~10 KB images of the §4.6 scalability experiment.
-  SimDuration jpeg_fixed = Milliseconds(2);
-  SimDuration jpeg_per_kb = Milliseconds(4);
-  // "the HTML distiller is far more efficient".
-  SimDuration html_fixed = Milliseconds(1);
-  SimDuration html_per_kb = Milliseconds(0.8);
-  // Lognormal sigma of the per-item cost noise (Fig. 7 shows large variance).
-  double noise_sigma = 0.25;
-};
+// Per-input-KB cost of the JPEG distiller, the one distiller cost a caller
+// varies (Fig. 8 gives it the GIF slope). The JPEG path is cheaper than the GIF
+// one (no palette work); calibrated so a distiller sustains ~23 requests/second
+// on the ~10 KB images of the §4.6 scalability experiment.
+inline constexpr SimDuration kJpegDistillPerKb = Milliseconds(4);
 
 class JpegDistiller : public TaccWorker {
  public:
-  explicit JpegDistiller(const DistillerCostConfig& cost = DistillerCostConfig{})
-      : cost_(cost) {}
+  explicit JpegDistiller(SimDuration per_kb = kJpegDistillPerKb) : per_kb_(per_kb) {}
   std::string type() const override { return kJpegDistillerType; }
   TaccResult Process(const TaccRequest& request) override;
   SimDuration EstimateCost(const TaccRequest& request) const override;
 
  private:
-  DistillerCostConfig cost_;
+  SimDuration per_kb_;
 };
 
 class GifDistiller : public TaccWorker {
  public:
-  explicit GifDistiller(const DistillerCostConfig& cost = DistillerCostConfig{})
-      : cost_(cost) {}
   std::string type() const override { return kGifDistillerType; }
   TaccResult Process(const TaccRequest& request) override;
   SimDuration EstimateCost(const TaccRequest& request) const override;
-
- private:
-  DistillerCostConfig cost_;
 };
 
 class HtmlDistiller : public TaccWorker {
  public:
-  explicit HtmlDistiller(const DistillerCostConfig& cost = DistillerCostConfig{})
-      : cost_(cost) {}
   std::string type() const override { return kHtmlDistillerType; }
   TaccResult Process(const TaccRequest& request) override;
   SimDuration EstimateCost(const TaccRequest& request) const override;
-
- private:
-  DistillerCostConfig cost_;
 };
 
 // Registers all three distiller factories.
 void RegisterTranSendDistillers(WorkerRegistry* registry,
-                                const DistillerCostConfig& cost = DistillerCostConfig{});
+                                SimDuration jpeg_per_kb = kJpegDistillPerKb);
 
 // Expected output/input size ratio for image distillation — used for opaque
 // content and exposed for tests. Calibrated to the paper's example: scale 2 +

@@ -44,7 +44,7 @@ TranSendOptions DefaultTranSendOptions() {
 
 TranSendService::TranSendService(const TranSendOptions& options)
     : options_(options), universe_(options.universe), system_(options.sns, options.topology) {
-  RegisterTranSendDistillers(system_.registry(), options_.distiller_cost);
+  RegisterTranSendDistillers(system_.registry(), options_.jpeg_distill_per_kb);
   TranSendLogicConfig logic_config = options_.logic;
   system_.set_logic_factory([logic_config](int /*fe_index*/) {
     return std::make_shared<TranSendLogic>(logic_config);
@@ -74,7 +74,9 @@ PlaybackEngine* TranSendService::AddPlaybackEngine(uint64_t seed) {
 PlaybackEngine* TranSendService::AddPlaybackEngine(PlaybackConfig config) {
   NodeConfig client;
   client.workers_allowed = false;
-  client.link = options_.client_link;
+  // A plain LinkConfig, not the calibrated SAN default: each client node gets its
+  // own uncalibrated 100 Mb/s NIC.
+  client.link = LinkConfig{};
   NodeId node = system_.cluster()->AddNode(client);
   config.front_ends = [this] { return LiveFrontEnds(); };
   if (config.availability == nullptr) {

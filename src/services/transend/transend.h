@@ -26,11 +26,9 @@ struct TranSendOptions {
   SnsConfig sns;
   SystemTopology topology;
   TranSendLogicConfig logic;
-  DistillerCostConfig distiller_cost;
+  SimDuration jpeg_distill_per_kb = kJpegDistillPerKb;
   ContentUniverseConfig universe;
   OriginConfig origin;
-  // Each playback engine gets its own client node with this link.
-  LinkConfig client_link;
 };
 
 // Calibrated defaults reproducing the paper's operating points:

@@ -4,6 +4,12 @@
 #include "src/services/transend/distillers.h"
 
 namespace sns {
+namespace {
+
+// Quality label (low | med | high) when the user has no profile entry.
+constexpr char kDefaultQuality[] = "med";
+
+}  // namespace
 
 std::map<std::string, std::string> TranSendLogicConfig::ArgsForQuality(
     const std::string& label) {
@@ -62,7 +68,7 @@ void TranSendLogic::HandleRequest(RequestContext* ctx) {
       });
       return;
     }
-    std::string quality = profile.GetOr("quality", config_.default_quality);
+    std::string quality = profile.GetOr("quality", kDefaultQuality);
     MimeType mime = MimeTypeFromUrl(c->request().url);
     bool distillable = profile.GetBoolOr("distill", true) &&
                        (mime == MimeType::kGif || mime == MimeType::kJpeg ||
@@ -99,9 +105,7 @@ void TranSendLogic::WithOriginal(RequestContext* ctx, const std::string& quality
             c2->Respond(status, nullptr, ResponseSource::kError, false);
             return;
           }
-          if (config_.cache_originals) {
-            c2->CachePut(OriginalKey(c2->request().url), fetched);
-          }
+          c2->CachePut(OriginalKey(c2->request().url), fetched);
           Distill(c2, quality, std::move(fetched), /*original_was_cached=*/false);
         });
       });

@@ -28,10 +28,6 @@ struct TranSendLogicConfig {
   // Store distilled variants back into the virtual cache. The scalability
   // experiment turns this off so every request re-distills (§4.6).
   bool cache_distilled = true;
-  // Store fetched originals in the cache.
-  bool cache_originals = true;
-  // Defaults when the user has no profile entry.
-  std::string default_quality = "med";  // low | med | high
   // Map a quality label to distiller args.
   static std::map<std::string, std::string> ArgsForQuality(const std::string& label);
 };

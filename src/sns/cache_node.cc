@@ -7,6 +7,12 @@
 #include "src/util/strings.h"
 
 namespace sns {
+namespace {
+
+// CPU charged per put (cf. CacheNodeConfig::cpu_per_get).
+constexpr SimDuration kCpuPerPut = Milliseconds(4);
+
+}  // namespace
 
 CacheNodeProcess::CacheNodeProcess(const SnsConfig& sns_config, const CacheNodeConfig& config)
     : Process("cache-node"),
@@ -14,8 +20,8 @@ CacheNodeProcess::CacheNodeProcess(const SnsConfig& sns_config, const CacheNodeC
       config_(config),
       cache_(config.capacity_bytes,
              [](const ContentPtr& c) { return c == nullptr ? 0 : c->size(); }),
-      ring_(sns_config.cache_ring_vnodes),
-      settled_ring_(sns_config.cache_ring_vnodes),
+      ring_(kCacheRingVnodes),
+      settled_ring_(kCacheRingVnodes),
       rebalance_bucket_(sns_config.cache_rebalance_bytes_per_s,
                         sns_config.cache_rebalance_burst_bytes) {}
 
@@ -34,8 +40,8 @@ void CacheNodeProcess::OnStart() {
   used_bytes_gauge_ = metrics()->GetGauge(prefix + "used_bytes");
   rebalance_active_gauge_ = metrics()->GetGauge(prefix + "rebalance_active");
   JoinGroup(kGroupManagerBeacon);
-  report_timer_ = std::make_unique<PeriodicTimer>(sim(), sns_config_.load_report_period,
-                                                  [this] { ReportLoad(); });
+  report_timer_ =
+      std::make_unique<PeriodicTimer>(sim(), kLoadReportPeriod, [this] { ReportLoad(); });
   report_timer_->Start();
 }
 
@@ -124,7 +130,7 @@ void CacheNodeProcess::RebalanceStep() {
   int64_t self = CacheRingMemberId(endpoint());
   int processed = 0;
   while (rebalance_pos_ < rebalance_queue_.size() &&
-         processed < sns_config_.cache_rebalance_batch_keys) {
+         processed < kCacheRebalanceBatchKeys) {
     const std::string& key = rebalance_queue_[rebalance_pos_];
     const ContentPtr* slot = cache_.Peek(key);
     if (slot == nullptr || *slot == nullptr) {
@@ -317,7 +323,7 @@ void CacheNodeProcess::HandlePut(const Message& msg) {
   ++outstanding_;
   TraceContext span = ChildSpan(msg.trace);
   SimTime start = sim()->now();
-  RunOnCpu(config_.cpu_per_put, [this, put, span, start] {
+  RunOnCpu(kCpuPerPut, [this, put, span, start] {
     --outstanding_;
     if (put->content != nullptr) {
       // Content equality (one ContentPtr, or equal bytes: two origin fetches of a

@@ -42,7 +42,6 @@ struct CacheNodeConfig {
   // CPU charged per operation (request parsing, hash lookup, I/O). With the forced
   // per-request TCP connection this lands hits at ~27 ms end-to-end (§4.4).
   SimDuration cpu_per_get = Milliseconds(8);
-  SimDuration cpu_per_put = Milliseconds(4);
   // Flight-recorder sink for rebalance window start/end instants; optional
   // (SnsSystem wires its own EventLog in; standalone tests may leave it null).
   EventLog* event_log = nullptr;

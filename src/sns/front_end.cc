@@ -240,7 +240,7 @@ void FrontEndProcess::StartRequest(std::shared_ptr<const ClientRequestPayload> r
   contexts_[raw->id_] = std::move(ctx);
   // Connection shepherding + dispatch-logic CPU, charged before the logic runs.
   uint64_t id = raw->id_;
-  RunOnCpu(config_.fe_cpu_per_request, [this, id] {
+  RunOnCpu(kFeCpuPerRequest, [this, id] {
     RequestContext* ctx2 = FindContext(id);
     if (ctx2 != nullptr) {
       logic_->HandleRequest(ctx2);
@@ -430,7 +430,7 @@ void FrontEndProcess::DoGetProfile(RequestContext* ctx, RequestContext::ProfileC
   msg.size_bytes = 64 + static_cast<int64_t>(user.size());
   msg.payload = std::move(payload);
   SendOp(ctx, op_id, PendingOp("fe.profile_get", &FrontEndProcess::FinishProfileGet, std::move(cb)),
-         config_.profile_timeout, std::move(msg));
+         kProfileTimeout, std::move(msg));
 }
 
 void FrontEndProcess::FinishProfileGet(PendingOp& op, RequestContext* ctx, const Message* reply) {
@@ -475,7 +475,7 @@ void FrontEndProcess::DoPutProfile(RequestContext* ctx, const UserProfile& profi
   msg.size_bytes = 64 + profile.WireSize();
   msg.payload = std::move(payload);
   SendOp(ctx, op_id, PendingOp("fe.profile_put", &FrontEndProcess::FinishProfilePut, std::move(cb)),
-         config_.profile_timeout, std::move(msg));
+         kProfileTimeout, std::move(msg));
 }
 
 void FrontEndProcess::FinishProfilePut(PendingOp& op, RequestContext* ctx, const Message* reply) {
@@ -540,7 +540,7 @@ void FrontEndProcess::SendCacheProbe(PendingOp op, std::string key) {
   // Harvest's protocol: a fresh TCP connection per cache request (§3.1.5).
   San::SendOptions opts;
   opts.force_new_connection = true;
-  SendOp(ctx, op_id, std::move(op), config_.cache_timeout, std::move(msg), std::move(opts));
+  SendOp(ctx, op_id, std::move(op), kCacheTimeout, std::move(msg), std::move(opts));
 }
 
 void FrontEndProcess::FinishCacheGet(PendingOp& op, RequestContext* ctx, const Message* reply) {
@@ -824,7 +824,7 @@ void FrontEndProcess::TaskAttemptFailed(uint64_t task_id, bool worker_dead) {
   double scale = std::pow(2.0, retry_index - 1) * rng_.Uniform(0.5, 1.5);
   auto delay = static_cast<SimDuration>(
       static_cast<double>(config_.task_retry_backoff_base) * scale);
-  delay = std::min(delay, config_.task_retry_backoff_max);
+  delay = std::min(delay, kTaskRetryBackoffMax);
   RequestContext* ctx = FindContext(task.request_id);
   if (ctx != nullptr) {
     SimDuration budget = RemainingBudget(ctx);

@@ -144,7 +144,6 @@ class FrontEndProcess : public Process {
   // Counters live in the cluster's MetricsRegistry under "fe.<index>.*"; they are
   // cumulative across front-end restarts.
   int64_t completed_requests() const { return CounterOr0(completed_); }
-  int64_t error_responses() const { return CounterOr0(errors_); }
   int64_t manager_restarts_triggered() const { return CounterOr0(manager_restarts_); }
   int64_t deadline_expired() const { return CounterOr0(deadline_expired_); }
   int64_t retries_backoff() const { return CounterOr0(retries_backoff_); }

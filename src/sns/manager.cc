@@ -16,9 +16,9 @@ ManagerProcess::ManagerProcess(const SnsConfig& config, ComponentLauncher* launc
       launcher_(launcher),
       epoch_(epoch),
       membership_(membership),
-      workers_(config.worker_ttl),
-      front_ends_(config.front_end_ttl),
-      cache_nodes_(config.worker_ttl) {}
+      workers_(kWorkerTtl),
+      front_ends_(kFrontEndTtl),
+      cache_nodes_(kWorkerTtl) {}
 
 void ManagerProcess::OnStart() {
   beacons_sent_ = metrics()->GetCounter("manager.beacons_sent");
@@ -35,7 +35,7 @@ void ManagerProcess::OnStart() {
   // Subscribing to its own beacon group is how a manager discovers a rival
   // incarnation after a partition heals (its own beacons don't loop back).
   JoinGroup(kGroupManagerBeacon);
-  beacon_timer_ = std::make_unique<PeriodicTimer>(sim(), config_.manager_beacon_period,
+  beacon_timer_ = std::make_unique<PeriodicTimer>(sim(), kManagerBeaconPeriod,
                                                   [this] { Beacon(); });
   // First beacon goes out almost immediately so a restarted manager re-announces
   // itself fast (workers re-register on hearing it, §3.1.3).
@@ -136,7 +136,7 @@ void ManagerProcess::RefreshComponent(const LoadReportPayload& p, SimTime now) {
 ManagerProcess::WorkerState* ManagerProcess::UpsertWorker(const Endpoint& ep,
                                                           const std::string& worker_type,
                                                           bool interchangeable, SimTime now) {
-  WorkerState state(config_.load_ewma_alpha);
+  WorkerState state(kLoadEwmaAlpha);
   state.worker_type = worker_type;
   state.interchangeable = interchangeable;
   workers_.Refresh(ep, std::move(state), now);
@@ -154,7 +154,7 @@ void ManagerProcess::HandleLoadReport(const LoadReportPayload& p) {
   reports_received_->Increment();
   // Aggregating an announcement costs CPU; at §4.6's 1800 announcements/s this is
   // what bounds the manager's ultimate capacity.
-  RunOnCpu(config_.manager_cpu_per_report, [] {});
+  RunOnCpu(kManagerCpuPerReport, [] {});
   SimTime now = sim()->now();
   if (p.kind != ComponentKind::kWorker) {
     RefreshComponent(p, now);
@@ -288,7 +288,7 @@ void ManagerProcess::ExpireSoftState() {
   // primary that recovers from the shared WAL (HotBot's Informix primary/backup
   // role, Table 1 / §3.2).
   if (profile_db_.valid() && profile_db_last_seen_ >= 0 &&
-      now - profile_db_last_seen_ > config_.front_end_ttl) {
+      now - profile_db_last_seen_ > kFrontEndTtl) {
     SNS_LOG(kWarning, "manager") << "profile DB silent; failing over";
     profile_db_failovers_->Increment();
     profile_db_last_seen_ = now;  // One failover per TTL window.
@@ -322,7 +322,7 @@ void ManagerProcess::RunPolicy() {
       continue;
     }
     // --- Reap: sustained low load and more than the minimum population. ---
-    if (avg < config_.reap_threshold && load.count > config_.min_workers_per_type) {
+    if (avg < config_.reap_threshold && load.count > kMinWorkersPerType) {
       auto it = low_load_since_.find(type);
       if (it == low_load_since_.end()) {
         low_load_since_[type] = now;
@@ -363,7 +363,7 @@ bool ManagerProcess::TrySpawn(const std::string& type, bool bypass_cooldown) {
     return false;
   }
   last_spawn_[type] = now;
-  pending_placements_[node] = now + config_.worker_ttl;
+  pending_placements_[node] = now + kWorkerTtl;
   spawns_initiated_->Increment();
   SNS_LOG(kInfo, "manager") << "spawning " << type << " on node " << node
                             << (cluster()->IsOverflowNode(node) ? " (overflow)" : "");

@@ -42,7 +42,7 @@ ManagerLink::Sighting ManagerStub::OnBeacon(const ManagerBeaconPayload& beacon, 
   // dropped datagram must not zero a worker's load accounting and skew the
   // lottery. Sustained absence evicts.
   for (auto& [ep, view] : workers_) {
-    if (now - view.last_seen <= config_.beacon_absence_grace) {
+    if (now - view.last_seen <= kBeaconAbsenceGrace) {
       next[ep] = std::move(view);
     }
   }
@@ -157,7 +157,7 @@ SimDuration ManagerStub::BeaconSilence(SimTime now) const {
 
 bool ManagerStub::ManagerSuspectedDead(SimTime now) const {
   SimDuration silence = BeaconSilence(now);
-  return silence != kTimeNever && silence > config_.manager_silence_restart;
+  return silence != kTimeNever && silence > kManagerSilenceRestart;
 }
 
 size_t ManagerStub::KnownWorkerCount(const std::string& type) const {

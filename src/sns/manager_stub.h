@@ -43,7 +43,7 @@ namespace sns {
 class ManagerStub {
  public:
   ManagerStub(const SnsConfig& config, Rng* rng)
-      : config_(config), rng_(rng), cache_ring_(config.cache_ring_vnodes) {}
+      : config_(config), rng_(rng), cache_ring_(kCacheRingVnodes) {}
 
   // Feed a received beacon into the cache; returns what ManagerLink::Follow made
   // of it. A kStale beacon came from a fenced manager incarnation and changes

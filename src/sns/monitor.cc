@@ -6,10 +6,9 @@
 
 namespace sns {
 
-MonitorProcess::MonitorProcess(const SnsConfig& config, ComponentLauncher* launcher)
+MonitorProcess::MonitorProcess(ComponentLauncher* launcher)
     : Process("monitor"),
-      config_(config),
-      components_(config.monitor_component_ttl),
+      components_(kMonitorComponentTtl),
       launcher_(launcher) {}
 
 void MonitorProcess::OnStart() {
@@ -17,7 +16,7 @@ void MonitorProcess::OnStart() {
   manager_restarts_ = metrics()->GetCounter("monitor.manager_restarts");
   stale_beacons_fenced_ = metrics()->GetCounter("monitor.stale_beacons_fenced");
   JoinGroup(kGroupManagerBeacon);
-  sweep_timer_ = std::make_unique<PeriodicTimer>(sim(), config_.monitor_report_period,
+  sweep_timer_ = std::make_unique<PeriodicTimer>(sim(), kMonitorReportPeriod,
                                                  [this] { Sweep(); });
   sweep_timer_->Start();
 }
@@ -71,8 +70,7 @@ void MonitorProcess::Sweep() {
   // monitor stands in for the paged operator and restarts it; the new manager then
   // restarts the missing front ends.
   if (launcher_ != nullptr && last_beacon_at_ >= 0 &&
-      sim()->now() - last_beacon_at_ > config_.manager_silence_restart +
-                                           config_.monitor_report_period) {
+      sim()->now() - last_beacon_at_ > kManagerSilenceRestart + kMonitorReportPeriod) {
     Raise("manager", "manager beacons silent with no surviving peer; restarting");
     manager_restarts_->Increment();
     last_beacon_at_ = sim()->now();  // One restart attempt per window.

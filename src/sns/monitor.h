@@ -45,7 +45,7 @@ class MonitorProcess : public Process {
   // manager and every front end die inside the same detection window, the mutual
   // process-peer restart web (§3.1.3) has no surviving member — the monitor, which
   // would otherwise page a human, then restarts the manager itself.
-  explicit MonitorProcess(const SnsConfig& config, ComponentLauncher* launcher = nullptr);
+  explicit MonitorProcess(ComponentLauncher* launcher = nullptr);
 
   void OnStart() override;
   void OnStop() override;
@@ -83,7 +83,6 @@ class MonitorProcess : public Process {
   void Sweep();
   void Raise(const std::string& component, const std::string& message);
 
-  SnsConfig config_;
   SoftStateTable<Endpoint, ComponentView, EndpointHash> components_;
   std::function<void(const MonitorAlarm&)> alarm_handler_;
   std::vector<MonitorAlarm> alarms_;

@@ -3,6 +3,12 @@
 #include "src/util/logging.h"
 
 namespace sns {
+namespace {
+
+constexpr SimDuration kReadLatency = Microseconds(400);  // Index lookup, page cached.
+constexpr SimDuration kCommitLatency = Milliseconds(6);  // WAL append + fsync.
+
+}  // namespace
 
 ProfileDbProcess::ProfileDbProcess(const ProfileDbConfig& config, KvStore* store)
     : Process("profile-db"), config_(config), store_(store) {}
@@ -92,7 +98,7 @@ void ProfileDbProcess::OnMessage(const Message& msg) {
 
 void ProfileDbProcess::HandleGet(const Message& msg) {
   auto get = std::static_pointer_cast<const ProfileGetPayload>(msg.payload);
-  RunOnCpu(config_.read_latency, [this, get] {
+  RunOnCpu(kReadLatency, [this, get] {
     ++reads_;
     auto reply = std::make_shared<ProfileReplyPayload>();
     reply->op_id = get->op_id;
@@ -116,7 +122,7 @@ void ProfileDbProcess::HandleGet(const Message& msg) {
 
 void ProfileDbProcess::HandlePut(const Message& msg) {
   auto put = std::static_pointer_cast<const ProfilePutPayload>(msg.payload);
-  RunOnCpu(config_.commit_latency, [this, put] {
+  RunOnCpu(kCommitLatency, [this, put] {
     // The write-ack contract (DESIGN.md §14): evaluate quorum and the store
     // reservation at the commit instant, not at arrival — the partition may
     // have happened while this write sat in the CPU queue.

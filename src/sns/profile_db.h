@@ -22,8 +22,6 @@
 namespace sns {
 
 struct ProfileDbConfig {
-  SimDuration read_latency = Microseconds(400);   // Index lookup, page cached.
-  SimDuration commit_latency = Milliseconds(6);   // WAL append + fsync.
   // Incarnation number, allocated monotonically by the launcher across fenced
   // failovers. 0 (unit tests, hand-built processes) disables generation fencing.
   uint64_t generation = 0;

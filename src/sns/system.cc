@@ -15,7 +15,7 @@ SnsSystem::SnsSystem(const SnsConfig& config, const SystemTopology& topology)
       cluster_(&sim_, &san_) {
   san_.set_event_log(&event_log_);
   san_.BindMetrics(cluster_.metrics());
-  quorum_disk_ = std::make_unique<QuorumDisk>(&quorum_disk_store_, config_.quorum_disk_lease);
+  quorum_disk_ = std::make_unique<QuorumDisk>(&quorum_disk_store_, kQuorumDiskLease);
   membership_ = std::make_unique<MembershipService>(&san_, quorum_disk_.get());
   fence_agent_ = std::make_unique<FenceAgent>(&cluster_);
   // Quorum regroups and fence kills land on the same fault timeline as injected
@@ -68,9 +68,7 @@ void SnsSystem::Start() {
   for (int i = 0; i < topology_.cache_nodes; ++i) {
     cache_nodes_.push_back(cluster_.AddNode(infra));
   }
-  if (topology_.with_profile_db) {
-    profile_db_node_ = cluster_.AddNode(infra);
-  }
+  profile_db_node_ = cluster_.AddNode(infra);
   if (topology_.with_origin) {
     NodeConfig origin = infra;
     origin.link = topology_.origin_link;
@@ -87,16 +85,14 @@ void SnsSystem::Start() {
   // manager's node seeds the quorum gauges and claims the quorum-disk lease for
   // the incumbent side, so a later even split breaks toward it.
   for (NodeId node : cluster_.AllNodes()) {
-    membership_->SetVotes(node, config_.node_votes);
+    membership_->SetVotes(node, kNodeVotes);
   }
   if (config_.infra_node_votes > 0) {
     // Core-weighted layout: the stateful service core outvotes the worker pool.
     membership_->SetVotes(manager_node_, config_.infra_node_votes);
     for (NodeId node : fe_nodes_) membership_->SetVotes(node, config_.infra_node_votes);
     for (NodeId node : cache_nodes_) membership_->SetVotes(node, config_.infra_node_votes);
-    if (topology_.with_profile_db) {
-      membership_->SetVotes(profile_db_node_, config_.infra_node_votes);
-    }
+    membership_->SetVotes(profile_db_node_, config_.infra_node_votes);
     if (topology_.with_origin) {
       membership_->SetVotes(origin_node_, config_.infra_node_votes);
     }
@@ -106,13 +102,12 @@ void SnsSystem::Start() {
   membership_->Regroup(manager_node_, sim_.now(), /*renew=*/true);
 
   // --- Flight recorder: sample every metric + per-node CPU on a fixed cadence. ---
-  recorder_ = std::make_unique<TimeSeriesRecorder>(cluster_.metrics(),
-                                                   config_.timeseries_interval);
+  recorder_ = std::make_unique<TimeSeriesRecorder>(cluster_.metrics(), kTimeseriesInterval);
   for (NodeId node : cluster_.AllNodes()) {
     AddNodeProbes(node);
   }
   recorder_timer_ = std::make_unique<PeriodicTimer>(
-      &sim_, config_.timeseries_interval, [this] { recorder_->SampleAt(sim_.now()); });
+      &sim_, kTimeseriesInterval, [this] { recorder_->SampleAt(sim_.now()); });
   recorder_timer_->Start();
 
   // --- Spawn the infrastructure processes. ---
@@ -126,13 +121,8 @@ void SnsSystem::Start() {
         cache_nodes_[static_cast<size_t>(i)],
         std::make_unique<CacheNodeProcess>(config_, topology_.cache)));
   }
-  if (topology_.with_profile_db) {
-    RelaunchProfileDb();
-  }
-  if (topology_.with_monitor) {
-    monitor_pid_ =
-        cluster_.Spawn(manager_node_, std::make_unique<MonitorProcess>(config_, this));
-  }
+  RelaunchProfileDb();
+  monitor_pid_ = cluster_.Spawn(manager_node_, std::make_unique<MonitorProcess>(this));
   // The origin must exist before any front end so FEs are constructed with a valid
   // gateway endpoint.
   if (topology_.with_origin && origin_factory_) {
@@ -171,7 +161,7 @@ int SnsSystem::AddFrontEnd() {
   fe_nodes_.push_back(cluster_.AddNode(fe));
   membership_->SetVotes(fe_nodes_.back(), config_.infra_node_votes > 0
                                               ? config_.infra_node_votes
-                                              : config_.node_votes);
+                                              : kNodeVotes);
   AddNodeProbes(fe_nodes_.back());
   fe_pids_.push_back(kInvalidProcess);
   int fe_index = static_cast<int>(fe_pids_.size()) - 1;
@@ -185,7 +175,7 @@ ProcessId SnsSystem::LaunchWorker(const std::string& type, NodeId node) {
     SNS_LOG(kError, "system") << "no factory registered for worker type " << type;
     return kInvalidProcess;
   }
-  return cluster_.Spawn(node, std::make_unique<WorkerProcess>(config_, std::move(worker)));
+  return cluster_.Spawn(node, std::make_unique<WorkerProcess>(std::move(worker)));
 }
 
 ProcessId SnsSystem::RelaunchManager(NodeId requester) {
@@ -260,9 +250,6 @@ ProcessId SnsSystem::RelaunchFrontEnd(int fe_index, NodeId requester) {
 }
 
 ProcessId SnsSystem::RelaunchProfileDb(NodeId requester) {
-  if (!topology_.with_profile_db) {
-    return kInvalidProcess;
-  }
   Process* incumbent =
       profile_db_pid_ != kInvalidProcess ? cluster_.Find(profile_db_pid_) : nullptr;
   if (incumbent != nullptr && RequesterCanReach(requester, incumbent->node())) {
@@ -375,8 +362,9 @@ std::vector<FrontEndProcess*> SnsSystem::front_ends() const {
 
 std::vector<ArtifactSection> SnsSystem::ArtifactSections() {
   MonitorProcess* monitor_process = monitor();
-  // Without a monitor (with_monitor=false topologies) fall back to the bare
-  // registry so the artifact still carries the metrics.
+  // No monitor before Start, or once the manager's node (which hosts it) has
+  // crashed: nothing relaunches it. Fall back to the bare registry so the
+  // artifact still carries the metrics.
   return {{"snapshot", monitor_process != nullptr ? monitor_process->ExportJson()
                                                   : metrics()->RenderJson()},
           {"timeseries", recorder_ != nullptr ? recorder_->ToJson() : "{}"},
@@ -429,21 +417,5 @@ ProfileDbProcess* SnsSystem::profile_db() const {
 }
 
 Process* SnsSystem::origin_process() const { return cluster_.Find(origin_pid_); }
-
-int64_t SnsSystem::TotalCompletedRequests() const {
-  int64_t total = 0;
-  for (FrontEndProcess* fe : front_ends()) {
-    total += fe->completed_requests();
-  }
-  return total;
-}
-
-int64_t SnsSystem::TotalErrorResponses() const {
-  int64_t total = 0;
-  for (FrontEndProcess* fe : front_ends()) {
-    total += fe->error_responses();
-  }
-  return total;
-}
 
 }  // namespace sns

@@ -51,8 +51,6 @@ struct SystemTopology {
   int overflow_nodes = 0;       // Recruited only under bursts (§2.2.3).
   int front_ends = 1;
   int cache_nodes = 4;          // TranSend ran Harvest workers on four nodes.
-  bool with_profile_db = true;
-  bool with_monitor = true;
   bool with_origin = false;     // A gateway node to the simulated Internet.
 
   // SAN characteristics (switched 100 Mb/s Ethernet by default, §4).
@@ -171,10 +169,6 @@ class SnsSystem : public ComponentLauncher {
 
   // The six required run-artifact sections (src/obs/artifact.h), exported now.
   std::vector<ArtifactSection> ArtifactSections();
-
-  // Aggregate FE stats (across current incarnations).
-  int64_t TotalCompletedRequests() const;
-  int64_t TotalErrorResponses() const;
 
  private:
   // Registers the per-node CPU gauges ("node.<id>.cpu_util" / ".cpu_backlog_s")

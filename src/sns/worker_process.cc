@@ -7,9 +7,8 @@
 
 namespace sns {
 
-WorkerProcess::WorkerProcess(const SnsConfig& config, TaccWorkerPtr worker)
+WorkerProcess::WorkerProcess(TaccWorkerPtr worker)
     : Process("worker:" + worker->type()),
-      config_(config),
       worker_(std::move(worker)),
       type_(worker_->type()) {}
 
@@ -20,13 +19,13 @@ void WorkerProcess::OnStart() {
   expired_ = metrics()->GetCounter(prefix + "expired_tasks");
   queue_gauge_ = metrics()->GetGauge(prefix + "queue_length");
   JoinGroup(kGroupManagerBeacon);
-  report_timer_ = std::make_unique<PeriodicTimer>(sim(), config_.load_report_period,
+  report_timer_ = std::make_unique<PeriodicTimer>(sim(), kLoadReportPeriod,
                                                   [this] { ReportLoad(); });
   // Stagger reports across workers so hundreds of colocated distillers don't
   // synchronize their announcements into one burst at the manager's NIC.
   auto stagger = static_cast<SimDuration>(
       (static_cast<uint64_t>(pid()) * 0x9E3779B97F4A7C15ULL) %
-      static_cast<uint64_t>(config_.load_report_period));
+      static_cast<uint64_t>(kLoadReportPeriod));
   report_timer_->StartWithDelay(stagger + Milliseconds(1));
 }
 
@@ -126,7 +125,7 @@ void WorkerProcess::HandleTask(const Message& msg) {
   // queue up and expire at its deadline. The front end falls back to an
   // approximate answer while there is still time to deliver it (§3.1.8).
   if (task->deadline != kTimeNever &&
-      sim()->now() + queued_cost_ + cost + config_.task_admission_headroom >
+      sim()->now() + queued_cost_ + cost + kTaskAdmissionHeadroom >
           task->deadline) {
     RejectTask(*task, ChildSpan(msg.trace), "queued backlog exceeds deadline budget");
     return;

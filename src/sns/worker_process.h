@@ -30,7 +30,7 @@ namespace sns {
 
 class WorkerProcess : public Process {
  public:
-  WorkerProcess(const SnsConfig& config, TaccWorkerPtr worker);
+  explicit WorkerProcess(TaccWorkerPtr worker);
 
   void OnStart() override;
   void OnStop() override;
@@ -59,7 +59,6 @@ class WorkerProcess : public Process {
   // This worker's entry in the manager's soft state (registration and reports).
   LoadReportPayload Load() const;
 
-  SnsConfig config_;
   TaccWorkerPtr worker_;
   std::string type_;
 

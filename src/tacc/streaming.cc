@@ -6,12 +6,20 @@
 #include "src/util/strings.h"
 
 namespace sns {
+namespace {
+
+// Deterministic per-frame timing jitter as a fraction of the frame period
+// (models source-side capture jitter; keeps the schedule from being a pure
+// comb while staying reproducible).
+constexpr double kFrameJitter = 0.15;
+
+}  // namespace
 
 int64_t StreamFramesPerSession(const StreamSessionConfig& config) {
-  if (config.frames_per_second <= 0 || config.duration <= 0) {
+  if (config.duration <= 0) {
     return 0;
   }
-  return static_cast<int64_t>(ToSeconds(config.duration) * config.frames_per_second);
+  return static_cast<int64_t>(ToSeconds(config.duration) * kStreamFramesPerSecond);
 }
 
 int64_t StreamUrlSpace(const StreamSessionConfig& config) {
@@ -28,10 +36,10 @@ std::vector<StreamFrame> GenerateStreamFrames(const StreamSessionConfig& config,
     return frames;
   }
   frames.reserve(static_cast<size_t>(per_session) * static_cast<size_t>(config.sessions));
-  SimDuration period = Seconds(1.0 / config.frames_per_second);
-  SimDuration stagger = config.session_stagger > 0
-                            ? config.session_stagger
-                            : period / std::max(config.sessions, 1);
+  SimDuration period = Seconds(1.0 / kStreamFramesPerSecond);
+  // Sessions start spread evenly across one frame period, which de-phases the
+  // per-session clocks the way independent clients would.
+  SimDuration stagger = period / config.sessions;
   // Each session's URL block is disjoint so no frame repeats content within a
   // run; the modulo keeps an undersized url_space safe (it degrades to repeats
   // rather than out-of-range indices).
@@ -42,9 +50,7 @@ std::vector<StreamFrame> GenerateStreamFrames(const StreamSessionConfig& config,
     SimTime start = stagger * s;
     for (int64_t f = 0; f < per_session; ++f) {
       StreamFrame frame;
-      double jitter = config.frame_jitter > 0
-                          ? rng.Uniform(-config.frame_jitter, config.frame_jitter)
-                          : 0.0;
+      double jitter = rng.Uniform(-kFrameJitter, kFrameJitter);
       SimDuration offset = static_cast<SimDuration>(static_cast<double>(period) * jitter);
       frame.at = std::max<SimTime>(start + period * f + offset, 0);
       frame.session = s;

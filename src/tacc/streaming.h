@@ -29,22 +29,17 @@
 
 namespace sns {
 
+// Frame rate of every session.
+inline constexpr double kStreamFramesPerSecond = 4.0;
+
 struct StreamSessionConfig {
   int sessions = 8;
-  double frames_per_second = 4.0;
   // Per-frame deadline budget: a frame not delivered within this of its emit
   // time is a goodput loss even if an answer eventually arrives.
   SimDuration frame_deadline = Milliseconds(2500);
   // Total length of every session (sessions are long-lived: they all span the
   // whole window).
   SimDuration duration = Seconds(40);
-  // Session start offsets. 0 = spread sessions evenly across one frame period,
-  // which de-phases the per-session clocks the way independent clients would.
-  SimDuration session_stagger = 0;
-  // Deterministic per-frame timing jitter as a fraction of the frame period
-  // (models source-side capture jitter; keeps the schedule from being a pure
-  // comb while staying reproducible).
-  double frame_jitter = 0.15;
   uint64_t seed = 0x57EA43;
 };
 
@@ -56,7 +51,7 @@ struct StreamFrame {
   int64_t url_index = 0;  // Index into the content universe for this frame.
 };
 
-// Frames per session implied by `duration` and `frames_per_second`.
+// Frames per session implied by `duration` and kStreamFramesPerSecond.
 int64_t StreamFramesPerSession(const StreamSessionConfig& config);
 
 // Smallest universe that gives every frame of every session a distinct URL

@@ -50,6 +50,18 @@ bool IsRealImage(MimeType mime, const std::vector<uint8_t>& bytes) {
   return false;
 }
 
+ContentUniverseConfig FixedJpegUniverse(int64_t urls) {
+  ContentUniverseConfig config;
+  config.url_count = urls;
+  config.sizes.gif_fraction = 0.0;
+  config.sizes.html_fraction = 0.0;
+  config.sizes.jpeg_fraction = 1.0;
+  config.sizes.jpeg_mu = 9.2335;  // exp(mu + s^2/2) ~ 10240 B
+  config.sizes.jpeg_sigma = 0.05;
+  config.sizes.error_page_fraction = 0.0;
+  return config;
+}
+
 ContentUniverse::ContentUniverse(const ContentUniverseConfig& config)
     : config_(config), size_model_(config.sizes) {}
 
@@ -73,8 +85,7 @@ ContentUniverse::UrlTraits ContentUniverse::TraitsOf(const std::string& url) con
   Rng rng(config_.seed ^ Fnv1a(url));
   traits.error_page = size_model_.SampleErrorPage(traits.mime, &rng);
   if (traits.error_page) {
-    traits.size = rng.UniformInt(size_model_.config().error_page_min,
-                                 size_model_.config().error_page_max);
+    traits.size = rng.UniformInt(kErrorPageMinBytes, kErrorPageMaxBytes);
   } else {
     traits.size = size_model_.SampleSize(traits.mime, &rng);
   }

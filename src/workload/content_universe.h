@@ -42,6 +42,11 @@ struct ContentUniverseConfig {
   double zipf_skew = 0.8;  // URL popularity for SamplePopularUrl.
 };
 
+// A universe of nearly-uniform ~10 KB JPEGs, as prepared for the scalability
+// experiment: "a trace file that repeatedly requested a fixed number of JPEG
+// images, all approximately 10KB in size" (§4.6).
+ContentUniverseConfig FixedJpegUniverse(int64_t urls);
+
 class ContentUniverse {
  public:
   explicit ContentUniverse(const ContentUniverseConfig& config);
@@ -60,8 +65,6 @@ class ContentUniverse {
   // Modeled (pre-generation) size of a URL's content; cheap, no synthesis.
   int64_t ModeledSize(const std::string& url) const;
   MimeType MimeOf(const std::string& url) const;
-
-  const SizeModel& size_model() const { return size_model_; }
 
   int64_t generated_count() const { return generated_count_; }
   int64_t generated_bytes() const { return generated_bytes_; }

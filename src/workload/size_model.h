@@ -17,32 +17,27 @@
 
 namespace sns {
 
+// Error pages in disguise are uniform in [kErrorPageMinBytes, kErrorPageMaxBytes].
+inline constexpr int64_t kErrorPageMinBytes = 180;
+inline constexpr int64_t kErrorPageMaxBytes = 420;
+
+// Every sampled content length is clamped to [kMinContentBytes, kMaxContentBytes].
+inline constexpr int64_t kMinContentBytes = 24;
+inline constexpr int64_t kMaxContentBytes = 1000000;  // Fig. 5's x-axis tops out at 1e6.
+
 struct SizeModelConfig {
   // Request mix (§4.1). The remainder is "other" (passed through undistilled).
   double gif_fraction = 0.50;
   double html_fraction = 0.22;
   double jpeg_fraction = 0.18;
 
-  // Lognormal parameters, chosen so the means match the paper's.
-  double html_mu = 8.043;  // mean ~5131 B
-  double html_sigma = 1.0;
-  double gif_icon_fraction = 0.55;  // The sub-1KB plateau.
-  double gif_icon_mu = 5.678;       // mean ~350 B
-  double gif_icon_sigma = 0.6;
-  double gif_photo_mu = 8.56;       // mean ~7190 B; overall GIF mean ~3428 B
-  double gif_photo_sigma = 0.8;
+  // JPEG lognormal, chosen so the mean matches the paper's; the other types'
+  // parameters are fixed in size_model.cc.
   double jpeg_mu = 9.037;           // mean ~12070 B
   double jpeg_sigma = 0.85;
-  double other_mu = 7.6;
-  double other_sigma = 1.2;
 
   // Fraction of image URLs that are really error pages (Fig. 5's left spikes).
   double error_page_fraction = 0.02;
-  int64_t error_page_min = 180;
-  int64_t error_page_max = 420;
-
-  int64_t min_bytes = 24;
-  int64_t max_bytes = 1000000;  // Fig. 5's x-axis tops out at 1e6.
 };
 
 class SizeModel {
@@ -58,10 +53,8 @@ class SizeModel {
   // True if this particular image URL should be an error page in disguise.
   bool SampleErrorPage(MimeType mime, Rng* rng) const;
 
-  const SizeModelConfig& config() const { return config_; }
-
  private:
-  int64_t Clamp(double bytes) const;
+  static int64_t Clamp(double bytes);
 
   SizeModelConfig config_;
 };

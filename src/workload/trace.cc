@@ -5,6 +5,18 @@
 #include "src/util/strings.h"
 
 namespace sns {
+namespace {
+
+// Minute-scale modulation (AR(1) on log rate, stepped every minute).
+constexpr double kSlowRho = 0.95;
+constexpr double kSlowSigma = 0.22;
+// Second-scale modulation.
+constexpr double kFastRho = 0.90;
+constexpr double kFastSigma = 0.40;
+// Zipf skew of user activity over the user population.
+constexpr double kUserZipfSkew = 0.7;
+
+}  // namespace
 
 TraceGenerator::TraceGenerator(const TraceGenConfig& config, const ContentUniverse* universe)
     : config_(config), universe_(universe) {}
@@ -20,20 +32,18 @@ int64_t TraceGenerator::Generate(const std::function<void(const TraceRecord&)>& 
   // stddev exactly sigma, so subtract sigma^2/2.
   double slow_x = 0.0;
   double fast_x = 0.0;
-  double slow_correction = config_.slow_sigma * config_.slow_sigma / 2.0;
-  double fast_correction = config_.fast_sigma * config_.fast_sigma / 2.0;
+  double slow_correction = kSlowSigma * kSlowSigma / 2.0;
+  double fast_correction = kFastSigma * kFastSigma / 2.0;
 
   int64_t total_seconds = config_.duration / kSecond;
   int64_t generated = 0;
   for (int64_t sec = 0; sec < total_seconds; ++sec) {
     if (sec % 60 == 0) {
-      double noise = rng.Normal(0.0, config_.slow_sigma *
-                                         std::sqrt(1.0 - config_.slow_rho * config_.slow_rho));
-      slow_x = config_.slow_rho * slow_x + noise;
+      double noise = rng.Normal(0.0, kSlowSigma * std::sqrt(1.0 - kSlowRho * kSlowRho));
+      slow_x = kSlowRho * slow_x + noise;
     }
-    double fast_noise = rng.Normal(0.0, config_.fast_sigma *
-                                            std::sqrt(1.0 - config_.fast_rho * config_.fast_rho));
-    fast_x = config_.fast_rho * fast_x + fast_noise;
+    double fast_noise = rng.Normal(0.0, kFastSigma * std::sqrt(1.0 - kFastRho * kFastRho));
+    fast_x = kFastRho * fast_x + fast_noise;
 
     double t_frac = static_cast<double>(sec * kSecond) / static_cast<double>(config_.diurnal_period);
     // Trough in the early morning, peak in the evening (paper Fig. 6a).
@@ -44,7 +54,7 @@ int64_t TraceGenerator::Generate(const std::function<void(const TraceRecord&)>& 
     for (int64_t i = 0; i < count; ++i) {
       TraceRecord record;
       record.time = sec * kSecond + rng.UniformInt(0, kSecond - 1);
-      int64_t user = user_rng.Zipf(config_.user_count, config_.user_zipf_skew);
+      int64_t user = user_rng.Zipf(config_.user_count, kUserZipfSkew);
       record.user_id = StrFormat("user%lld", static_cast<long long>(user));
       record.url = universe_ != nullptr ? universe_->SamplePopularUrl(&url_rng)
                                         : StrFormat("http://example.edu/obj%lld.html",

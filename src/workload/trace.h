@@ -35,15 +35,8 @@ struct TraceGenConfig {
   double mean_rate = 5.8;           // Requests/second (paper Fig. 6a average).
   double diurnal_amplitude = 0.55;  // Peak-to-mean swing of the 24 h cycle.
   SimDuration diurnal_period = Hours(24);
-  // Minute-scale modulation (AR(1) on log rate, stepped every minute).
-  double slow_rho = 0.95;
-  double slow_sigma = 0.22;
-  // Second-scale modulation.
-  double fast_rho = 0.90;
-  double fast_sigma = 0.40;
 
   int64_t user_count = 8000;  // ~8000 distinct users surfed during the trace (§4.6).
-  double user_zipf_skew = 0.7;
 };
 
 class TraceGenerator {

@@ -48,7 +48,7 @@ void DriveLoad(TranSendService* service, PlaybackEngine* client, double rate,
 void ExpectFullReplication(TranSendService* service, int replication) {
   std::vector<CacheNodeProcess*> caches = service->system()->cache_node_processes();
   ASSERT_FALSE(caches.empty());
-  ConsistentHashRing canonical(service->system()->config().cache_ring_vnodes);
+  ConsistentHashRing canonical(kCacheRingVnodes);
   std::set<std::pair<NodeId, Port>> live;
   for (CacheNodeProcess* cache : caches) {
     canonical.AddMember(CacheRingMemberId(cache->endpoint()));

@@ -145,7 +145,7 @@ TEST(ChaosCampaignTest, ManagerPartitionCreatesAndResolvesSplitBrain) {
                                                             system->membership()));
   ASSERT_EQ(LiveManagers(system).size(), 2u);
 
-  service.sim()->RunFor(system->config().manager_beacon_period);
+  service.sim()->RunFor(kManagerBeaconPeriod);
   EXPECT_EQ(system->cluster()->Find(incumbent_pid), nullptr);
   EXPECT_GE(system->metrics()->GetCounter("manager.demotions")->value(), 1);
   std::vector<ManagerProcess*> after = LiveManagers(system);

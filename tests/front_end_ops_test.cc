@@ -369,7 +369,7 @@ TEST(FrontEndOpsTest, CacheProbeDeadHeadTimesOutThenFailsOver) {
 
 TEST(FrontEndOpsTest, CacheMissLeavesNoTimerArmed) {
   // One-node chain: the lone probe misses at the tail. Once its callback runs
-  // the op is over, so its timeout must not stay armed for cache_timeout.
+  // the op is over, so its timeout must not stay armed for kCacheTimeout.
   OpsFixture f(1, 1);
   Simulator* sim = f.system->sim();
   size_t before_probe = 0;

@@ -95,7 +95,7 @@ TEST(SearchWorkerTest, ProcessReturnsParsableResults) {
   CorpusConfig config;
   config.doc_count = 2000;
   auto shards = BuildShardedCorpus(config, 2);
-  SearchShardWorker worker(shards[0], SearchCostConfig{});
+  SearchShardWorker worker(shards[0]);
   EXPECT_FALSE(worker.interchangeable());  // Partitions are not substitutes (§3.2).
 
   TaccRequest request;
@@ -115,7 +115,7 @@ TEST(SearchWorkerTest, EmptyQueryFails) {
   CorpusConfig config;
   config.doc_count = 100;
   auto shards = BuildShardedCorpus(config, 1);
-  SearchShardWorker worker(shards[0], SearchCostConfig{});
+  SearchShardWorker worker(shards[0]);
   TaccRequest request;
   EXPECT_FALSE(worker.Process(request).status.ok());
 }
@@ -142,7 +142,6 @@ TEST(SearchWorkerTest, DecodeRejectsGarbage) {
 
 HotBotOptions SmallHotBot() {
   HotBotOptions options = DefaultHotBotOptions();
-  options.shard_count = 4;
   options.logic.shard_count = 4;
   options.corpus.doc_count = 4000;
   options.topology.worker_pool_nodes = 6;
@@ -368,7 +367,7 @@ TEST(HotBotSystemTest, ClusterMoveHalfAtATimeNeverGoesDown) {
   EXPECT_GT(answered, asked * 9 / 10);
   EXPECT_EQ(client->errors(), 0);
   // And the full database is searchable again after the move.
-  for (int shard = 0; shard < options.shard_count; ++shard) {
+  for (int shard = 0; shard < options.logic.shard_count; ++shard) {
     EXPECT_FALSE(service.system()->live_workers(SearchShardType(shard)).empty())
         << "shard " << shard << " missing after the move";
   }

@@ -208,7 +208,7 @@ TEST(TranSendIntegration, FrontEndCrashIsRestartedByManager) {
   ProcessId old_pid = fe->pid();
   service.system()->cluster()->Crash(old_pid);
 
-  // Manager's FE lease (front_end_ttl) expires and it relaunches the FE.
+  // Manager's FE lease (kFrontEndTtl) expires and it relaunches the FE.
   service.sim()->RunFor(Seconds(12));
   FrontEndProcess* restarted = service.system()->front_end(0);
   ASSERT_NE(restarted, nullptr);

@@ -158,7 +158,7 @@ class ManagerLinkTest : public ::testing::Test {
 };
 
 TEST_F(ManagerLinkTest, WorkerRegistersOncePerIncarnationAndIgnoresStaleBeacons) {
-  Spawn<WorkerProcess>(component_node_, config_, std::make_unique<EchoWorker>());
+  Spawn<WorkerProcess>(component_node_, std::make_unique<EchoWorker>());
   ExpectFollowsHighestEpoch(96 + static_cast<int64_t>(std::string("echo").size()));
 }
 
@@ -205,7 +205,7 @@ TEST_F(ManagerLinkTest, CurrentProfileDbGenerationStillRegisters) {
 
 TEST_F(ManagerLinkTest, MonitorAndStubCountExactlyTheStaleBeacons) {
   InertLauncher launcher;
-  MonitorProcess* monitor = Spawn<MonitorProcess>(component_node_, config_);
+  MonitorProcess* monitor = Spawn<MonitorProcess>(component_node_);
   FrontEndProcess* fe = Spawn<FrontEndProcess>(component_node_, config_, FrontEndOptions{},
                                                std::make_shared<IdleLogic>(), &launcher);
   // Epochs in arrival order; stale = lower than the highest seen before it.

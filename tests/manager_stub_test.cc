@@ -114,8 +114,7 @@ TEST_F(ManagerStubTest, WorkerMissingFromOneBeaconSurvivesGraceWindow) {
   EXPECT_EQ(stub_.KnownWorkerCount("d"), 2u);
   EXPECT_EQ(stub_.WorkersOfType("d"), (std::vector<Endpoint>{w1_, w2_}));
   // Sustained absence past the grace window does evict.
-  SnsConfig config;
-  SimTime late = Seconds(1) + config.beacon_absence_grace + Seconds(1);
+  SimTime late = Seconds(1) + kBeaconAbsenceGrace + Seconds(1);
   stub_.OnBeacon(MakeBeacon(manager_, 3, {{w2_, "d", 0.0}}), late);
   EXPECT_EQ(stub_.KnownWorkerCount("d"), 1u);
   EXPECT_EQ(stub_.WorkersOfType("d"), (std::vector<Endpoint>{w2_}));
@@ -164,13 +163,12 @@ TEST_F(ManagerStubTest, NoteWorkerDeadRemovesLocally) {
 }
 
 TEST_F(ManagerStubTest, ManagerLivenessTracksBeaconSilence) {
-  SnsConfig config;
   EXPECT_EQ(stub_.BeaconSilence(Seconds(100)), kTimeNever);
   EXPECT_FALSE(stub_.ManagerSuspectedDead(Seconds(100)));  // Never heard: not dead.
   stub_.OnBeacon(MakeBeacon(manager_, 1, {}), Seconds(100));
   EXPECT_EQ(stub_.BeaconSilence(Seconds(102)), Seconds(2));
   EXPECT_FALSE(stub_.ManagerSuspectedDead(Seconds(102)));
-  EXPECT_TRUE(stub_.ManagerSuspectedDead(Seconds(100) + config.manager_silence_restart +
+  EXPECT_TRUE(stub_.ManagerSuspectedDead(Seconds(100) + kManagerSilenceRestart +
                                          Seconds(1)));
 }
 

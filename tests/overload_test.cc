@@ -225,12 +225,11 @@ TEST(WorkerDeadlineTest, ShedsExpiredTasksAtEnqueueAndDequeueAndRefusesInfeasibl
   // own queued-cost estimate, which is how an admitted task can still expire in
   // the queue (the dequeue-shed backstop).
   NodeId node = h.cluster.AddNode();
-  auto contender_owner = std::make_unique<WorkerProcess>(
-      SnsConfig{}, std::make_unique<SlowEchoWorker>(Seconds(12)));
+  auto contender_owner =
+      std::make_unique<WorkerProcess>(std::make_unique<SlowEchoWorker>(Seconds(12)));
   WorkerProcess* contender = contender_owner.get();
   ASSERT_NE(h.cluster.Spawn(node, std::move(contender_owner)), kInvalidProcess);
-  auto worker_owner =
-      std::make_unique<WorkerProcess>(SnsConfig{}, std::make_unique<SlowEchoWorker>());
+  auto worker_owner = std::make_unique<WorkerProcess>(std::make_unique<SlowEchoWorker>());
   WorkerProcess* worker = worker_owner.get();
   ASSERT_NE(h.cluster.Spawn(node, std::move(worker_owner)), kInvalidProcess);
   auto sink_owner = std::make_unique<ResponseSink>();

@@ -176,7 +176,7 @@ TEST(StreamScheduleTest, FramesAreOrderedFreshAndSessionDisjoint) {
 }
 
 // One cell end to end: clean nominal run, invariants hold, artifact lands on
-// disk, and the goodput distortion knob touches only the emitted artifact copy.
+// disk.
 TEST(ScenarioCellTest, NominalZipfCellRunsCleanAndWritesArtifact) {
   Logger::Get().set_min_level(LogLevel::kNone);
   std::vector<ScenarioCell> cells = SmokeMatrix();
@@ -209,15 +209,7 @@ TEST(ScenarioCellTest, NominalZipfCellRunsCleanAndWritesArtifact) {
   EXPECT_NE(baseline.find("\"yield\":"), std::string::npos);
   EXPECT_NE(baseline.find("\"harvest\":"), std::string::npos);
 
-  // The distortion multiplier exists solely for the matrix-smoke WILL_FAIL
-  // regression guard; it must rescale the artifact's goodput and nothing else.
-  std::string genuine = MatrixSectionJson(result, 1.0);
-  std::string distorted = MatrixSectionJson(result, 0.5);
-  EXPECT_NE(genuine, distorted);
-  EXPECT_NE(genuine.find("\"invariants_ok\":true"), std::string::npos);
-  EXPECT_EQ(genuine.find("\"goodput\""), distorted.find("\"goodput\""));
-  EXPECT_EQ(genuine.substr(0, genuine.find("\"goodput\"")),
-            distorted.substr(0, distorted.find("\"goodput\"")));
+  EXPECT_NE(MatrixSectionJson(result).find("\"invariants_ok\":true"), std::string::npos);
 }
 
 }  // namespace

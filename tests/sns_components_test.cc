@@ -44,7 +44,7 @@ TEST(ManagerTest, DeadWorkerExpiresFromSoftState) {
 
   auto workers = service.system()->live_workers(kJpegDistillerType);
   service.system()->cluster()->Crash(workers[0]->pid());
-  // Lease (worker_ttl = 3 s) expires without any report.
+  // Lease (kWorkerTtl = 3 s) expires without any report.
   service.sim()->RunFor(Seconds(6));
   EXPECT_EQ(service.system()->manager()->KnownWorkerCount(), 0u);
 }
@@ -434,8 +434,8 @@ class ForgedBeaconSender : public Process {
 };
 
 TEST(MonitorTest, SweepRestartsManagerOncePerSilenceWindow) {
-  // The sweep runs every monitor_report_period (1 s), but a persistent silence
-  // must trigger one relaunch attempt per silence window (manager_silence_restart
+  // The sweep runs every kMonitorReportPeriod (1 s), but a persistent silence
+  // must trigger one relaunch attempt per silence window (kManagerSilenceRestart
   // + report period = 5 s), not one per sweep — otherwise a dead launcher target
   // gets hammered every second.
   Logger::Get().set_min_level(LogLevel::kNone);
@@ -443,9 +443,8 @@ TEST(MonitorTest, SweepRestartsManagerOncePerSilenceWindow) {
   San san(&sim, SanConfig{});
   Cluster cluster(&sim, &san);
   NodeId node = cluster.AddNode();
-  SnsConfig config;
   CountingLauncher launcher;
-  auto owner = std::make_unique<MonitorProcess>(config, &launcher);
+  auto owner = std::make_unique<MonitorProcess>(&launcher);
   MonitorProcess* monitor = owner.get();
   cluster.Spawn(node, std::move(owner));
   cluster.Spawn(node, std::make_unique<ForgedBeaconSender>());

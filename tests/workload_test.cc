@@ -114,8 +114,8 @@ TEST(SizeModelTest, SizesRespectBounds) {
   Rng rng(5);
   for (int i = 0; i < 20000; ++i) {
     int64_t size = model.SampleSize(MimeType::kHtml, &rng);
-    EXPECT_GE(size, model.config().min_bytes);
-    EXPECT_LE(size, model.config().max_bytes);
+    EXPECT_GE(size, kMinContentBytes);
+    EXPECT_LE(size, kMaxContentBytes);
   }
 }
 
