@@ -14,7 +14,6 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "src/sns/worker_process.h"
 #include "src/util/logging.h"
 
 namespace sns {
@@ -28,9 +27,7 @@ struct PolicyResult {
 };
 
 PolicyResult RunPolicy(BalancePolicy policy) {
-  TranSendOptions options = DefaultTranSendOptions();
-  options.universe = FixedJpegUniverse(40);
-  options.logic.cache_distilled = false;
+  TranSendOptions options = RedistillOptions(40);
   options.topology.worker_pool_nodes = 6;
   options.sns.balance_policy = policy;
   options.sns.spawn_threshold_h = 1e9;  // Freeze the population: balance-only test.
@@ -49,32 +46,16 @@ PolicyResult RunPolicy(BalancePolicy policy) {
     NodeId node = service.system()->cluster()->AddNode(slow);
     service.system()->LaunchWorker(kJpegDistillerType, node);
   }
-  PlaybackEngine* client = service.AddPlaybackEngine(0xBA1);
-  service.sim()->RunFor(Seconds(3));
-  benchutil::PrewarmCache(&service, client);
-
-  Rng rng(0xBA1);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(44, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "policy";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  PlaybackEngine* client = benchutil::PrewarmedClient(&service, 0xBA1);
+  client->StartConstantRate(44, UniformUrls(service.universe(), 0xBA1, "policy"));
 
   RunningStats imbalance;
   SimTime t0 = service.sim()->now();
   for (int second = 1; second <= 180; ++second) {
     service.sim()->RunUntil(t0 + Seconds(second));
-    auto workers = service.system()->live_workers(kJpegDistillerType);
-    if (workers.size() >= 2) {
-      double lo = workers[0]->QueueLength();
-      double hi = lo;
-      for (WorkerProcess* worker : workers) {
-        lo = std::min(lo, worker->QueueLength());
-        hi = std::max(hi, worker->QueueLength());
-      }
-      imbalance.Add(hi - lo);
+    double spread = benchutil::QueueSpread(service.system());
+    if (spread >= 0) {
+      imbalance.Add(spread);
     }
   }
   client->StopLoad();

@@ -26,27 +26,15 @@ void Run() {
   benchutil::Header("Ablation: BASE soft-state manager vs ACID/process-pair manager",
                     "paper Section 3.1.3");
 
-  TranSendOptions options = DefaultTranSendOptions();
-  options.universe = FixedJpegUniverse(40);
-  options.logic.cache_distilled = false;
+  TranSendOptions options = RedistillOptions(40);
   options.topology.worker_pool_nodes = 6;
   TranSendService service(options);
   service.Start();
   for (int i = 0; i < 3; ++i) {
     service.system()->StartWorker(kJpegDistillerType);
   }
-  PlaybackEngine* client = service.AddPlaybackEngine(0xBA5E);
-  service.sim()->RunFor(Seconds(3));
-  benchutil::PrewarmCache(&service, client);
-
-  Rng rng(0xBA5E);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(30, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "base";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  PlaybackEngine* client = benchutil::PrewarmedClient(&service, 0xBA5E);
+  client->StartConstantRate(30, UniformUrls(service.universe(), 0xBA5E, "base"));
   service.sim()->RunFor(Seconds(20));
 
   // --- Crash the manager under load. ---

@@ -19,27 +19,15 @@ namespace sns {
 namespace {
 
 double MeasureFeCapacity(double per_message_ms) {
-  TranSendOptions options = DefaultTranSendOptions();
-  options.universe = FixedJpegUniverse(40);
-  options.logic.cache_distilled = false;
+  TranSendOptions options = RedistillOptions(40);
   options.topology.worker_pool_nodes = 10;  // Distillers never the bottleneck here.
   LinkConfig fe_link = options.topology.san.default_link;
   fe_link.per_message_overhead = Milliseconds(per_message_ms);
   options.topology.fe_link = fe_link;
   TranSendService service(options);
   service.Start();
-  PlaybackEngine* client = service.AddPlaybackEngine(0xFA57);
-  service.sim()->RunFor(Seconds(3));
-  benchutil::PrewarmCache(&service, client);
-
-  Rng rng(0xFA57);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(10, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "fs";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  PlaybackEngine* client = benchutil::PrewarmedClient(&service, 0xFA57);
+  client->StartConstantRate(10, UniformUrls(service.universe(), 0xFA57, "fs"));
   double sustainable = 0;
   for (double rate = 10; rate <= 240; rate += 10) {
     client->SetRate(rate);

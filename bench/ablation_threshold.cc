@@ -32,9 +32,7 @@ ThresholdResult RunThreshold(int64_t threshold_bytes) {
   options.topology.worker_pool_nodes = 8;
   TranSendService service(options);
   service.Start();
-  PlaybackEngine* client = service.AddPlaybackEngine(0x7EE5);
-  service.sim()->RunFor(Seconds(3));
-  benchutil::PrewarmCache(&service, client);
+  PlaybackEngine* client = benchutil::PrewarmedClient(&service, 0x7EE5);
 
   Rng rng(0x7EE5);
   ContentUniverse* universe = service.universe();

@@ -9,13 +9,16 @@
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/obs/critical_path.h"
 #include "src/obs/perfetto.h"
 #include "src/services/transend/transend.h"
+#include "src/sns/worker_process.h"
 #include "src/util/strings.h"
 #include "src/workload/trace.h"
 
@@ -93,6 +96,41 @@ inline void PrewarmCache(TranSendService* service, PlaybackEngine* client) {
   }
   service->sim()->RunFor(Seconds(130));  // Let the slowest origin fetches finish.
   client->ResetStats();
+}
+
+// The common bench preamble: a playback engine seeded `seed`, 3 s for the first
+// manager beacons to reach the front ends, then a warm cache.
+inline PlaybackEngine* PrewarmedClient(TranSendService* service, uint64_t seed) {
+  PlaybackEngine* client = service->AddPlaybackEngine(seed);
+  service->sim()->RunFor(Seconds(3));
+  PrewarmCache(service, client);
+  return client;
+}
+
+// Max minus min queue length over the live distillers, or a negative value when
+// fewer than two are live.
+inline double QueueSpread(SnsSystem* system) {
+  auto workers = system->live_workers(kJpegDistillerType);
+  if (workers.size() < 2) {
+    return -1;
+  }
+  double lo = workers[0]->QueueLength();
+  double hi = lo;
+  for (WorkerProcess* worker : workers) {
+    lo = std::min(lo, worker->QueueLength());
+    hi = std::max(hi, worker->QueueLength());
+  }
+  return hi - lo;
+}
+
+// True when the command line carries `--short` (the CI smoke mode).
+inline bool ShortMode(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--short") == 0) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace benchutil

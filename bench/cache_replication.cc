@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -107,7 +106,6 @@ RollResult RunRoll(int replication, bool short_mode) {
 
   Simulator* sim = service.sim();
   SnsSystem* system = service.system();
-  ContentUniverse* universe = service.universe();
 
   std::vector<int> cache_node_ids;
   std::vector<ProcessId> cache_pids;
@@ -116,13 +114,9 @@ RollResult RunRoll(int replication, bool short_mode) {
     cache_pids.push_back(cache->pid());
   }
 
-  Rng rng(0x5EED ^ static_cast<uint64_t>(replication));
-  client->StartConstantRate(kRate, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "cache-repl";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(
+      kRate, UniformUrls(service.universe(), 0x5EED ^ static_cast<uint64_t>(replication),
+                         "cache-repl"));
   // Warm until the working set is cached and replicated (every URL re-requested
   // every ~2 s at this rate over 40 URLs).
   sim->RunFor(short_mode ? Seconds(30) : Seconds(45));
@@ -289,13 +283,7 @@ void Run(bool short_mode) {
 }  // namespace sns
 
 int main(int argc, char** argv) {
-  bool short_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--short") == 0) {
-      short_mode = true;
-    }
-  }
-  sns::Run(short_mode);
+  sns::Run(sns::benchutil::ShortMode(argc, argv));
   if (sns::failures > 0) {
     std::printf("\n%d claim(s) FAILED\n", sns::failures);
     return 1;

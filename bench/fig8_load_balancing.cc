@@ -26,9 +26,7 @@ namespace sns {
 namespace {
 
 TranSendOptions Fig8Options(bool delta_estimation) {
-  TranSendOptions options = DefaultTranSendOptions();
-  options.universe = FixedJpegUniverse(40);
-  options.logic.cache_distilled = false;
+  TranSendOptions options = RedistillOptions(40);
   options.topology.worker_pool_nodes = 8;
   options.jpeg_distill_per_kb = Milliseconds(8);  // Fig. 7's GIF slope.
   options.sns.use_delta_estimation = delta_estimation;
@@ -39,23 +37,12 @@ TranSendOptions Fig8Options(bool delta_estimation) {
 void RunTimeSeries() {
   TranSendService service(Fig8Options(true));
   service.Start();
-  PlaybackEngine* client = service.AddPlaybackEngine(0xF168);
-  service.sim()->RunFor(Seconds(3));
-  benchutil::PrewarmCache(&service, client);
-
-  Rng rng(0xF168);
-  ContentUniverse* universe = service.universe();
-  auto next_request = [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "loadgen";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  };
+  PlaybackEngine* client = benchutil::PrewarmedClient(&service, 0xF168);
 
   std::printf("\n%-8s %-8s %-11s  per-distiller queue lengths\n", "t (s)", "offered",
               "#distillers");
 
-  client->StartConstantRate(8, next_request);
+  client->StartConstantRate(8, UniformUrls(service.universe(), 0xF168, "loadgen"));
   SimTime t0 = service.sim()->now();
   int last_count = 0;
   for (int second = 1; second <= 450; ++second) {
@@ -103,18 +90,8 @@ AblationResult RunSteadyState(bool delta_estimation) {
   for (int i = 0; i < 4; ++i) {
     service.system()->StartWorker(kJpegDistillerType);
   }
-  PlaybackEngine* client = service.AddPlaybackEngine(0xAB1A7E);
-  service.sim()->RunFor(Seconds(3));
-  benchutil::PrewarmCache(&service, client);
-
-  Rng rng(0xAB1A7E);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(40, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "steady";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  PlaybackEngine* client = benchutil::PrewarmedClient(&service, 0xAB1A7E);
+  client->StartConstantRate(40, UniformUrls(service.universe(), 0xAB1A7E, "steady"));
 
   RunningStats imbalance;
   RunningStats jitter;

@@ -22,7 +22,6 @@
 //      ring_remaps counter while the service keeps answering).
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -56,9 +55,7 @@ struct RunResult {
 
 RunResult RunPhase(double rate, SimDuration deadline, SimDuration measure,
                    bool crash_cache_mid_run, uint64_t seed, bool emit_artifact = false) {
-  TranSendOptions options = DefaultTranSendOptions();
-  options.universe = FixedJpegUniverse(30);
-  options.logic.cache_distilled = false;  // Every request re-distills (§4.6).
+  TranSendOptions options = RedistillOptions(30);
   options.topology.worker_pool_nodes = 1;  // Capacity ~23 req/s of distillation.
   options.topology.front_ends = 1;
   options.topology.cache_nodes = 4;
@@ -75,14 +72,7 @@ RunResult RunPhase(double rate, SimDuration deadline, SimDuration measure,
   service.sim()->RunFor(Seconds(3));
   benchutil::PrewarmCache(&service, warmer);
 
-  Rng rng(seed ^ 0x10adULL);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(rate, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "loadgen";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(rate, UniformUrls(service.universe(), seed ^ 0x10adULL, "loadgen"));
   service.sim()->RunFor(Seconds(10));  // Ramp: distiller spawned, queues settled.
   client->ResetStats();
   if (crash_cache_mid_run) {
@@ -241,13 +231,7 @@ void Run(bool short_mode) {
 }  // namespace sns
 
 int main(int argc, char** argv) {
-  bool short_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--short") == 0) {
-      short_mode = true;
-    }
-  }
-  sns::Run(short_mode);
+  sns::Run(sns::benchutil::ShortMode(argc, argv));
   if (sns::failures > 0) {
     std::printf("\n%d claim(s) FAILED\n", sns::failures);
     return 1;

@@ -221,15 +221,8 @@ void MeasureFrontEndState() {
   PlaybackEngine* client = service.AddPlaybackEngine(0x44F);
   service.sim()->RunFor(Seconds(3));
 
-  Rng rng(0x44F);
-  ContentUniverse* universe = service.universe();
   constexpr double kRate = 15.0;  // The paper's example: 15 req/s offered.
-  client->StartConstantRate(kRate, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "state";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(kRate, UniformUrls(service.universe(), 0x44F, "state"));
   RunningStats outstanding;
   SimTime t0 = service.sim()->now();
   for (int second = 1; second <= 120; ++second) {

@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <string>
 #include <vector>
@@ -37,9 +36,7 @@ int Run(bool short_mode) {
   benchutil::Header("Section 4.5: kill two distillers mid-run, measure recovery",
                     "paper Section 4.5");
 
-  TranSendOptions options = DefaultTranSendOptions();
-  options.universe = FixedJpegUniverse(40);
-  options.logic.cache_distilled = false;  // Every request needs a live distiller.
+  TranSendOptions options = RedistillOptions(40);  // Every request needs a live distiller.
   options.topology.worker_pool_nodes = 6;
   TranSendService service(options);
   service.Start();
@@ -47,15 +44,8 @@ int Run(bool short_mode) {
 
   Simulator* sim = service.sim();
   SnsSystem* system = service.system();
-  ContentUniverse* universe = service.universe();
-  Rng rng(0x45);
   constexpr double kRate = 40.0;  // Needs ~2-3 distillers at ~23 req/s each.
-  client->StartConstantRate(kRate, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "sec45";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(kRate, UniformUrls(service.universe(), 0x45, "sec45"));
   double warm_s = short_mode ? 20.0 : 40.0;
   double baseline_s = short_mode ? 5.0 : 10.0;
   sim->RunFor(Seconds(warm_s));  // Warm: the manager grows the pool to match load.
@@ -210,9 +200,5 @@ int Run(bool short_mode) {
 }  // namespace sns
 
 int main(int argc, char** argv) {
-  bool short_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--short") == 0) short_mode = true;
-  }
-  return sns::Run(short_mode);
+  return sns::Run(sns::benchutil::ShortMode(argc, argv));
 }

@@ -9,11 +9,9 @@
 // This bench runs the same fixed-JPEG workload on a 100 Mb/s and a 10 Mb/s SAN and
 // reports datagram (beacon / load-report) loss, balancing quality, and throughput.
 
-#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "src/sns/worker_process.h"
 #include "src/util/logging.h"
 
 namespace sns {
@@ -30,9 +28,7 @@ struct SanResult {
 };
 
 SanResult RunOn(double bandwidth_bps, double rate) {
-  TranSendOptions options = DefaultTranSendOptions();
-  options.universe = FixedJpegUniverse(40);
-  options.logic.cache_distilled = false;
+  TranSendOptions options = RedistillOptions(40);
   options.topology.worker_pool_nodes = 6;
   options.topology.san.default_link.bandwidth_bps = bandwidth_bps;
   // Shallow NIC buffers for unreliable traffic: queueing beyond ~25 ms drops
@@ -46,37 +42,21 @@ SanResult RunOn(double bandwidth_bps, double rate) {
   for (int i = 0; i < 4; ++i) {
     service.system()->StartWorker(kJpegDistillerType);
   }
-  PlaybackEngine* client = service.AddPlaybackEngine(0x5A7);
-  service.sim()->RunFor(Seconds(3));
-  benchutil::PrewarmCache(&service, client);
+  PlaybackEngine* client = benchutil::PrewarmedClient(&service, 0x5A7);
 
   int64_t dropped_before = service.system()->san()->datagrams_dropped();
   int64_t reports_before = service.system()->manager() != nullptr
                                ? service.system()->manager()->reports_received()
                                : 0;
-
-  Rng rng(0x5A7);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(rate, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "san";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(rate, UniformUrls(service.universe(), 0x5A7, "san"));
 
   RunningStats imbalance;
   SimTime t0 = service.sim()->now();
   for (int second = 1; second <= 120; ++second) {
     service.sim()->RunUntil(t0 + Seconds(second));
-    auto workers = service.system()->live_workers(kJpegDistillerType);
-    if (workers.size() >= 2) {
-      double lo = workers[0]->QueueLength();
-      double hi = lo;
-      for (WorkerProcess* worker : workers) {
-        lo = std::min(lo, worker->QueueLength());
-        hi = std::max(hi, worker->QueueLength());
-      }
-      imbalance.Add(hi - lo);
+    double spread = benchutil::QueueSpread(service.system());
+    if (spread >= 0) {
+      imbalance.Add(spread);
     }
   }
   client->StopLoad();

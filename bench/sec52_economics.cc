@@ -27,29 +27,16 @@ void Run() {
   // Measure the sustainable throughput of ONE worker node (the unit of incremental
   // scaling — the paper's "$5000 Pentium Pro server" runs the distillation work
   // for a modem bank).
-  TranSendOptions options = DefaultTranSendOptions();
-  options.universe = FixedJpegUniverse(40);
-  options.logic.cache_distilled = false;
+  TranSendOptions options = RedistillOptions(40);
   options.topology.worker_pool_nodes = 1;   // A single distiller node.
   options.sns.spawn_threshold_h = 1e9;      // No growth: measure the unit.
   TranSendService service(options);
   service.Start();
   service.system()->StartWorker(kJpegDistillerType);
-  PlaybackEngine* client = service.AddPlaybackEngine(0xEC0);
-  service.sim()->RunFor(Seconds(3));
-  benchutil::PrewarmCache(&service, client);
-
-  Rng rng(0xEC0);
-  ContentUniverse* universe = service.universe();
-  auto next = [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "econ";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  };
+  PlaybackEngine* client = benchutil::PrewarmedClient(&service, 0xEC0);
   double sustainable = 0;
   int64_t approx_before = 0;
-  client->StartConstantRate(4, next);
+  client->StartConstantRate(4, UniformUrls(service.universe(), 0xEC0, "econ"));
   for (double rate = 4; rate <= 40; rate += 2) {
     client->SetRate(rate);
     service.sim()->RunFor(Seconds(25));

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "bench/bench_common.h"
 #include "src/sns/worker_process.h"
@@ -35,25 +34,12 @@ int Run(bool short_mode) {
   const double kRateMax = short_mode ? 48 : 160;
   const SimDuration kStep = short_mode ? Seconds(10) : Seconds(30);
 
-  TranSendOptions options = DefaultTranSendOptions();
-  options.universe = FixedJpegUniverse(40);
-  options.logic.cache_distilled = false;  // Re-distill every request (§4.6).
+  TranSendOptions options = RedistillOptions(40);
   options.topology.worker_pool_nodes = 10;
   options.topology.front_ends = 1;
   TranSendService service(options);
   service.Start();
-  PlaybackEngine* client = service.AddPlaybackEngine(0x7AB1E2);
-  service.sim()->RunFor(Seconds(3));
-  benchutil::PrewarmCache(&service, client);
-
-  Rng rng(0x5CA1E);
-  ContentUniverse* universe = service.universe();
-  auto next_request = [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "loadgen";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  };
+  PlaybackEngine* client = benchutil::PrewarmedClient(&service, 0x7AB1E2);
 
   std::printf("\n%-10s %-6s %-11s %-11s %-9s %s\n", "offered", "#FE", "#distillers",
               "achieved", "ach/off", "note");
@@ -69,7 +55,7 @@ int Run(bool short_mode) {
   double max_sustained = 0;
   int distillers_at_max = 1;
 
-  client->StartConstantRate(4, next_request);
+  client->StartConstantRate(4, UniformUrls(service.universe(), 0x5CA1E, "loadgen"));
   for (double rate = kRateStep; rate <= kRateMax; rate += kRateStep) {
     client->SetRate(rate);
     service.sim()->RunFor(kStep);
@@ -145,11 +131,5 @@ int Run(bool short_mode) {
 }  // namespace sns
 
 int main(int argc, char** argv) {
-  bool short_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--short") == 0) {
-      short_mode = true;
-    }
-  }
-  return sns::Run(short_mode);
+  return sns::Run(sns::benchutil::ShortMode(argc, argv));
 }

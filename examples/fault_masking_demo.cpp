@@ -51,14 +51,7 @@ void Run() {
   client->ResetStats();
   completed_checkpoint = 0;
 
-  Rng rng(0xFA);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(20, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "steady";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(20, UniformUrls(service.universe(), 0xFA, "steady"));
 
   std::printf("steady load: 20 req/s of ~10 KB cached JPEGs, re-distilled per request\n\n");
   service.sim()->RunFor(Seconds(20));

@@ -52,14 +52,7 @@ void Run() {
   service.sim()->RunFor(Seconds(130));
   client->ResetStats();
 
-  Rng rng(0x0b5);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(18, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "steady";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(18, UniformUrls(service.universe(), 0x0b5, "steady"));
   service.sim()->RunFor(Seconds(10));
 
   std::printf("--- the monitor's unified view (the visualization panel) ---\n");

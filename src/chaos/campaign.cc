@@ -19,11 +19,7 @@ constexpr double kRequestRate = 15.0;
 constexpr double kProfileWriteRate = 2.0;
 
 TranSendOptions ChaosOptions(const CampaignConfig& config) {
-  TranSendOptions options = DefaultTranSendOptions();
-  // All-JPEG universe: every request re-distills, keeping the worker pool
-  // load-bearing throughout the fault storm (same idiom as the fault tests).
-  options.universe = FixedJpegUniverse(config.url_count);
-  options.logic.cache_distilled = false;
+  TranSendOptions options = RedistillOptions(config.url_count);
   options.topology.worker_pool_nodes = config.worker_pool_nodes;
   options.topology.front_ends = config.front_ends;
   options.topology.cache_nodes = config.cache_nodes;
@@ -135,6 +131,15 @@ void ApplyScheduledFault(const FaultEvent& ev, SnsSystem* system, FailureInjecto
   }
 }
 
+void ScheduleFaults(const FaultSchedule& schedule, SimTime start, SnsSystem* system,
+                    FailureInjector* injector) {
+  for (const FaultEvent& ev : schedule.events) {
+    system->sim()->ScheduleAt(start + ev.at, [&ev, system, injector] {
+      ApplyScheduledFault(ev, system, injector);
+    });
+  }
+}
+
 std::string ChaosRunResult::Describe() const {
   std::string out = schedule.ToScript();
   out += StrFormat(
@@ -190,13 +195,8 @@ ChaosRunResult RunSchedule(const FaultSchedule& schedule, const CampaignConfig& 
   Simulator* sim = service.sim();
   SnsSystem* system = service.system();
   ContentUniverse* universe = service.universe();
-  Rng load_rng(schedule.seed ^ 0x10ADULL);
-  client->StartConstantRate(kRequestRate, [&load_rng, universe] {
-    TraceRecord record;
-    record.user_id = "chaos";
-    record.url = universe->UrlAt(load_rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(kRequestRate,
+                            UniformUrls(universe, schedule.seed ^ 0x10ADULL, "chaos"));
   // Warm up: the manager spawns the initial workers under load. Stats are NOT
   // reset — requests in flight at a reset would complete without a matching
   // send, breaking the answered-or-expired conservation check; accounting from
@@ -223,10 +223,7 @@ ChaosRunResult RunSchedule(const FaultSchedule& schedule, const CampaignConfig& 
   FailureInjector injector(system->cluster(), system->san());
   system->AttachFailureInjector(&injector);
   SimTime fault_start = sim->now();
-  for (const FaultEvent& ev : schedule.events) {
-    sim->ScheduleAt(fault_start + ev.at,
-                    [&ev, system, &injector] { ApplyScheduledFault(ev, system, &injector); });
-  }
+  ScheduleFaults(schedule, fault_start, system, &injector);
 
   // Half-second census of live manager incarnations; trace records transitions.
   SimTime sample_end = fault_start + config.gen.horizon + config.gen.max_outage +

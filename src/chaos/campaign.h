@@ -78,6 +78,11 @@ class FailureInjector;
 void ApplyScheduledFault(const FaultEvent& event, SnsSystem* system,
                          FailureInjector* injector);
 
+// Schedules every event of `schedule` to fire through ApplyScheduledFault at
+// `start` + its offset. `schedule` and `injector` must outlive the run.
+void ScheduleFaults(const FaultSchedule& schedule, SimTime start, SnsSystem* system,
+                    FailureInjector* injector);
+
 struct CampaignResult {
   std::vector<ChaosRunResult> runs;
   int failed = 0;

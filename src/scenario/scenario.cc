@@ -110,16 +110,12 @@ StreamSessionConfig CellStreamConfig(const ScenarioCell& cell) {
 }
 
 TranSendOptions CellOptions(const ScenarioCell& cell) {
-  TranSendOptions options = DefaultTranSendOptions();
-  // All-JPEG universe with distilled results uncached: every request
-  // re-distills, keeping the worker pool load-bearing (the chaos-campaign
-  // idiom — otherwise the cache absorbs the workload and worker faults are
-  // invisible).
-  options.universe = FixedJpegUniverse(
+  // Every request re-distills, keeping the worker pool load-bearing (otherwise
+  // the cache absorbs the workload and worker faults are invisible).
+  TranSendOptions options = RedistillOptions(
       cell.workload == WorkloadShape::kStream
           ? std::max<int64_t>(StreamUrlSpace(CellStreamConfig(cell)), 1)
           : kUrlCount);
-  options.logic.cache_distilled = false;
   options.topology.worker_pool_nodes = cell.cluster.worker_pool_nodes;
   options.topology.front_ends = cell.cluster.front_ends;
   options.topology.cache_nodes = cell.cluster.cache_nodes;
@@ -221,13 +217,8 @@ CellResult RunScenarioCell(const ScenarioCell& cell, const CellRunOptions& optio
   // cache tier fills, so the measured window starts from a running cluster.
   // Stats are never reset — accounting from t=0 keeps the answered-or-expired
   // conservation invariant exact.
-  Rng warm_rng(cell.seed ^ 0x3A43BEEFULL);
-  warm_client->StartConstantRate(kWarmupRate, [&warm_rng, universe] {
-    TraceRecord record;
-    record.user_id = "warmup";
-    record.url = universe->UrlAt(warm_rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  warm_client->StartConstantRate(kWarmupRate,
+                                 UniformUrls(universe, cell.seed ^ 0x3A43BEEFULL, "warmup"));
   sim->RunFor(kWarmup);
   warm_client->StopLoad();
 
@@ -318,12 +309,7 @@ CellResult RunScenarioCell(const ScenarioCell& cell, const CellRunOptions& optio
   FaultSchedule schedule;
   if (cell.fault_seed != 0) {
     schedule = GenerateSchedule(cell.fault_seed, cell.gen);
-    SimTime fault_start = load_start;
-    for (const FaultEvent& ev : schedule.events) {
-      sim->ScheduleAt(fault_start + ev.at, [&ev, system, &injector] {
-        ApplyScheduledFault(ev, system, &injector);
-      });
-    }
+    ScheduleFaults(schedule, load_start, system, &injector);
   }
 
   sim->RunFor(load_window + Seconds(1));

@@ -42,6 +42,13 @@ TranSendOptions DefaultTranSendOptions() {
   return options;
 }
 
+TranSendOptions RedistillOptions(int64_t url_count) {
+  TranSendOptions options = DefaultTranSendOptions();
+  options.universe = FixedJpegUniverse(url_count);
+  options.logic.cache_distilled = false;
+  return options;
+}
+
 TranSendService::TranSendService(const TranSendOptions& options)
     : options_(options), universe_(options.universe), system_(options.sns, options.topology) {
   RegisterTranSendDistillers(system_.registry(), options_.jpeg_distill_per_kb);

@@ -38,6 +38,11 @@ struct TranSendOptions {
 //   - manager beacons 1/s, worker load reports 2/s, spawn threshold H, cooldown D.
 TranSendOptions DefaultTranSendOptions();
 
+// The re-distill setup of the §4.6 scalability experiment: the defaults over an
+// all-JPEG universe of `url_count` ~10 KB images with distilled-variant caching
+// off, so every request re-distills and the worker pool stays load-bearing.
+TranSendOptions RedistillOptions(int64_t url_count);
+
 class TranSendService {
  public:
   explicit TranSendService(const TranSendOptions& options = DefaultTranSendOptions());

@@ -1,6 +1,7 @@
 #include "src/workload/trace.h"
 
 #include <cmath>
+#include <utility>
 
 #include "src/util/strings.h"
 
@@ -73,6 +74,16 @@ std::vector<TraceRecord> TraceGenerator::GenerateVector() {
   std::sort(records.begin(), records.end(),
             [](const TraceRecord& a, const TraceRecord& b) { return a.time < b.time; });
   return records;
+}
+
+std::function<TraceRecord()> UniformUrls(const ContentUniverse* universe, uint64_t seed,
+                                         std::string user_id) {
+  return [universe, rng = Rng(seed), user_id = std::move(user_id)]() mutable {
+    TraceRecord record;
+    record.user_id = user_id;
+    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
+    return record;
+  };
 }
 
 std::vector<int64_t> BucketCounts(const std::vector<SimTime>& times, SimDuration bucket,

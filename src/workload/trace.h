@@ -58,6 +58,12 @@ class TraceGenerator {
   const ContentUniverse* universe_;
 };
 
+// The uniform constant-rate load of the benches, tests and chaos harness: each
+// call draws one URL index uniformly from [0, url_count) with its own Rng(seed),
+// requested by `user_id`. Copies of the returned source advance independently.
+std::function<TraceRecord()> UniformUrls(const ContentUniverse* universe, uint64_t seed,
+                                         std::string user_id);
+
 // Buckets record timestamps and reports per-bucket counts — the analysis behind
 // Fig. 6's three panels. Returns counts indexed by bucket.
 std::vector<int64_t> BucketCounts(const std::vector<SimTime>& times, SimDuration bucket,

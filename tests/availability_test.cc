@@ -23,15 +23,7 @@ namespace {
 // well above the distill threshold with variant caching off, so every request
 // that completes normally pays the distiller and comes back kDistilled.
 TranSendOptions DistillHeavyOptions() {
-  TranSendOptions options = DefaultTranSendOptions();
-  options.universe.url_count = 20;
-  options.universe.sizes.gif_fraction = 0.0;
-  options.universe.sizes.html_fraction = 0.0;
-  options.universe.sizes.jpeg_fraction = 1.0;
-  options.universe.sizes.jpeg_mu = 9.2335;
-  options.universe.sizes.jpeg_sigma = 0.05;
-  options.universe.sizes.error_page_fraction = 0.0;
-  options.logic.cache_distilled = false;
+  TranSendOptions options = RedistillOptions(20);
   options.topology.worker_pool_nodes = 2;
   options.topology.front_ends = 1;
   return options;
@@ -166,14 +158,7 @@ TEST(AvailabilityIntegrationTest, FullAnswersScoreExactlyOne) {
   TranSendService service(DistillHeavyOptions());
   service.Start();
   PlaybackEngine* client = service.AddPlaybackEngine(0xA7A1);
-  Rng rng(0x11AA);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(10, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "avail";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(10, UniformUrls(service.universe(), 0x11AA, "avail"));
   service.sim()->RunFor(Seconds(15));
   client->StopLoad();
   service.sim()->RunFor(Seconds(10));  // Drain in-flight requests.
@@ -211,14 +196,7 @@ TEST(AvailabilityIntegrationTest, DegradedAnswersYieldFractionalHarvest) {
   TranSendService service(options);
   service.Start();
   PlaybackEngine* client = service.AddPlaybackEngine(0xBB22);
-  Rng rng(0xBB22);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(10, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "degraded";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(10, UniformUrls(service.universe(), 0xBB22, "degraded"));
   service.sim()->RunFor(Seconds(10));
   client->StopLoad();
   service.sim()->RunFor(Seconds(10));

@@ -29,14 +29,7 @@ TranSendOptions ReplicationOptions(int replication) {
 
 void DriveLoad(TranSendService* service, PlaybackEngine* client, double rate,
                SimDuration duration, uint64_t seed) {
-  Rng rng(seed);
-  ContentUniverse* universe = service->universe();
-  client->StartConstantRate(rate, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "repl";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(rate, UniformUrls(service->universe(), seed, "repl"));
   service->sim()->RunFor(duration);
   client->StopLoad();
   service->sim()->RunFor(Seconds(15));  // Drain in-flight requests and puts.
@@ -138,14 +131,7 @@ TEST(CacheReplicationTest, NodeKillRebalancesSurvivorsBackToFullReplication) {
   PlaybackEngine* client = service.AddPlaybackEngine(0x33);
   service.sim()->RunFor(Seconds(5));
 
-  Rng rng(0x33);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(15, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "repl";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(15, UniformUrls(service.universe(), 0x33, "repl"));
   service.sim()->RunFor(Seconds(30));
 
   // Kill one cache node under load. With R=2 every entry survives on the other
@@ -244,14 +230,8 @@ TEST(CacheReplicationTest, DeadlineExpiryDuringRebalanceIsNotCountedAsMiss) {
   expiring.request_timeout = Seconds(5);
   expiring.request_deadline = Milliseconds(12);
   PlaybackEngine* client = service.AddPlaybackEngine(expiring);
-  Rng rng(0x66);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(30, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "repl";  // Warm profile, so the FE reaches the cache probe.
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  // Warm profile, so the FE reaches the cache probe.
+  client->StartConstantRate(30, UniformUrls(service.universe(), 0x66, "repl"));
 
   // Probe from inside the sim at 1 ms granularity (a pass over a warm 40-URL
   // universe lasts only a few sim-milliseconds) and pin the counters to the

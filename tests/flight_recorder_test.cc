@@ -27,15 +27,7 @@ namespace {
 // distiller, so traces exercise the whole worker path (same idiom as the fault
 // tests and the chaos harness).
 TranSendOptions DistillHeavyOptions() {
-  TranSendOptions options = DefaultTranSendOptions();
-  options.universe.url_count = 20;
-  options.universe.sizes.gif_fraction = 0.0;
-  options.universe.sizes.html_fraction = 0.0;
-  options.universe.sizes.jpeg_fraction = 1.0;
-  options.universe.sizes.jpeg_mu = 9.2335;
-  options.universe.sizes.jpeg_sigma = 0.05;
-  options.universe.sizes.error_page_fraction = 0.0;
-  options.logic.cache_distilled = false;
+  TranSendOptions options = RedistillOptions(20);
   options.topology.worker_pool_nodes = 2;
   options.topology.front_ends = 1;
   return options;
@@ -235,14 +227,7 @@ TEST(FlightRecorderIntegrationTest, RetriedTaskYieldsSiblingAttemptSubtrees) {
   service.Start();
   PlaybackEngine* client = service.AddPlaybackEngine(0xF1D0);
 
-  Rng rng(0xF1D0);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(20, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "retry";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(20, UniformUrls(service.universe(), 0xF1D0, "retry"));
   service.sim()->RunFor(Seconds(15));
 
   // Crash a live distiller's node mid-run: its in-flight tasks fail or time
@@ -313,14 +298,7 @@ TEST(FlightRecorderIntegrationTest, ChromeTraceExportCarriesSpansFlowsAndFaults)
   FailureInjector injector(service.system()->cluster(), service.system()->san());
   service.system()->AttachFailureInjector(&injector);
 
-  Rng rng(0xCAFE);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(15, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "trace";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(15, UniformUrls(service.universe(), 0xCAFE, "trace"));
   service.sim()->RunFor(Seconds(10));
   auto workers = service.system()->live_workers(kJpegDistillerType);
   ASSERT_FALSE(workers.empty());
@@ -355,14 +333,7 @@ TEST(SnapshotAuditTest, MonitorExportCoversFlightRecorderCounters) {
   service.Start();
   PlaybackEngine* client = service.AddPlaybackEngine(0xA0D1);
 
-  Rng rng(0xA0D1);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(10, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "audit";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(10, UniformUrls(service.universe(), 0xA0D1, "audit"));
   service.sim()->RunFor(Seconds(15));
   client->StopLoad();
   service.sim()->RunFor(Seconds(5));
@@ -445,14 +416,7 @@ TEST(ExportGoldenTest, SectionsMatchPinnedBytes) {
   FailureInjector injector(service.system()->cluster(), service.system()->san());
   service.system()->AttachFailureInjector(&injector);
 
-  Rng rng(0x601D);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(15, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "golden";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(15, UniformUrls(service.universe(), 0x601D, "golden"));
   service.sim()->RunFor(Seconds(10));
   auto workers = service.system()->live_workers(kJpegDistillerType);
   ASSERT_FALSE(workers.empty());

@@ -26,15 +26,18 @@ namespace {
 int64_t g_new_calls = 0;
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line. Once GCC 12 inlines one side into a
+// caller, it pairs malloc() or free() with the other side's operator and
+// raises -Werror=mismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_new_calls;
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
     return p;
   }
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sns {
 namespace {

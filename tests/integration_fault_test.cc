@@ -12,22 +12,10 @@ namespace sns {
 namespace {
 
 TranSendOptions FaultOptions() {
-  TranSendOptions options = DefaultTranSendOptions();
-  options.universe = [] {
-    ContentUniverseConfig config;
-    config.url_count = 60;
-    config.sizes.gif_fraction = 0.0;
-    config.sizes.html_fraction = 0.0;
-    config.sizes.jpeg_fraction = 1.0;
-    config.sizes.jpeg_mu = 9.2335;
-    config.sizes.jpeg_sigma = 0.05;
-    config.sizes.error_page_fraction = 0.0;
-    return config;
-  }();
-  options.topology.worker_pool_nodes = 8;
   // Every request re-distills, so the worker pool stays load-bearing throughout
   // the fault storm (cached variants would mask the workers entirely).
-  options.logic.cache_distilled = false;
+  TranSendOptions options = RedistillOptions(60);
+  options.topology.worker_pool_nodes = 8;
   return options;
 }
 
@@ -56,14 +44,7 @@ TEST_P(CrashStormSweep, ServiceSurvivesRandomWorkerCrashes) {
   PlaybackEngine* client = service.AddPlaybackEngine(GetParam());
   WarmUp(&service, client);
 
-  Rng load_rng(GetParam());
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(25, [&load_rng, universe] {
-    TraceRecord record;
-    record.user_id = "storm";
-    record.url = universe->UrlAt(load_rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(25, UniformUrls(service.universe(), GetParam(), "storm"));
 
   // Crash a random live worker roughly every 8 seconds for 2 minutes.
   FailureInjector injector(service.system()->cluster(), service.system()->san());
@@ -102,14 +83,7 @@ TEST(FaultTest, SanPartitionLosesWorkersThenHeals) {
   PlaybackEngine* client = service.AddPlaybackEngine(0xF00);
   WarmUp(&service, client);
 
-  Rng rng(0xF00);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(20, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "part";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(20, UniformUrls(service.universe(), 0xF00, "part"));
   service.sim()->RunFor(Seconds(20));
   auto workers_before = service.system()->live_workers(kJpegDistillerType);
   ASSERT_FALSE(workers_before.empty());
@@ -143,14 +117,7 @@ TEST(FaultTest, WholeNodeCrashMaskedByRespawn) {
   PlaybackEngine* client = service.AddPlaybackEngine(0xAA);
   WarmUp(&service, client);
 
-  Rng rng(0xAA);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(20, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "node";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(20, UniformUrls(service.universe(), 0xAA, "node"));
   service.sim()->RunFor(Seconds(15));
   auto workers = service.system()->live_workers(kJpegDistillerType);
   ASSERT_FALSE(workers.empty());
@@ -175,14 +142,8 @@ TEST(FaultTest, BurstRecruitsOverflowPoolAndReapsAfterwards) {
   PlaybackEngine* client = service.AddPlaybackEngine(0xB00);
   WarmUp(&service, client);
 
-  Rng rng(0xB00);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(65, [&rng, universe] {  // Burst beyond 2 nodes' capacity.
-    TraceRecord record;
-    record.user_id = "burst";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  // Burst beyond 2 nodes' capacity.
+  client->StartConstantRate(65, UniformUrls(service.universe(), 0xB00, "burst"));
   service.sim()->RunFor(Seconds(90));
 
   // The burst forced workers onto overflow nodes.
@@ -217,14 +178,7 @@ TEST(FaultTest, SimultaneousManagerAndWorkerFailure) {
   PlaybackEngine* client = service.AddPlaybackEngine(0xCC);
   WarmUp(&service, client);
 
-  Rng rng(0xCC);
-  ContentUniverse* universe = service.universe();
-  client->StartConstantRate(15, [&rng, universe] {
-    TraceRecord record;
-    record.user_id = "dual";
-    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-    return record;
-  });
+  client->StartConstantRate(15, UniformUrls(service.universe(), 0xCC, "dual"));
   service.sim()->RunFor(Seconds(10));
 
   auto workers = service.system()->live_workers();

@@ -35,7 +35,7 @@ TEST(JsonReaderTest, AcceptsValidDocuments) {
 TEST(JsonReaderTest, RejectsMalformedDocuments) {
   const char* const kInvalid[] = {
       // The number grammar, and the non-finite spellings printf emits.
-      "-", "1.", ".5", "1e", "1e+", "+1", "0x10", "--1", "1.e3",
+      "-", "1.", ".5", "1e", "1e+", "+1", "0x10", "--1", "1.e3", "01", "-01", "00",
       "NaN", "nan", "-nan", "Infinity", "-Infinity", "inf", "-inf", "1e999",
       "-1e400",
       // Escapes: bad, truncated, and non-hex \u.
@@ -54,6 +54,24 @@ TEST(JsonReaderTest, RejectsMalformedDocuments) {
   for (const char* text : kInvalid) {
     EXPECT_FALSE(Accepts(text)) << text;
   }
+}
+
+TEST(JsonReaderTest, BoundsNestingDepth) {
+  // A hostile file of unclosed brackets fails cleanly instead of recursing
+  // until the stack runs out.
+  const std::string brackets(100000, '[');
+  JsonReader deep(brackets);
+  EXPECT_FALSE(deep.Skip());
+  EXPECT_EQ(deep.error(), "nesting too deep");
+
+  const int max = JsonReader::kMaxDepth;
+  EXPECT_TRUE(Accepts(std::string(max, '[') + std::string(max, ']')));
+  EXPECT_FALSE(Accepts(std::string(max + 1, '[') + std::string(max + 1, ']')));
+  std::string objects;
+  for (int i = 0; i < max; ++i) {
+    objects += "{\"k\":";
+  }
+  EXPECT_TRUE(Accepts(objects + "1" + std::string(max, '}')));
 }
 
 TEST(JsonReaderTest, ReadsTypedValuesAndSkipsTheRest) {

@@ -112,14 +112,7 @@ TEST(DeterminismTest, IdenticalRunsProduceIdenticalStats) {
     service.Start();
     PlaybackEngine* client = service.AddPlaybackEngine(0xD37);
     service.sim()->RunFor(Seconds(2));
-    Rng rng(0xD37);
-    ContentUniverse* universe = service.universe();
-    client->StartConstantRate(15, [&rng, universe] {
-      TraceRecord record;
-      record.user_id = "det";
-      record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
-      return record;
-    });
+    client->StartConstantRate(15, UniformUrls(service.universe(), 0xD37, "det"));
     service.sim()->RunFor(Seconds(60));
     client->StopLoad();
     service.sim()->RunFor(Seconds(5));

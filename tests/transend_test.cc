@@ -7,6 +7,7 @@
 #include "src/content/html.h"
 #include "src/content/jpeg_codec.h"
 #include "src/services/transend/distillers.h"
+#include "src/services/transend/transend.h"
 #include "src/services/transend/transend_logic.h"
 #include "src/workload/content_universe.h"
 
@@ -187,6 +188,39 @@ TEST(RegistryIntegrationTest, RegistersAllThreeDistillers) {
 }
 
 // ---------- dispatch logic helpers ----------------------------------------------------
+
+TEST(TranSendOptionsTest, RedistillOptionsIsAllJpegWithVariantCachingOff) {
+  constexpr int64_t kUrls = 25;
+  TranSendOptions options = RedistillOptions(kUrls);
+  EXPECT_FALSE(options.logic.cache_distilled);
+  EXPECT_EQ(options.universe.url_count, kUrls);
+  ContentUniverse universe(options.universe);
+  for (int64_t i = 0; i < kUrls; ++i) {
+    std::string url = universe.UrlAt(i);
+    EXPECT_EQ(universe.MimeOf(url), MimeType::kJpeg) << url;
+    EXPECT_NEAR(static_cast<double>(universe.ModeledSize(url)), 10240.0, 2500.0) << url;
+  }
+
+  // Everything else is the calibrated default.
+  TranSendOptions defaults = DefaultTranSendOptions();
+  EXPECT_EQ(options.logic.distill_threshold_bytes, defaults.logic.distill_threshold_bytes);
+  EXPECT_EQ(options.jpeg_distill_per_kb, defaults.jpeg_distill_per_kb);
+  EXPECT_EQ(options.universe.seed, defaults.universe.seed);
+  EXPECT_EQ(options.universe.real_image_max_bytes, defaults.universe.real_image_max_bytes);
+  EXPECT_DOUBLE_EQ(options.universe.zipf_skew, defaults.universe.zipf_skew);
+  EXPECT_DOUBLE_EQ(options.sns.spawn_threshold_h, defaults.sns.spawn_threshold_h);
+  EXPECT_EQ(options.sns.spawn_cooldown_d, defaults.sns.spawn_cooldown_d);
+  EXPECT_EQ(options.topology.front_ends, defaults.topology.front_ends);
+  EXPECT_EQ(options.topology.cache_nodes, defaults.topology.cache_nodes);
+  EXPECT_EQ(options.topology.worker_pool_nodes, defaults.topology.worker_pool_nodes);
+  EXPECT_EQ(options.topology.with_origin, defaults.topology.with_origin);
+  EXPECT_EQ(options.topology.cache.capacity_bytes, defaults.topology.cache.capacity_bytes);
+  EXPECT_EQ(options.topology.san.tcp_setup_cost, defaults.topology.san.tcp_setup_cost);
+  EXPECT_EQ(options.topology.fe_link->per_message_overhead,
+            defaults.topology.fe_link->per_message_overhead);
+  EXPECT_DOUBLE_EQ(options.topology.origin_link->bandwidth_bps,
+                   defaults.topology.origin_link->bandwidth_bps);
+}
 
 TEST(TranSendLogicTest, CacheKeysIncludePreferences) {
   EXPECT_EQ(TranSendLogic::OriginalKey("http://a/x.gif"), "http://a/x.gif|orig");

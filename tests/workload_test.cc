@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/content/gif_codec.h"
 #include "src/content/html.h"
@@ -17,6 +20,38 @@
 
 namespace sns {
 namespace {
+
+// ---------- uniform load source ------------------------------------------------------
+
+TEST(UniformUrlsTest, DrawsUniformIndicesFromItsOwnRng) {
+  ContentUniverseConfig config;
+  config.url_count = 37;
+  ContentUniverse universe(config);
+  constexpr uint64_t kSeed = 0x5EED;
+  std::function<TraceRecord()> next = UniformUrls(&universe, kSeed, "x");
+  Rng reference(kSeed);
+  for (int i = 0; i < 200; ++i) {
+    TraceRecord record = next();
+    EXPECT_EQ(record.user_id, "x");
+    EXPECT_EQ(record.url, universe.UrlAt(reference.UniformInt(0, config.url_count - 1)));
+  }
+}
+
+TEST(UniformUrlsTest, SourcesWithTheSameSeedAdvanceIndependently) {
+  ContentUniverseConfig config;
+  config.url_count = 1000;
+  ContentUniverse universe(config);
+  std::function<TraceRecord()> a = UniformUrls(&universe, 7, "a");
+  std::function<TraceRecord()> b = UniformUrls(&universe, 7, "b");
+  std::vector<std::string> from_a;
+  for (int i = 0; i < 10; ++i) {
+    from_a.push_back(a().url);
+  }
+  // b starts from the seed, not where a left off.
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(b().url, from_a[static_cast<size_t>(i)]);
+  }
+}
 
 // ---------- size model --------------------------------------------------------------
 

@@ -5,10 +5,11 @@
 // for are validated and skipped, never stored, so memory stays flat on
 // multi-megabyte artifacts.
 //
-// Numbers must match '-'? int frac? exp? and be finite: strtod alone would
-// accept "NaN"/"Infinity" (what a printf of a NaN metric produces), "1." or
-// ".5". A \uXXXX escape needs four hex digits and reads as '?': the tools
-// match only ASCII keys.
+// Numbers must match '-'? int frac? exp? with int = 0 | [1-9][0-9]*, and be
+// finite: strtod alone would accept "NaN"/"Infinity" (what a printf of a NaN
+// metric produces), "1.", ".5" or "01". A \uXXXX escape needs four hex digits
+// and reads as '?': the tools match only ASCII keys. Arrays and objects nest at
+// most kMaxDepth deep, so a hostile file fails instead of exhausting the stack.
 
 #ifndef TOOLS_JSON_READER_H_
 #define TOOLS_JSON_READER_H_
@@ -25,6 +26,9 @@ namespace sns {
 
 class JsonReader {
  public:
+  // Real artifacts nest at most 6 deep.
+  static constexpr int kMaxDepth = 64;
+
   // Reads `text` in place: it must outlive the reader.
   explicit JsonReader(std::string_view text)
       : p_(text.data()), end_(text.data() + text.size()) {}
@@ -109,7 +113,7 @@ class JsonReader {
     Peek();
     const char* start = p_;
     Take("-");
-    bool ok = Digits() && (!Take(".") || Digits());
+    bool ok = Integer() && (!Take(".") || Digits());
     if (ok && Take("eE")) {
       Take("+-");
       ok = Digits();
@@ -160,17 +164,21 @@ class JsonReader {
     if (!Consume(open)) {
       return false;
     }
+    if (depth_ == kMaxDepth) {
+      return Fail("nesting too deep");
+    }
+    ++depth_;
+    bool ok = true;
     if (Peek() == close) {
       ++p_;
-      return true;
-    }
-    while (item()) {
-      if (Peek() != ',') {
-        return Consume(close);
+    } else {
+      while ((ok = item()) && Peek() == ',') {
+        ++p_;
       }
-      ++p_;
+      ok = ok && Consume(close);
     }
-    return false;
+    --depth_;
+    return ok;
   }
 
   bool Consume(char c) {
@@ -199,6 +207,15 @@ class JsonReader {
     return p_ != start;
   }
 
+  // Consumes a number's integer part: 0 or [1-9][0-9]*.
+  bool Integer() {
+    if (p_ < end_ && *p_ == '0') {
+      ++p_;
+      return p_ == end_ || !std::isdigit(static_cast<unsigned char>(*p_));
+    }
+    return Digits();
+  }
+
   bool Literal(const char* word) {
     for (const char* w = word; *w != '\0'; ++w, ++p_) {
       if (p_ >= end_ || *p_ != *w) {
@@ -210,6 +227,7 @@ class JsonReader {
 
   const char* p_;
   const char* end_;
+  int depth_ = 0;
   std::string error_;
 };
 
