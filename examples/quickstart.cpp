@@ -112,12 +112,8 @@ void Run() {
   client_node.workers_allowed = false;
   NodeId node = system.cluster()->AddNode(client_node);
   PlaybackConfig playback_config;
-  playback_config.front_ends = [&system] {
-    std::vector<Endpoint> fes;
-    for (FrontEndProcess* fe : system.front_ends()) {
-      fes.push_back(fe->endpoint());
-    }
-    return fes;
+  playback_config.front_ends = [&system](std::vector<Endpoint>* out) {
+    system.LiveFrontEndEndpoints(out);
   };
   auto engine = std::make_unique<PlaybackEngine>(playback_config);
   PlaybackEngine* client = engine.get();

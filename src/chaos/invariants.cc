@@ -227,7 +227,7 @@ InvariantReport CheckInvariantsAtQuiesce(SnsSystem* system,
   for (CacheNodeProcess* cache : caches) {
     int64_t self = CacheRingMemberId(cache->endpoint());
     for (const std::string& key : cache->CacheKeys()) {
-      std::vector<int64_t> chain = canonical.LookupN(key, r);
+      ConsistentHashRing::Chain chain = canonical.LookupN(key, r);
       if (std::find(chain.begin(), chain.end(), self) == chain.end()) {
         violate("replica-chain-convergence",
                 StrFormat("cache n%d holds orphan key '%s' outside its chain",

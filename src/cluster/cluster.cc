@@ -195,8 +195,7 @@ void Cluster::RestartNode(NodeId node) {
   SNS_LOG(kInfo, "cluster") << "node " << node << " restarted";
 }
 
-void Cluster::RunOnCpu(NodeId node, ProcessId owner, SimDuration cpu_time,
-                       std::function<void()> done) {
+void Cluster::RunOnCpu(NodeId node, ProcessId owner, SimDuration cpu_time, SimTask done) {
   NodeState* state = GetNode(node);
   if (state == nullptr || !state->up) {
     return;
@@ -217,7 +216,7 @@ void Cluster::RunOnCpu(NodeId node, ProcessId owner, SimDuration cpu_time,
   state->cpu_busy_until[cpu] = finish;
   state->cpu_busy_total += scaled;
   uint64_t incarnation = state->incarnation;
-  sim_->ScheduleAt(finish, [this, node, owner, incarnation, done = std::move(done)] {
+  auto completion = [this, node, owner, incarnation, done = std::move(done)]() mutable {
     NodeState* s = GetNode(node);
     if (s == nullptr || !s->up || s->incarnation != incarnation) {
       return;  // Node crashed while the work was queued.
@@ -229,7 +228,9 @@ void Cluster::RunOnCpu(NodeId node, ProcessId owner, SimDuration cpu_time,
       }
     }
     done();
-  });
+  };
+  static_assert(sizeof(completion) <= SimCallback::kInlineCapacity);
+  sim_->ScheduleAt(finish, std::move(completion));
 }
 
 double Cluster::CpuBacklogSeconds(NodeId node) const {

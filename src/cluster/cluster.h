@@ -86,7 +86,7 @@ class Cluster {
   // Charges `cpu_time` of CPU to `node` on behalf of process `owner` (may be
   // kInvalidProcess for systemic work); runs `done` on completion unless the owner
   // died or the node crashed in the meantime.
-  void RunOnCpu(NodeId node, ProcessId owner, SimDuration cpu_time, std::function<void()> done);
+  void RunOnCpu(NodeId node, ProcessId owner, SimDuration cpu_time, SimTask done);
 
   // Instantaneous CPU backlog of the node in seconds of queued work.
   double CpuBacklogSeconds(NodeId node) const;

@@ -50,11 +50,11 @@ void Process::JoinGroup(McastGroup group) { san()->JoinGroup(group, endpoint_); 
 
 void Process::LeaveGroup(McastGroup group) { san()->LeaveGroup(group, endpoint_); }
 
-void Process::RunOnCpu(SimDuration cpu_time, std::function<void()> done) {
+void Process::RunOnCpu(SimDuration cpu_time, SimTask done) {
   cluster_->RunOnCpu(endpoint_.node, pid_, cpu_time, std::move(done));
 }
 
-EventId Process::After(SimDuration delay, std::function<void()> fn) {
+EventId Process::After(SimDuration delay, SimTask fn) {
   if (pending_timers_.size() == pending_timers_.capacity()) {
     // Drop the ids of fired and cancelled timers before the vector would grow.
     // If most survive, grow anyway so the next scan is as many timers away.
@@ -64,14 +64,16 @@ EventId Process::After(SimDuration delay, std::function<void()> fn) {
       pending_timers_.reserve(pending_timers_.capacity() * 2);
     }
   }
-  EventId id = sim()->Schedule(delay, [this, fn = std::move(fn)] {
+  auto timer = [this, fn = std::move(fn)]() mutable {
     // The cluster cancels pending timers on death, so reaching here implies alive;
     // still guard for robustness against same-timestamp orderings.
     if (!running_) {
       return;
     }
     fn();
-  });
+  };
+  static_assert(sizeof(timer) <= SimCallback::kInlineCapacity);
+  EventId id = sim()->Schedule(delay, std::move(timer));
   pending_timers_.push_back(id);
   return id;
 }

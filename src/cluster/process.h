@@ -10,7 +10,6 @@
 #define SRC_CLUSTER_PROCESS_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -18,6 +17,7 @@
 
 #include "src/net/message.h"
 #include "src/net/san.h"
+#include "src/sim/callback.h"
 #include "src/sim/simulator.h"
 
 namespace sns {
@@ -83,10 +83,10 @@ class Process {
   // process. The node CPU is a FIFO queue shared by all processes on the node; this
   // is where distillation cost, TCP/kernel per-request overhead, etc. are charged.
   // If the process dies first, `done` never runs.
-  void RunOnCpu(SimDuration cpu_time, std::function<void()> done);
+  void RunOnCpu(SimDuration cpu_time, SimTask done);
 
   // One-shot timer owned by this process; auto-cancelled if the process dies.
-  EventId After(SimDuration delay, std::function<void()> fn);
+  EventId After(SimDuration delay, SimTask fn);
   void CancelTimer(EventId id);
 
   // Self-demotion: crashes this process on the next event. Crash destroys the

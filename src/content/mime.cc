@@ -1,6 +1,7 @@
 #include "src/content/mime.h"
 
-#include "src/util/strings.h"
+#include <cctype>
+#include <string_view>
 
 namespace sns {
 
@@ -18,20 +19,35 @@ const char* MimeTypeName(MimeType type) {
   return "application/octet-stream";
 }
 
-MimeType MimeTypeFromUrl(const std::string& url) {
-  std::string lower = AsciiLower(url);
-  // Strip query string before looking at the extension.
-  size_t q = lower.find('?');
-  if (q != std::string::npos) {
-    lower = lower.substr(0, q);
+namespace {
+
+// True if `s` ends with `suffix` (lowercase), comparing `s` case-insensitively.
+bool EndsWithLower(std::string_view s, std::string_view suffix) {
+  if (s.size() < suffix.size()) {
+    return false;
   }
-  if (EndsWith(lower, ".html") || EndsWith(lower, ".htm") || EndsWith(lower, "/")) {
+  std::string_view tail = s.substr(s.size() - suffix.size());
+  for (size_t i = 0; i < tail.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(tail[i])) != suffix[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+MimeType MimeTypeFromUrl(const std::string& url) {
+  // Strip the query string before looking at the extension.
+  std::string_view path = std::string_view(url).substr(0, url.find('?'));
+  if (EndsWithLower(path, ".html") || EndsWithLower(path, ".htm") ||
+      EndsWithLower(path, "/")) {
     return MimeType::kHtml;
   }
-  if (EndsWith(lower, ".gif")) {
+  if (EndsWithLower(path, ".gif")) {
     return MimeType::kGif;
   }
-  if (EndsWith(lower, ".jpg") || EndsWith(lower, ".jpeg")) {
+  if (EndsWithLower(path, ".jpg") || EndsWithLower(path, ".jpeg")) {
     return MimeType::kJpeg;
   }
   return MimeType::kOther;

@@ -27,11 +27,16 @@ void AvailabilityLedger::UpdateGauges() {
   harvest_gauge_->Set(RunHarvest());
 }
 
+AvailabilityLedger::WindowRow& AvailabilityLedger::Row(SimTime at) {
+  int64_t index = WindowIndex(at);
+  WindowRow& row = windows_.try_emplace(windows_.end(), index)->second;
+  row.second = index;
+  return row;
+}
+
 void AvailabilityLedger::RecordOffered(SimTime at) {
   ++offered_;
-  WindowRow& row = windows_[WindowIndex(at)];
-  row.second = WindowIndex(at);
-  ++row.offered;
+  ++Row(at).offered;
   UpdateGauges();
 }
 
@@ -39,8 +44,7 @@ void AvailabilityLedger::RecordAnswered(SimTime at, double harvest) {
   harvest = std::clamp(harvest, 0.0, 1.0);
   ++answered_;
   harvest_sum_ += harvest;
-  WindowRow& row = windows_[WindowIndex(at)];
-  row.second = WindowIndex(at);
+  WindowRow& row = Row(at);
   ++row.answered;
   row.harvest_sum += harvest;
   UpdateGauges();
@@ -49,9 +53,7 @@ void AvailabilityLedger::RecordAnswered(SimTime at, double harvest) {
 void AvailabilityLedger::RecordUnanswered(SimTime at, const std::string& reason) {
   ++unanswered_;
   ++unanswered_by_reason_[reason];
-  WindowRow& row = windows_[WindowIndex(at)];
-  row.second = WindowIndex(at);
-  ++row.unanswered;
+  ++Row(at).unanswered;
   UpdateGauges();
 }
 

@@ -94,6 +94,9 @@ class AvailabilityLedger {
 
  private:
   int64_t WindowIndex(SimTime at) const { return at / window_; }
+  // The row of the window holding `at`, created on first use. Records arrive
+  // in time order, so the newest window is found without a tree search.
+  WindowRow& Row(SimTime at);
   void UpdateGauges();
 
   SimDuration window_;

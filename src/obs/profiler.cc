@@ -13,6 +13,7 @@ namespace prof_internal {
 bool g_enabled = false;
 thread_local ThreadState* g_tls = nullptr;
 uint64_t g_stride_mask[kMaxZones] = {};
+bool g_has_children[kMaxZones] = {};
 
 namespace {
 
@@ -60,27 +61,57 @@ int64_t g_window_open_at = -1;
 int g_calib_untimed = -1;
 int g_calib_timed = -1;
 
+// Mean duration an empty timed zone measures (the clock reading and the
+// bookkeeping between the two readings). Exit subtracts it from every timed
+// frame: otherwise a strided zone of ~20 ns operations reports that overhead
+// scaled by its stride, and its parent's self time goes negative by as much.
+int64_t g_timed_bias_ns = 0;
+
 }  // namespace
 
-void ProfileZone::Exit() {
+bool ProfileZone::Push(ThreadState* t, int zone, bool due) {
   using namespace prof_internal;
-  ThreadState* t = g_tls;
-  int64_t now = NowNs();
+  if (t->stack_depth >= kMaxDepth) {
+    return false;  // Too deep to track: counted only.
+  }
+  const Frame* parent = t->stack_depth > 0 ? &t->stack[t->stack_depth - 1] : nullptr;
+  Frame& f = t->stack[t->stack_depth++];
+  f.zone = zone;
+  f.child_ns = 0;
+  // Only a timed frame's subtree is sampled: under a placeholder nothing is.
+  if (!due || (parent != nullptr && parent->start_ns < 0)) {
+    f.start_ns = -1;  // Placeholder: no clock reading.
+    return true;
+  }
+  ++t->timed[zone];
+  ++t->live_depth[zone];
+  f.weight = (parent != nullptr ? parent->weight : 1) *
+             static_cast<int64_t>(g_stride_mask[zone] + 1);
+  f.start_ns = NowNs();
+  return true;
+}
+
+void ProfileZone::Exit(ThreadState* t, int zone) {
+  using namespace prof_internal;
   Frame f = t->stack[--t->stack_depth];
-  int64_t dur = now - f.start_ns;
+  if (f.start_ns < 0) {
+    return;  // Placeholder.
+  }
+  int64_t dur = NowNs() - f.start_ns - g_timed_bias_ns;
   if (dur < 0) dur = 0;
-  int shift = __builtin_ctzll(g_stride_mask[zone_] + 1);
-  int64_t scaled = dur << shift;
-  int64_t self = dur - f.child_ns;
-  if (self < 0) self = 0;  // Scaled child estimates can overshoot the frame.
-  t->self_ns[zone_] += self << shift;
-  if (--t->live_depth[zone_] == 0) {
-    t->total_ns[zone_] += scaled;  // Outermost frame only (re-entrancy).
+  int64_t weighted = dur * f.weight;
+  // Negative when a scaled child estimate overshoots this frame; see the
+  // header on why the frame is not clamped.
+  t->self_ns[zone] += (dur - f.child_ns) * f.weight;
+  if (--t->live_depth[zone] == 0) {
+    t->total_ns[zone] += weighted;  // Outermost frame only (re-entrancy).
   }
   if (t->stack_depth > 0) {
-    t->stack[t->stack_depth - 1].child_ns += scaled;
+    Frame& parent = t->stack[t->stack_depth - 1];
+    parent.child_ns += dur * static_cast<int64_t>(g_stride_mask[zone] + 1);
+    g_has_children[parent.zone] = true;
   } else {
-    t->root_ns[zone_] += scaled;
+    t->root_ns[zone] += weighted;
   }
 }
 
@@ -117,6 +148,7 @@ void Profiler::Enable() {
     g_calib_timed = RegisterZone("prof.calibrate_timed", 0);
   }
   prof_internal::g_enabled = true;
+  g_timed_bias_ns = 0;
   constexpr int kUntimedReps = 1 << 17;
   constexpr int kTimedReps = 1 << 13;
   int64_t t0 = NowNs();
@@ -130,6 +162,7 @@ void Profiler::Enable() {
   int64_t t2 = NowNs();
   entry_cost_ns_ = static_cast<double>(t1 - t0) / kUntimedReps;
   timed_entry_cost_ns_ = static_cast<double>(t2 - t1) / kTimedReps;
+  g_timed_bias_ns = prof_internal::g_tls->total_ns[g_calib_timed] / kTimedReps;
   Reset();
 }
 

@@ -12,19 +12,36 @@
 // merged on snapshot. Attribution is nesting-exact: a zone's `total` is the
 // wall time between its outermost entry and exit (re-entrant inner frames do
 // not double-count), and its `self` is total minus the time attributed to
-// nested zones, so self sums are disjoint and comparable.
+// nested zones, so self sums are disjoint and comparable: the zones' summed
+// self time equals the root zones' time exactly.
 //
 // Cost discipline: disabled (the default), a zone entry is one predicted
 // branch — zero accumulation, safe to leave compiled into release paths.
 // Enabled, every entry pays an exact count increment; clock reads are taken
-// only on every 2^stride_log2-th entry, and the observed duration is scaled by
-// the stride so totals remain unbiased estimates. Hot leaf zones (timer-wheel
-// schedule/cancel at ~100 ns/op) register with a stride so two clock_gettime
-// calls are amortized away; zones registered with stride 0 are timed on every
-// entry and their self/total attribution is exact, not statistical. Enable()
-// calibrates the per-entry cost of both paths, so SelfOverhead() reports a
-// *measured* bound (calibrated cost x exact entry counts / measured wall
-// window) — the number the profile-smoke CI gate holds under 3%.
+// only on every 2^stride_log2-th entry (inside a timed parent), and the
+// observed duration (less the calibrated cost of timing an empty zone) is
+// scaled by the frame's weight, below, so totals remain unbiased estimates.
+// Hot leaf zones (timer-wheel schedule/cancel at ~100 ns/op) register with a
+// stride so two clock_gettime calls are amortized away; zones registered with
+// stride 0 are timed on every entry inside a timed parent and their self/total
+// attribution is exact there, not statistical. Enable() calibrates the
+// per-entry cost of both paths, so SelfOverhead() reports a *measured* bound
+// (calibrated cost x exact entry counts / measured wall window) — the number
+// the profile-smoke CI gate holds under 3%.
+//
+// Strided attribution samples subtrees: an entry is timed only when its
+// parent frame is timed (and its own counter comes up), and a timed frame
+// stands for `weight` entries, the product of its own and its timed
+// ancestors' strides. Its self time is its duration less its timed children's
+// (each scaled by the child's own stride), times its weight, and may go
+// negative for one frame when a child's scaled estimate overshoots it;
+// clamping it at zero would bias the parent upward. Weighted this way, the
+// zones' self times sum to exactly the root zones' time, so summed self time
+// equals coverage. An untimed entry of a zone seen to have nested zones pushes
+// a placeholder frame (no clock reading), so nothing inside it is timed or
+// charged to its parent; leaf zones' untimed entries stay a bare count. When
+// every-2^k-th sampling aliases with a periodic loop, a zone's estimate is
+// biased and its self time can read negative.
 //
 // Single-threaded simulators are the design center: toggling Enable/Disable
 // while zones are open on another thread is not supported.
@@ -47,8 +64,10 @@ constexpr int kMaxDepth = 64;
 
 struct Frame {
   int zone;
-  int64_t start_ns;
-  int64_t child_ns;  // Scaled time attributed to nested zones so far.
+  int64_t start_ns;  // -1 for an untimed entry's placeholder.
+  int64_t child_ns;  // Nested zones' time, each scaled by its own stride.
+  int64_t weight;    // Entries this frame stands for: the product of the
+                     // strides of it and its timed ancestors.
 };
 
 struct ThreadState {
@@ -65,6 +84,9 @@ struct ThreadState {
 extern bool g_enabled;
 extern thread_local ThreadState* g_tls;
 extern uint64_t g_stride_mask[kMaxZones];  // (1 << stride_log2) - 1 per zone.
+// Set once a timed frame of the zone has had a timed zone nested inside it.
+// Only such zones push placeholder frames on untimed entries.
+extern bool g_has_children[kMaxZones];
 
 // Registers this thread's state with the profiler (first zone entry per thread).
 ThreadState* TlsSlow();
@@ -143,10 +165,10 @@ class ProfileZone {
     Enter(zone);
   }
   ~ProfileZone() {
-    if (__builtin_expect(zone_ < 0, 1)) {
+    if (__builtin_expect(t_ == nullptr, 1)) {
       return;
     }
-    Exit();
+    Exit(t_, zone_);
   }
 
   ProfileZone(const ProfileZone&) = delete;
@@ -160,20 +182,23 @@ class ProfileZone {
       t = TlsSlow();
     }
     uint64_t n = static_cast<uint64_t>(t->count[zone]++);
-    if ((n & g_stride_mask[zone]) != 0 || t->stack_depth >= kMaxDepth) {
-      return;  // Untimed entry: the count was the whole cost.
+    if (__builtin_expect((n & g_stride_mask[zone]) != 0 && !g_has_children[zone], 1)) {
+      return;  // Untimed leaf entry: the count was the whole cost.
     }
-    ++t->timed[zone];
-    ++t->live_depth[zone];
-    Frame& f = t->stack[t->stack_depth++];
-    f.zone = zone;
-    f.child_ns = 0;
-    f.start_ns = NowNs();
-    zone_ = zone;
+    if (Push(t, zone, (n & g_stride_mask[zone]) == 0)) {
+      t_ = t;
+      zone_ = zone;
+    }
   }
 
-  void Exit();
+  // Pushes a timed frame (when `due` and the parent frame is timed) or a
+  // placeholder; false when the stack is too deep to track. Static, like
+  // Exit, so the scope object stays in registers on the untimed path.
+  static bool Push(prof_internal::ThreadState* t, int zone, bool due);
+  // Pops the frame Push pushed; a timed one is attributed to `zone`.
+  static void Exit(prof_internal::ThreadState* t, int zone);
 
+  prof_internal::ThreadState* t_ = nullptr;  // Set when the entry pushed a frame.
   int zone_ = -1;
 };
 

@@ -115,30 +115,26 @@ void TraceCollector::Record(const SpanRecord& span) {
   }
   // Strided: a recycled-slot record is tens of nanoseconds.
   SNS_PROFILE_ZONE_STRIDE("obs.span_record", 4);
-  auto it = spans_by_trace_.find(span.trace_id);
-  if (it == spans_by_trace_.end()) {
+  std::vector<SpanRecord>* spans = spans_by_trace_.Find(span.trace_id);
+  if (spans == nullptr) {
     if (spans_by_trace_.size() >= max_traces_) {
       EvictOldest();
     }
-    if (spare_.empty()) {
-      it = spans_by_trace_.emplace(span.trace_id, std::vector<SpanRecord>{}).first;
-    } else {
-      spare_.key() = span.trace_id;
-      it = spans_by_trace_.insert(std::move(spare_)).position;
-    }
+    spans = &spans_by_trace_.Set(span.trace_id, std::move(spare_));
+    spare_.clear();
     trace_order_.push_back(span.trace_id);
   }
-  it->second.push_back(span);
+  spans->push_back(span);
   ++span_count_;
 }
 
 void TraceCollector::SortedSpans(uint64_t trace_id, std::vector<const SpanRecord*>* out) const {
   out->clear();
-  auto it = spans_by_trace_.find(trace_id);
-  if (it == spans_by_trace_.end()) {
+  const std::vector<SpanRecord>* spans = spans_by_trace_.Find(trace_id);
+  if (spans == nullptr) {
     return;
   }
-  for (const SpanRecord& span : it->second) {
+  for (const SpanRecord& span : *spans) {
     out->push_back(&span);
   }
   // span_id is unique, so the order is total and does not depend on the sort.
@@ -165,8 +161,8 @@ std::string TraceCollector::ToJson() const {
   // largest section of a run artifact).
   size_t size = kTracesOpen.size() + kTracesClose.size() +
                 (spans_by_trace_.empty() ? 0 : spans_by_trace_.size() - 1);
-  for (const auto& [trace_id, spans] : spans_by_trace_) {
-    size += TraceJsonLength(trace_id, spans);
+  for (size_t i = order_head_; i < trace_order_.size(); ++i) {
+    size += TraceJsonLength(trace_order_[i], *spans_by_trace_.Find(trace_order_[i]));
   }
   std::string out;
   out.reserve(size);
@@ -199,11 +195,12 @@ void TraceCollector::EvictOldest() {
                        trace_order_.begin() + static_cast<ptrdiff_t>(order_head_));
     order_head_ = 0;
   }
-  SpanMap::node_type node = spans_by_trace_.extract(victim);
-  if (!node.empty()) {
-    span_count_ -= node.mapped().size();
-    node.mapped().clear();
-    spare_ = std::move(node);
+  std::vector<SpanRecord>* spans = spans_by_trace_.Find(victim);
+  if (spans != nullptr) {
+    span_count_ -= spans->size();
+    spans->clear();
+    spare_ = std::move(*spans);
+    spans_by_trace_.Erase(victim);
   }
 }
 

@@ -12,11 +12,11 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "src/util/flat_map.h"
 #include "src/util/time.h"
 
 namespace sns {
@@ -112,7 +112,6 @@ class TraceCollector {
   void SortedSpans(uint64_t trace_id, std::vector<const SpanRecord*>* out) const;
   void EvictOldest();
 
-  using SpanMap = std::unordered_map<uint64_t, std::vector<SpanRecord>>;
 
   size_t max_traces_;
   uint64_t next_trace_id_ = 1;
@@ -122,8 +121,10 @@ class TraceCollector {
   // the head and the drained prefix is compacted away once it is half the vector.
   std::vector<uint64_t> trace_order_;
   size_t order_head_ = 0;
-  SpanMap spans_by_trace_;
-  SpanMap::node_type spare_;  // The last evicted trace's node, emptied for reuse.
+  FlatMap<uint64_t, std::vector<SpanRecord>> spans_by_trace_;
+  // The last evicted trace's span vector, emptied: the next new trace takes
+  // it over, so a full collector records without allocating.
+  std::vector<SpanRecord> spare_;
   std::unordered_set<std::string> interned_;  // Node-based: views stay valid.
 };
 

@@ -36,21 +36,13 @@ void HotBotService::Start() {
   }
 }
 
-std::vector<Endpoint> HotBotService::LiveFrontEnds() const {
-  std::vector<Endpoint> endpoints;
-  for (FrontEndProcess* fe : system_.front_ends()) {
-    endpoints.push_back(fe->endpoint());
-  }
-  return endpoints;
-}
-
 PlaybackEngine* HotBotService::AddPlaybackEngine(uint64_t seed) {
   NodeConfig client;
   client.workers_allowed = false;
   NodeId node = system_.cluster()->AddNode(client);
   PlaybackConfig config;
   config.seed = seed;
-  config.front_ends = [this] { return LiveFrontEnds(); };
+  config.front_ends = [this](std::vector<Endpoint>* out) { system_.LiveFrontEndEndpoints(out); };
   config.availability = system_.availability();
   auto engine = std::make_unique<PlaybackEngine>(config);
   PlaybackEngine* raw = engine.get();

@@ -43,8 +43,6 @@ class HotBotService {
   const HotBotOptions& options() const { return options_; }
   int64_t TotalDocuments() const;
 
-  std::vector<Endpoint> LiveFrontEnds() const;
-
   // Builds a query TraceRecord for the playback engine.
   TraceRecord MakeQuery(const std::string& user, const std::string& query) const;
 

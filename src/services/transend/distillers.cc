@@ -29,17 +29,7 @@ constexpr double kNoiseSigma = 0.25;
 // Opaque content transform: produce undecodable bytes of the modeled size.
 ContentPtr OpaqueOutput(const TaccRequest& request, MimeType mime, int64_t out_size) {
   std::vector<uint8_t> bytes(static_cast<size_t>(std::max(out_size, kMinDistilledBytes)));
-  // xorshift64*, each output word written out as 8 little-endian bytes.
-  uint64_t h = Fnv1a(request.url) * 0x9E3779B97F4A7C15ULL;
-  for (size_t i = 0; i < bytes.size();) {
-    h ^= h >> 12;
-    h ^= h << 25;
-    h ^= h >> 27;
-    uint64_t word = h * 0x2545F4914F6CDD1DULL;
-    for (int k = 0; k < 8 && i < bytes.size(); ++k, ++i, word >>= 8) {
-      bytes[i] = static_cast<uint8_t>(word);
-    }
-  }
+  FillOpaqueBytes(request.url, bytes.data(), bytes.size());
   if (bytes.size() >= 2) {
     bytes[0] = 'X';
     bytes[1] = 'X';
@@ -54,6 +44,35 @@ SimDuration NoisyCost(SimDuration fixed, SimDuration per_kb, const TaccRequest& 
 }
 
 }  // namespace
+
+void FillOpaqueBytes(const std::string& url, uint8_t* out, size_t n) {
+  uint64_t h = Fnv1a(url) * 0x9E3779B97F4A7C15ULL;
+  auto next_word = [&h] {
+    h ^= h >> 12;
+    h ^= h << 25;
+    h ^= h >> 27;
+    return h * 0x2545F4914F6CDD1DULL;
+  };
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // Spelled out so the compiler merges them into one store on little-endian hosts.
+    uint64_t word = next_word();
+    out[i] = static_cast<uint8_t>(word);
+    out[i + 1] = static_cast<uint8_t>(word >> 8);
+    out[i + 2] = static_cast<uint8_t>(word >> 16);
+    out[i + 3] = static_cast<uint8_t>(word >> 24);
+    out[i + 4] = static_cast<uint8_t>(word >> 32);
+    out[i + 5] = static_cast<uint8_t>(word >> 40);
+    out[i + 6] = static_cast<uint8_t>(word >> 48);
+    out[i + 7] = static_cast<uint8_t>(word >> 56);
+  }
+  if (i < n) {
+    uint64_t word = next_word();
+    for (; i < n; ++i, word >>= 8) {
+      out[i] = static_cast<uint8_t>(word);
+    }
+  }
+}
 
 double ImageReductionRatio(int scale, int quality) {
   scale = std::max(scale, 1);

@@ -18,6 +18,8 @@
 #ifndef SRC_SERVICES_TRANSEND_DISTILLERS_H_
 #define SRC_SERVICES_TRANSEND_DISTILLERS_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "src/tacc/registry.h"
@@ -40,6 +42,12 @@ inline constexpr char kHtmlDistillerType[] = "munge-html";
 // one (no palette work); calibrated so a distiller sustains ~23 requests/second
 // on the ~10 KB images of the §4.6 scalability experiment.
 inline constexpr SimDuration kJpegDistillPerKb = Milliseconds(4);
+
+// The bytes of opaque distiller output (benchmark content that does not
+// decode): an xorshift64* stream seeded by `url`, each word written as 8
+// little-endian bytes, the n % 8 tail bytes being the low bytes of one more
+// word. Fills out[0, n).
+void FillOpaqueBytes(const std::string& url, uint8_t* out, size_t n);
 
 class JpegDistiller : public TaccWorker {
  public:

@@ -64,14 +64,6 @@ TranSendService::TranSendService(const TranSendOptions& options)
 
 void TranSendService::Start() { system_.Start(); }
 
-std::vector<Endpoint> TranSendService::LiveFrontEnds() const {
-  std::vector<Endpoint> endpoints;
-  for (FrontEndProcess* fe : system_.front_ends()) {
-    endpoints.push_back(fe->endpoint());
-  }
-  return endpoints;
-}
-
 PlaybackEngine* TranSendService::AddPlaybackEngine(uint64_t seed) {
   PlaybackConfig config;
   config.seed = seed;
@@ -85,7 +77,7 @@ PlaybackEngine* TranSendService::AddPlaybackEngine(PlaybackConfig config) {
   // own uncalibrated 100 Mb/s NIC.
   client.link = LinkConfig{};
   NodeId node = system_.cluster()->AddNode(client);
-  config.front_ends = [this] { return LiveFrontEnds(); };
+  config.front_ends = [this](std::vector<Endpoint>* out) { system_.LiveFrontEndEndpoints(out); };
   if (config.availability == nullptr) {
     config.availability = system_.availability();
   }

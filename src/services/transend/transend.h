@@ -62,9 +62,6 @@ class TranSendService {
   ContentUniverse* universe() { return &universe_; }
   const TranSendOptions& options() const { return options_; }
 
-  // Live front-end endpoints (client-side balancing callback).
-  std::vector<Endpoint> LiveFrontEnds() const;
-
  private:
   TranSendOptions options_;
   ContentUniverse universe_;

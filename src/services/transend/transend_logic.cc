@@ -9,10 +9,24 @@ namespace {
 // Quality label (low | med | high) when the user has no profile entry.
 constexpr char kDefaultQuality[] = "med";
 
+// The user's quality label: a view into `profile`, or the default.
+std::string_view QualityOf(const UserProfile& profile) {
+  auto it = profile.pairs().find("quality");
+  return it == profile.pairs().end() ? std::string_view(kDefaultQuality)
+                                     : std::string_view(it->second);
+}
+
+// a + b + c, built with a single allocation.
+std::string Concat(std::string_view a, std::string_view b, std::string_view c = {}) {
+  std::string out;
+  out.reserve(a.size() + b.size() + c.size());
+  out.append(a).append(b).append(c);
+  return out;
+}
+
 }  // namespace
 
-std::map<std::string, std::string> TranSendLogicConfig::ArgsForQuality(
-    const std::string& label) {
+std::map<std::string, std::string> TranSendLogicConfig::ArgsForQuality(std::string_view label) {
   // Fig. 3's example operating point is the "med" setting: scale 2, quality 25.
   if (label == "low") {
     return {{kArgScale, "4"}, {kArgQuality, "10"}};
@@ -23,12 +37,12 @@ std::map<std::string, std::string> TranSendLogicConfig::ArgsForQuality(
   return {{kArgScale, "2"}, {kArgQuality, "25"}};
 }
 
-std::string TranSendLogic::OriginalKey(const std::string& url) { return url + "|orig"; }
+std::string TranSendLogic::OriginalKey(const std::string& url) { return Concat(url, "|orig"); }
 
-std::string TranSendLogic::VariantKey(const std::string& url, const std::string& quality) {
+std::string TranSendLogic::VariantKey(const std::string& url, std::string_view quality) {
   // "Users of TranSend request objects that are named by the object URL and the
   // user preferences" (§3.1.8).
-  return url + "|distilled|" + quality;
+  return Concat(url, "|distilled|", quality);
 }
 
 void TranSendLogic::HandleRequest(RequestContext* ctx) {
@@ -55,7 +69,7 @@ void TranSendLogic::HandleRequest(RequestContext* ctx) {
       // write surfaces as an error instead of a false confirmation.
       c->PutProfile(updated, [updated](RequestContext* c2, Status status) {
         if (!status.ok()) {
-          c2->Respond(status, nullptr, ResponseSource::kPassThrough, false);
+          c2->Respond(std::move(status), nullptr, ResponseSource::kPassThrough, false);
           return;
         }
         c2->SetProfile(updated);
@@ -68,57 +82,55 @@ void TranSendLogic::HandleRequest(RequestContext* ctx) {
       });
       return;
     }
-    std::string quality = profile.GetOr("quality", kDefaultQuality);
     MimeType mime = MimeTypeFromUrl(c->request().url);
     bool distillable = profile.GetBoolOr("distill", true) &&
                        (mime == MimeType::kGif || mime == MimeType::kJpeg ||
                         mime == MimeType::kHtml);
     if (!distillable) {
       // No distiller for this type: pass the original through (§4.1).
-      WithOriginal(c, "");
+      WithOriginal(c, /*distill=*/false);
       return;
     }
     // First choice: the already-distilled variant in the cache.
-    c->CacheGet(VariantKey(c->request().url, quality),
-                [this, quality](RequestContext* c2, bool hit, ContentPtr content) {
+    c->CacheGet(VariantKey(c->request().url, QualityOf(c->profile())),
+                [this](RequestContext* c2, bool hit, ContentPtr content) {
                   if (hit) {
                     c2->Respond(Status::Ok(), content, ResponseSource::kDistilled, true);
                     return;
                   }
-                  WithOriginal(c2, quality);
+                  // An empty label names no distilled variant: pass the original.
+                  WithOriginal(c2, /*distill=*/!QualityOf(c2->profile()).empty());
                 });
   });
 }
 
-void TranSendLogic::WithOriginal(RequestContext* ctx, const std::string& quality) {
+void TranSendLogic::WithOriginal(RequestContext* ctx, bool distill) {
   ctx->CacheGet(
       OriginalKey(ctx->request().url),
-      [this, quality](RequestContext* c, bool hit, ContentPtr content) {
+      [this, distill](RequestContext* c, bool hit, ContentPtr content) {
         if (hit) {
-          Distill(c, quality, std::move(content), /*original_was_cached=*/true);
+          Distill(c, distill, std::move(content), /*original_was_cached=*/true);
           return;
         }
         // Full miss: fetch from the Internet (the dominant latency, §4.4).
-        c->Fetch(c->request().url, [this, quality](RequestContext* c2, Status status,
+        c->Fetch(c->request().url, [this, distill](RequestContext* c2, Status status,
                                                    ContentPtr fetched) {
           if (!status.ok()) {
-            c2->Respond(status, nullptr, ResponseSource::kError, false);
+            c2->Respond(std::move(status), nullptr, ResponseSource::kError, false);
             return;
           }
           c2->CachePut(OriginalKey(c2->request().url), fetched);
-          Distill(c2, quality, std::move(fetched), /*original_was_cached=*/false);
+          Distill(c2, distill, std::move(fetched), /*original_was_cached=*/false);
         });
       });
 }
 
-void TranSendLogic::Distill(RequestContext* ctx, const std::string& quality,
-                            ContentPtr original, bool original_was_cached) {
+void TranSendLogic::Distill(RequestContext* ctx, bool distill, ContentPtr original,
+                            bool original_was_cached) {
   MimeType mime = MimeTypeFromUrl(ctx->request().url);
-  // `quality` empty means the type was not distillable at all.
-  if (quality.empty() || original == nullptr ||
-      original->size() < config_.distill_threshold_bytes) {
+  if (!distill || original == nullptr || original->size() < config_.distill_threshold_bytes) {
     ctx->Respond(Status::Ok(), original,
-                 quality.empty() ? ResponseSource::kPassThrough : ResponseSource::kCacheOriginal,
+                 distill ? ResponseSource::kCacheOriginal : ResponseSource::kPassThrough,
                  original_was_cached);
     return;
   }
@@ -139,7 +151,8 @@ void TranSendLogic::Distill(RequestContext* ctx, const std::string& quality,
       return;
   }
 
-  std::map<std::string, std::string> args = TranSendLogicConfig::ArgsForQuality(quality);
+  std::map<std::string, std::string> args =
+      TranSendLogicConfig::ArgsForQuality(QualityOf(ctx->profile()));
   // Forward fault-injection markers ("__poison") from the client request.
   for (const auto& [key, value] : ctx->request().params) {
     if (key.rfind("__", 0) == 0) {
@@ -149,8 +162,8 @@ void TranSendLogic::Distill(RequestContext* ctx, const std::string& quality,
 
   ctx->CallWorker(
       worker_type, std::move(args), {original},
-      [this, quality, original, original_was_cached](RequestContext* c, Status status,
-                                                     ContentPtr distilled) {
+      [this, original, original_was_cached](RequestContext* c, Status status,
+                                            ContentPtr distilled) {
         if (!status.ok() || distilled == nullptr) {
           // BASE approximate answer: "If the required distiller has temporarily or
           // permanently failed, the system can return the original content"
@@ -160,7 +173,7 @@ void TranSendLogic::Distill(RequestContext* ctx, const std::string& quality,
           return;
         }
         if (config_.cache_distilled) {
-          c->CachePut(VariantKey(c->request().url, quality), distilled);
+          c->CachePut(VariantKey(c->request().url, QualityOf(c->profile())), distilled);
         }
         c->Respond(Status::Ok(), distilled, ResponseSource::kDistilled, original_was_cached);
       });

@@ -16,6 +16,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "src/sns/front_end.h"
 
@@ -29,7 +30,7 @@ struct TranSendLogicConfig {
   // experiment turns this off so every request re-distills (§4.6).
   bool cache_distilled = true;
   // Map a quality label to distiller args.
-  static std::map<std::string, std::string> ArgsForQuality(const std::string& label);
+  static std::map<std::string, std::string> ArgsForQuality(std::string_view label);
 };
 
 class TranSendLogic : public FrontEndLogic {
@@ -40,12 +41,14 @@ class TranSendLogic : public FrontEndLogic {
 
   // Cache key helpers (also used by tests).
   static std::string OriginalKey(const std::string& url);
-  static std::string VariantKey(const std::string& url, const std::string& quality);
+  static std::string VariantKey(const std::string& url, std::string_view quality);
 
  private:
-  void WithOriginal(RequestContext* ctx, const std::string& quality);
-  void Distill(RequestContext* ctx, const std::string& quality, ContentPtr original,
-               bool original_was_cached);
+  // The continuations capture no strings: the quality label is read from the
+  // request's profile (set once, before the first cache probe) when needed.
+  // `distill` is false when the content type has no distiller.
+  void WithOriginal(RequestContext* ctx, bool distill);
+  void Distill(RequestContext* ctx, bool distill, ContentPtr original, bool original_was_cached);
 
   TranSendLogicConfig config_;
 };

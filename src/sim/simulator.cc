@@ -368,24 +368,27 @@ SimTime Simulator::PeekNextTime() {
 // --- Execution ---------------------------------------------------------------
 
 bool Simulator::Step() {
-  SimCallback cb;
+  uint32_t ri;
   {
     // Wheel bookkeeping: cursor advance, cascades, due extraction.
     SNS_PROFILE_ZONE_STRIDE("sim.fire", 6);
     if (PeekNextTime() == kTimeNever) return false;
-    uint32_t ri = due_[due_pos_++];
+    ri = due_[due_pos_++];
     Rec& r = RecAt(ri);
     now_ = r.time;
-    cb = std::move(r.cb);
-    FreeRec(ri);  // Before invoking: Cancel(this event's id) inside cb is a no-op.
+    // Stale before invoking: Cancel(this event's id) inside the callback is a
+    // no-op. The record leaves due_ but reaches the free list only once the
+    // callback has returned, so the callback runs in place.
+    r.gen++;
     --pending_;
     ++executed_;
   }
   {
     // Callback execution: everything the event actually does.
     SNS_PROFILE_ZONE_STRIDE("sim.dispatch", 6);
-    cb();
+    RecAt(ri).cb();  // Chunks never move, so the record outlives slab growth.
   }
+  FreeRec(ri);
   return true;
 }
 

@@ -137,7 +137,7 @@ void CacheNodeProcess::RebalanceStep() {
       ++rebalance_pos_;  // Evicted since the snapshot.
       continue;
     }
-    std::vector<int64_t> chain = ring_.LookupN(key, r);
+    ConsistentHashRing::Chain chain = ring_.LookupN(key, r);
     bool owned = false;
     // Membership pass: push only to chain members the settled (pre-change) ring
     // did not assign this key — steady-state writes already replicated to the
@@ -195,7 +195,7 @@ void CacheNodeProcess::RebalanceStep() {
 
 bool CacheNodeProcess::InChain(const ConsistentHashRing& ring, const std::string& key,
                                size_t r, int64_t member) {
-  std::vector<int64_t> chain = ring.LookupN(key, r);
+  ConsistentHashRing::Chain chain = ring.LookupN(key, r);
   return std::find(chain.begin(), chain.end(), member) != chain.end();
 }
 
@@ -291,6 +291,7 @@ void CacheNodeProcess::HandleGet(const Message& msg) {
   TraceContext span = ChildSpan(msg.trace);
   SimTime start = sim()->now();
   RunOnCpu(config_.cpu_per_get, [this, get, span, start] {
+    SNS_PROFILE_ZONE("cache.get");
     --outstanding_;
     auto reply = std::make_shared<CacheReplyPayload>();
     reply->op_id = get->op_id;
@@ -324,6 +325,7 @@ void CacheNodeProcess::HandlePut(const Message& msg) {
   TraceContext span = ChildSpan(msg.trace);
   SimTime start = sim()->now();
   RunOnCpu(kCpuPerPut, [this, put, span, start] {
+    SNS_PROFILE_ZONE("cache.put");
     --outstanding_;
     if (put->content != nullptr) {
       // Content equality (one ContentPtr, or equal bytes: two origin fetches of a

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/obs/profiler.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
 
@@ -21,8 +22,8 @@ void RequestContext::PutProfile(const UserProfile& profile, PutCb cb) {
   fe_->DoPutProfile(this, profile, std::move(cb));
 }
 
-void RequestContext::CacheGet(const std::string& key, CacheCb cb) {
-  fe_->DoCacheGet(this, key, std::move(cb));
+void RequestContext::CacheGet(std::string key, CacheCb cb) {
+  fe_->DoCacheGet(this, std::move(key), std::move(cb));
 }
 
 void RequestContext::CachePut(const std::string& key, ContentPtr content) {
@@ -49,9 +50,9 @@ void RequestContext::CallPipeline(const PipelineSpec& spec, std::vector<ContentP
   fe_->RunPipelineStage(this, shared_spec, 0, nullptr, std::move(inputs), std::move(cb));
 }
 
-void RequestContext::Respond(const Status& status, ContentPtr content, ResponseSource source,
+void RequestContext::Respond(Status status, ContentPtr content, ResponseSource source,
                              bool cache_hit) {
-  fe_->FinishRequest(this, status, content, source, cache_hit);
+  fe_->FinishRequest(this, std::move(status), content, source, cache_hit);
 }
 
 // ---------- FrontEndProcess: lifecycle ---------------------------------------------
@@ -107,6 +108,7 @@ void FrontEndProcess::OnStop() {
 }
 
 void FrontEndProcess::OnMessage(const Message& msg) {
+  SNS_PROFILE_ZONE("fe.message");
   switch (msg.type) {
     case kMsgManagerBeacon:
       HandleBeacon(static_cast<const ManagerBeaconPayload&>(*msg.payload));
@@ -226,7 +228,7 @@ void FrontEndProcess::StartRequest(std::shared_ptr<const ClientRequestPayload> r
   ++active_;
   peak_active_ = std::max(peak_active_, active_);
   active_gauge_->Set(active_);
-  auto ctx = std::make_unique<RequestContext>();
+  std::unique_ptr<RequestContext> ctx = AcquireContext();
   ctx->fe_ = this;
   ctx->id_ = next_id_++;
   ctx->request_ = std::move(request);
@@ -236,11 +238,11 @@ void FrontEndProcess::StartRequest(std::shared_ptr<const ClientRequestPayload> r
   // Join the client's trace, or root a fresh one for untraced callers (tests that
   // inject requests directly).
   ctx->trace_ = client_trace.valid() ? ChildSpan(client_trace) : StartTrace();
-  RequestContext* raw = ctx.get();
-  contexts_[raw->id_] = std::move(ctx);
+  uint64_t id = ctx->id_;
+  contexts_.Set(id, std::move(ctx));
   // Connection shepherding + dispatch-logic CPU, charged before the logic runs.
-  uint64_t id = raw->id_;
   RunOnCpu(kFeCpuPerRequest, [this, id] {
+    SNS_PROFILE_ZONE("fe.logic");
     RequestContext* ctx2 = FindContext(id);
     if (ctx2 != nullptr) {
       logic_->HandleRequest(ctx2);
@@ -249,11 +251,20 @@ void FrontEndProcess::StartRequest(std::shared_ptr<const ClientRequestPayload> r
 }
 
 RequestContext* FrontEndProcess::FindContext(uint64_t request_id) {
-  auto it = contexts_.find(request_id);
-  return it == contexts_.end() ? nullptr : it->second.get();
+  std::unique_ptr<RequestContext>* slot = contexts_.Find(request_id);
+  return slot == nullptr ? nullptr : slot->get();
 }
 
-void FrontEndProcess::FinishRequest(RequestContext* ctx, const Status& status,
+std::unique_ptr<RequestContext> FrontEndProcess::AcquireContext() {
+  if (free_contexts_.empty()) {
+    return std::make_unique<RequestContext>();
+  }
+  std::unique_ptr<RequestContext> ctx = std::move(free_contexts_.back());
+  free_contexts_.pop_back();
+  return ctx;
+}
+
+void FrontEndProcess::FinishRequest(RequestContext* ctx, Status status,
                                     const ContentPtr& content, ResponseSource source,
                                     bool cache_hit) {
   if (ctx->responded_) {
@@ -265,25 +276,23 @@ void FrontEndProcess::FinishRequest(RequestContext* ctx, const Status& status,
   // (and the content dropped) rather than pretending the work arrived in time.
   // Inclusive comparison: a response finished exactly AT the deadline still has a
   // network trip ahead of it, so the client would observe it late.
-  Status final_status = status;
-  ContentPtr final_content = content;
-  ResponseSource final_source = source;
   bool expired_late = ctx->deadline_ != kTimeNever && sim()->now() >= ctx->deadline_;
-  if (expired_late && status.ok()) {
-    final_status = TimeoutError("deadline exceeded before completion");
-    final_content = nullptr;
-    final_source = ResponseSource::kError;
-    cache_hit = false;
-  }
   if (expired_late) {
     deadline_expired_->Increment();
   }
   auto reply = std::make_shared<ClientResponsePayload>();
   reply->client_request_id = ctx->request_->client_request_id;
-  reply->status = final_status;
-  reply->content = final_content;
-  reply->source = final_source;
-  reply->cache_hit = cache_hit;
+  if (expired_late && status.ok()) {
+    reply->status = TimeoutError("deadline exceeded before completion");
+    reply->source = ResponseSource::kError;
+  } else {
+    reply->status = std::move(status);
+    reply->content = content;
+    reply->source = source;
+    reply->cache_hit = cache_hit;
+  }
+  const Status& final_status = reply->status;
+  ResponseSource final_source = reply->source;
   Message out;
   out.dst = ctx->client_;
   out.type = kMsgClientResponse;
@@ -302,7 +311,13 @@ void FrontEndProcess::FinishRequest(RequestContext* ctx, const Status& status,
   }
   ++responses_by_source_[ResponseSourceName(final_source)];
 
-  contexts_.erase(ctx->id_);
+  // Recycle the context. Nothing may touch `ctx` past this point: the next
+  // request to start reuses it.
+  uint64_t id = ctx->id_;
+  std::unique_ptr<RequestContext>* slot = contexts_.Find(id);
+  **slot = RequestContext();
+  free_contexts_.push_back(std::move(*slot));
+  contexts_.Erase(id);
   --active_;
   active_gauge_->Set(active_);
   DrainAcceptQueue();
@@ -377,7 +392,7 @@ SimDuration FrontEndProcess::RemainingBudget(const RequestContext* ctx) const {
 
 // ---------- Facility ops ----------------------------------------------------------------
 
-void FrontEndProcess::SendOp(RequestContext* ctx, uint64_t op_id, PendingOp op,
+void FrontEndProcess::SendOp(RequestContext* ctx, uint64_t op_id, PendingOp&& op,
                              SimDuration timeout, Message msg, San::SendOptions opts) {
   op.request = msg.payload;
   op.request_id = ctx->id_;
@@ -387,17 +402,17 @@ void FrontEndProcess::SendOp(RequestContext* ctx, uint64_t op_id, PendingOp op,
                      [this, op_id] { FinishOp(op_id, "timeout", nullptr); });
   msg.transport = Transport::kReliable;
   msg.trace = op.trace;
-  pending_ops_.emplace(op_id, std::move(op));
+  pending_ops_.Set(op_id, std::move(op));
   Send(std::move(msg), std::move(opts));
 }
 
 void FrontEndProcess::FinishOp(uint64_t op_id, std::string_view outcome, const Message* reply) {
-  auto it = pending_ops_.find(op_id);
-  if (it == pending_ops_.end()) {
+  PendingOp* pending = pending_ops_.Find(op_id);
+  if (pending == nullptr) {
     return;  // A late reply after the timeout (or a failover) ended the op.
   }
-  PendingOp op = std::move(it->second);
-  pending_ops_.erase(it);
+  PendingOp op = std::move(*pending);
+  pending_ops_.Erase(op_id);
   CancelTimer(op.timeout);
   RecordSpan(op.trace, op.span, op.started, outcome);
   RequestContext* ctx = FindContext(op.request_id);
@@ -502,9 +517,9 @@ void FrontEndProcess::FinishProfilePut(PendingOp& op, RequestContext* ctx, const
 
 // ---------- Cache facility ------------------------------------------------------------
 
-void FrontEndProcess::DoCacheGet(RequestContext* ctx, const std::string& key,
+void FrontEndProcess::DoCacheGet(RequestContext* ctx, std::string key,
                                  RequestContext::CacheCb cb) {
-  std::vector<Endpoint> chain = stub_.CacheChainForKey(key);
+  ManagerStub::CacheChain chain = stub_.CacheChainForKey(key);
   if (chain.empty() || RemainingBudget(ctx) <= 0) {
     cb(ctx, false, nullptr);  // No time to probe == miss (caching is an optimization).
     return;
@@ -512,10 +527,10 @@ void FrontEndProcess::DoCacheGet(RequestContext* ctx, const std::string& key,
   PendingOp op("fe.cache_get", &FrontEndProcess::FinishCacheGet, std::move(cb));
   op.request_id = ctx->id_;
   op.chain = std::move(chain);
-  SendCacheProbe(std::move(op), key);
+  SendCacheProbe(std::move(op), std::move(key));
 }
 
-void FrontEndProcess::SendCacheProbe(PendingOp op, std::string key) {
+void FrontEndProcess::SendCacheProbe(PendingOp&& op, std::string key) {
   RequestContext* ctx = FindContext(op.request_id);
   if (ctx == nullptr || ctx->responded_) {
     return;
@@ -552,8 +567,9 @@ void FrontEndProcess::FinishCacheGet(PendingOp& op, RequestContext* ctx, const M
       // head may be dead, cold after a membership change, or have evicted it).
       ++op.attempt;
       cache_failovers_->Increment();
-      std::string key = static_cast<const CacheGetPayload&>(*op.request).key;
-      SendCacheProbe(std::move(op), std::move(key));
+      // The next probe's payload gets its own copy of the key.
+      std::shared_ptr<const Payload> previous = std::move(op.request);
+      SendCacheProbe(std::move(op), static_cast<const CacheGetPayload&>(*previous).key);
     } else if (ctx != nullptr) {
       std::get<RequestContext::CacheCb>(op.cb)(ctx, false, nullptr);  // Whole chain missed.
     }
@@ -595,7 +611,7 @@ void FrontEndProcess::SendCachePutTo(const Endpoint& dst,
 
 void FrontEndProcess::DoCachePut(RequestContext* ctx, const std::string& key,
                                  ContentPtr content) {
-  std::vector<Endpoint> chain = stub_.CacheChainForKey(key);
+  ManagerStub::CacheChain chain = stub_.CacheChainForKey(key);
   if (chain.empty() || content == nullptr) {
     return;
   }
@@ -681,7 +697,7 @@ void FrontEndProcess::DoCallWorker(RequestContext* ctx, const std::string& type,
   task.trace = ctx->trace_;
   task.attempts_left = config_.task_retries + 1;
   task.spawn_waits_left = 20;
-  pending_tasks_[task_id] = std::move(task);
+  pending_tasks_.Set(task_id, std::move(task));
   AttemptTask(task_id);
 }
 
@@ -698,24 +714,25 @@ void FrontEndProcess::RunPipelineStage(RequestContext* ctx,
       stage == 0 ? std::move(first_inputs) : std::vector<ContentPtr>{current};
   auto args = s.args;
   DoCallWorker(ctx, s.worker_type, std::move(args), std::move(inputs),
-               [this, spec, stage, cb](RequestContext* ctx2, Status status, ContentPtr output) {
+               [this, spec, stage, cb = std::move(cb)](RequestContext* ctx2, Status status,
+                                                      ContentPtr output) mutable {
                  if (!status.ok()) {
                    cb(ctx2, std::move(status), nullptr);
                    return;
                  }
-                 RunPipelineStage(ctx2, spec, stage + 1, std::move(output), {}, cb);
+                 RunPipelineStage(ctx2, spec, stage + 1, std::move(output), {}, std::move(cb));
                });
 }
 
 void FrontEndProcess::AttemptTask(uint64_t task_id) {
-  auto it = pending_tasks_.find(task_id);
-  if (it == pending_tasks_.end()) {
+  PendingTask* pending = pending_tasks_.Find(task_id);
+  if (pending == nullptr) {
     return;
   }
-  PendingTask& task = it->second;
+  PendingTask& task = *pending;
   RequestContext* ctx = FindContext(task.request_id);
   if (ctx == nullptr || ctx->responded_) {
-    pending_tasks_.erase(it);
+    pending_tasks_.Erase(task_id);
     return;
   }
   SimDuration budget = RemainingBudget(ctx);
@@ -761,14 +778,14 @@ void FrontEndProcess::AttemptTask(uint64_t task_id) {
   task.attempt_started = sim()->now();
   stub_.NoteTaskSent(*worker);
   task.timeout = After(CapToBudget(config_.task_timeout, budget), [this, task_id] {
-    auto it2 = pending_tasks_.find(task_id);
-    if (it2 == pending_tasks_.end()) {
+    PendingTask* timed_out = pending_tasks_.Find(task_id);
+    if (timed_out == nullptr) {
       return;
     }
     task_timeouts_->Increment();
-    RecordSpan(it2->second.attempt_trace, "fe.task_attempt", it2->second.attempt_started,
+    RecordSpan(timed_out->attempt_trace, "fe.task_attempt", timed_out->attempt_started,
                "timeout");
-    stub_.NoteTaskDone(it2->second.worker);
+    stub_.NoteTaskDone(timed_out->worker);
     TaskAttemptFailed(task_id, /*worker_dead=*/false);
   });
 
@@ -782,25 +799,24 @@ void FrontEndProcess::AttemptTask(uint64_t task_id) {
   San::SendOptions opts;
   opts.on_failed = [this, task_id](const Message&) {
     // Broken connection: the worker process is gone (§3.1.3 fast failure detection).
-    auto it2 = pending_tasks_.find(task_id);
-    if (it2 == pending_tasks_.end()) {
+    PendingTask* broken = pending_tasks_.Find(task_id);
+    if (broken == nullptr) {
       return;
     }
-    CancelTimer(it2->second.timeout);
-    RecordSpan(it2->second.attempt_trace, "fe.task_attempt", it2->second.attempt_started,
-               "broken");
-    stub_.NoteTaskDone(it2->second.worker);
+    CancelTimer(broken->timeout);
+    RecordSpan(broken->attempt_trace, "fe.task_attempt", broken->attempt_started, "broken");
+    stub_.NoteTaskDone(broken->worker);
     TaskAttemptFailed(task_id, /*worker_dead=*/true);
   };
   Send(std::move(msg), std::move(opts));
 }
 
 void FrontEndProcess::TaskAttemptFailed(uint64_t task_id, bool worker_dead) {
-  auto it = pending_tasks_.find(task_id);
-  if (it == pending_tasks_.end()) {
+  PendingTask* pending = pending_tasks_.Find(task_id);
+  if (pending == nullptr) {
     return;
   }
-  PendingTask& task = it->second;
+  PendingTask& task = *pending;
   // The next attempt avoids the worker that just failed: re-picking it instantly
   // would hammer the very node whose overload caused the timeout.
   task.avoid = task.worker;
@@ -847,12 +863,12 @@ void FrontEndProcess::TaskAttemptFailed(uint64_t task_id, bool worker_dead) {
 }
 
 void FrontEndProcess::FailTask(uint64_t task_id, Status status) {
-  auto it = pending_tasks_.find(task_id);
-  if (it == pending_tasks_.end()) {
+  PendingTask* pending = pending_tasks_.Find(task_id);
+  if (pending == nullptr) {
     return;
   }
-  PendingTask task = std::move(it->second);
-  pending_tasks_.erase(it);
+  PendingTask task = std::move(*pending);
+  pending_tasks_.Erase(task_id);
   CancelTimer(task.timeout);
   RequestContext* ctx = FindContext(task.request_id);
   if (ctx != nullptr && !ctx->responded_) {
@@ -880,24 +896,22 @@ void FrontEndProcess::ReportWorkerDead(const Endpoint& worker, const std::string
 
 void FrontEndProcess::HandleTaskResponse(const Message& msg) {
   const auto& reply = static_cast<const TaskResponsePayload&>(*msg.payload);
-  auto it = pending_tasks_.find(reply.task_id);
-  if (it == pending_tasks_.end()) {
+  PendingTask* pending = pending_tasks_.Find(reply.task_id);
+  if (pending == nullptr) {
     return;  // Late response after a timeout-triggered retry; drop it.
   }
-  if (reply.status.code() == StatusCode::kResourceExhausted &&
-      it->second.attempts_left > 1) {
+  if (reply.status.code() == StatusCode::kResourceExhausted && pending->attempts_left > 1) {
     // Overload rejection: the worker refused the task without running it (queue
     // full, or the backlog cannot meet the deadline). Retry on another worker
     // through the same backoff discipline as a timeout.
-    CancelTimer(it->second.timeout);
-    RecordSpan(it->second.attempt_trace, "fe.task_attempt", it->second.attempt_started,
-               "rejected");
-    stub_.NoteTaskDone(it->second.worker);
+    CancelTimer(pending->timeout);
+    RecordSpan(pending->attempt_trace, "fe.task_attempt", pending->attempt_started, "rejected");
+    stub_.NoteTaskDone(pending->worker);
     TaskAttemptFailed(reply.task_id, /*worker_dead=*/false);
     return;
   }
-  PendingTask task = std::move(it->second);
-  pending_tasks_.erase(it);
+  PendingTask task = std::move(*pending);
+  pending_tasks_.Erase(reply.task_id);
   CancelTimer(task.timeout);
   RecordSpan(task.attempt_trace, "fe.task_attempt", task.attempt_started,
              reply.status.ok() ? "ok" : "error");

@@ -17,17 +17,16 @@
 #define SRC_SNS_FRONT_END_H_
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
 #include "src/cluster/process.h"
 #include "src/obs/metrics.h"
+#include "src/sim/callback.h"
 #include "src/sim/timer.h"
 #include "src/sns/config.h"
 #include "src/sns/launcher.h"
@@ -36,6 +35,7 @@
 #include "src/store/consistent_hash.h"
 #include "src/store/lru_cache.h"
 #include "src/tacc/pipeline.h"
+#include "src/util/flat_map.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 
@@ -43,15 +43,21 @@ namespace sns {
 
 class FrontEndProcess;
 
+// A request-path continuation: captures up to 96 bytes are stored inline, so
+// the continuations a service chains through a request allocate nothing.
+template <typename Signature>
+using RequestCallback = InlineFunction<Signature, 96>;
+
 // Per-request handle given to the service logic. All facility calls are
 // asynchronous; callbacks fire only while the request is still live (not yet
-// responded, front end still running).
+// responded, front end still running). The front end recycles a context once
+// its request has responded, so a logic must not keep the pointer past that.
 class RequestContext {
  public:
-  using ProfileCb = std::function<void(RequestContext*, bool found, const UserProfile&)>;
-  using PutCb = std::function<void(RequestContext*, Status)>;
-  using CacheCb = std::function<void(RequestContext*, bool hit, ContentPtr)>;
-  using ContentCb = std::function<void(RequestContext*, Status, ContentPtr)>;
+  using ProfileCb = RequestCallback<void(RequestContext*, bool found, const UserProfile&)>;
+  using PutCb = RequestCallback<void(RequestContext*, Status)>;
+  using CacheCb = RequestCallback<void(RequestContext*, bool hit, ContentPtr)>;
+  using ContentCb = RequestCallback<void(RequestContext*, Status, ContentPtr)>;
 
   const ClientRequestPayload& request() const { return *request_; }
   uint64_t id() const { return id_; }
@@ -79,7 +85,7 @@ class RequestContext {
 
   // Virtual cache: the key space is hashed across all live cache partitions
   // (§3.1.5); a timeout counts as a miss.
-  void CacheGet(const std::string& key, CacheCb cb);
+  void CacheGet(std::string key, CacheCb cb);
   void CachePut(const std::string& key, ContentPtr content);
 
   // Fetch from the simulated Internet (cache-miss path).
@@ -97,7 +103,8 @@ class RequestContext {
 
   // Completes the request. Exactly one Respond per request; later facility
   // callbacks are dropped.
-  void Respond(const Status& status, ContentPtr content, ResponseSource source, bool cache_hit);
+  // The status moves into the reply: pass an rvalue to send it without a copy.
+  void Respond(Status status, ContentPtr content, ResponseSource source, bool cache_hit);
 
  private:
   friend class FrontEndProcess;
@@ -198,15 +205,16 @@ class FrontEndProcess : public Process {
   // responded; `reply` is null on timeout.
   using OpFinish = void (FrontEndProcess::*)(PendingOp& op, RequestContext* ctx,
                                              const Message* reply);
-  // The caller's typed callback, stored as given (no second std::function).
+  // The caller's typed callback, stored as given (no second wrapper).
   using OpCallback = std::variant<RequestContext::ProfileCb, RequestContext::PutCb,
                                   RequestContext::CacheCb, RequestContext::ContentCb>;
   struct PendingOp {
+    PendingOp() = default;  // An empty table slot.
     PendingOp(std::string_view op_span, OpFinish op_finish, OpCallback op_cb)
         : span(op_span), finish(op_finish), cb(std::move(op_cb)) {}
 
     std::string_view span;  // The fe.* operation; a string literal.
-    OpFinish finish;
+    OpFinish finish = nullptr;
     OpCallback cb;
     std::shared_ptr<const Payload> request;  // As sent (the put's profile, the probe's key).
     uint64_t request_id = 0;
@@ -215,7 +223,7 @@ class FrontEndProcess : public Process {
     EventId timeout = kInvalidEventId;
     // Cache probes: the replica chain captured at issue time. Probe
     // chain[attempt]; on a miss or timeout fail over to the next replica.
-    std::vector<Endpoint> chain;
+    ManagerStub::CacheChain chain;
     size_t attempt = 0;
   };
 
@@ -227,9 +235,12 @@ class FrontEndProcess : public Process {
   // --- Request lifecycle ------------------------------------------------------------
   void StartRequest(std::shared_ptr<const ClientRequestPayload> request, Endpoint client,
                     const TraceContext& client_trace);
-  void FinishRequest(RequestContext* ctx, const Status& status, const ContentPtr& content,
+  void FinishRequest(RequestContext* ctx, Status status, const ContentPtr& content,
                      ResponseSource source, bool cache_hit);
   RequestContext* FindContext(uint64_t request_id);
+  // A context for a new request: a recycled one when a finished request left
+  // one behind, else a fresh one.
+  std::unique_ptr<RequestContext> AcquireContext();
   // Dequeues queued requests into free threads, dropping expired entries on the way.
   void DrainAcceptQueue();
   // Evicts every expired entry from the accept queue (the periodic sweep, so an
@@ -251,7 +262,7 @@ class FrontEndProcess : public Process {
   // --- Facility ops --------------------------------------------------------------------
   // Opens the op's child span, arms its timeout (capped to the request's
   // remaining budget), stores it under `op_id` and sends `msg` reliably.
-  void SendOp(RequestContext* ctx, uint64_t op_id, PendingOp op, SimDuration timeout,
+  void SendOp(RequestContext* ctx, uint64_t op_id, PendingOp&& op, SimDuration timeout,
               Message msg, San::SendOptions opts = {});
   // Ends op `op_id` with `outcome` (no-op once it has ended): erases it, cancels
   // its timer, records its span and runs its finish.
@@ -265,11 +276,11 @@ class FrontEndProcess : public Process {
   void DoGetProfile(RequestContext* ctx, RequestContext::ProfileCb cb);
   void DoPutProfile(RequestContext* ctx, const UserProfile& profile,
                     RequestContext::PutCb cb);
-  void DoCacheGet(RequestContext* ctx, const std::string& key, RequestContext::CacheCb cb);
+  void DoCacheGet(RequestContext* ctx, std::string key, RequestContext::CacheCb cb);
   void DoCachePut(RequestContext* ctx, const std::string& key, ContentPtr content);
   // Sends the probe to `chain[attempt]` under a fresh op id, so a late reply
   // from an abandoned attempt cannot masquerade as the current one.
-  void SendCacheProbe(PendingOp op, std::string key);
+  void SendCacheProbe(PendingOp&& op, std::string key);
   void SendCachePutTo(const Endpoint& dst, std::shared_ptr<CachePutPayload> payload,
                       const TraceContext& trace);
   void DoFetch(RequestContext* ctx, const std::string& url, RequestContext::ContentCb cb);
@@ -300,13 +311,18 @@ class FrontEndProcess : public Process {
   ManagerStub stub_;
 
   uint64_t next_id_ = 1;
-  std::unordered_map<uint64_t, std::unique_ptr<RequestContext>> contexts_;
+  // Live requests by id. A finished request's context goes to free_contexts_
+  // and serves a later request, so the steady state allocates no context.
+  FlatMap<uint64_t, std::unique_ptr<RequestContext>> contexts_;
+  std::vector<std::unique_ptr<RequestContext>> free_contexts_;
   std::deque<AcceptedRequest> accept_queue_;
   int active_ = 0;
   int peak_active_ = 0;
 
-  std::unordered_map<uint64_t, PendingTask> pending_tasks_;
-  std::unordered_map<uint64_t, PendingOp> pending_ops_;
+  // Slots are recycled in place; a pointer into either table is good only
+  // until the next insertion.
+  FlatMap<uint64_t, PendingTask> pending_tasks_;
+  FlatMap<uint64_t, PendingOp> pending_ops_;
 
   // Write-through (§3.1.4), byte-bounded: millions of distinct users must not
   // grow FE memory without limit.

@@ -65,12 +65,10 @@ std::optional<Endpoint> ManagerStub::CacheNodeForKey(const std::string& key) con
   return CacheRingMemberEndpoint(*member);
 }
 
-std::vector<Endpoint> ManagerStub::CacheChainForKey(const std::string& key) const {
+ManagerStub::CacheChain ManagerStub::CacheChainForKey(const std::string& key) const {
   SNS_PROFILE_ZONE_STRIDE("cache.ring_lookup", 3);
-  std::vector<int64_t> members = cache_ring_.LookupN(key, CacheReplicaCount(config_));
-  std::vector<Endpoint> chain;
-  chain.reserve(members.size());
-  for (int64_t m : members) {
+  CacheChain chain;
+  for (int64_t m : cache_ring_.LookupN(key, CacheReplicaCount(config_))) {
     chain.push_back(CacheRingMemberEndpoint(m));
   }
   return chain;

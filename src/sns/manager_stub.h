@@ -34,6 +34,7 @@
 #include "src/sns/manager_link.h"
 #include "src/sns/messages.h"
 #include "src/store/consistent_hash.h"
+#include "src/util/inline_vector.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/time.h"
@@ -94,7 +95,8 @@ class ManagerStub {
   // clockwise from the key's ring position, with R = config.cache_replication.
   // chain[0] is the primary (== CacheNodeForKey); empty when no cache node is
   // known. Front ends put to every chain member and read down the chain.
-  std::vector<Endpoint> CacheChainForKey(const std::string& key) const;
+  using CacheChain = InlineVector<Endpoint, ConsistentHashRing::kInlineChain>;
+  CacheChain CacheChainForKey(const std::string& key) const;
   // Cumulative count of cache-ring membership changes (joins + leaves), each of
   // which remaps ~1/N of the key space. Exposed so the front end can export it.
   uint64_t cache_membership_changes() const { return cache_membership_changes_; }

@@ -1,5 +1,6 @@
 #include "src/sns/profile_db.h"
 
+#include "src/obs/profiler.h"
 #include "src/util/logging.h"
 
 namespace sns {
@@ -99,6 +100,7 @@ void ProfileDbProcess::OnMessage(const Message& msg) {
 void ProfileDbProcess::HandleGet(const Message& msg) {
   auto get = std::static_pointer_cast<const ProfileGetPayload>(msg.payload);
   RunOnCpu(kReadLatency, [this, get] {
+    SNS_PROFILE_ZONE("profile_db.get");
     ++reads_;
     auto reply = std::make_shared<ProfileReplyPayload>();
     reply->op_id = get->op_id;
@@ -123,6 +125,7 @@ void ProfileDbProcess::HandleGet(const Message& msg) {
 void ProfileDbProcess::HandlePut(const Message& msg) {
   auto put = std::static_pointer_cast<const ProfilePutPayload>(msg.payload);
   RunOnCpu(kCommitLatency, [this, put] {
+    SNS_PROFILE_ZONE("profile_db.put");
     // The write-ack contract (DESIGN.md §14): evaluate quorum and the store
     // reservation at the commit instant, not at arrival — the partition may
     // have happened while this write sat in the CPU queue.

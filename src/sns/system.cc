@@ -360,6 +360,15 @@ std::vector<FrontEndProcess*> SnsSystem::front_ends() const {
   return out;
 }
 
+void SnsSystem::LiveFrontEndEndpoints(std::vector<Endpoint>* out) const {
+  out->clear();
+  for (size_t i = 0; i < fe_pids_.size(); ++i) {
+    if (const FrontEndProcess* fe = front_end(static_cast<int>(i))) {
+      out->push_back(fe->endpoint());
+    }
+  }
+}
+
 std::vector<ArtifactSection> SnsSystem::ArtifactSections() {
   MonitorProcess* monitor_process = monitor();
   // No monitor before Start, or once the manager's node (which hosts it) has

@@ -144,6 +144,9 @@ class SnsSystem : public ComponentLauncher {
   uint64_t manager_epoch() const { return next_manager_epoch_; }
   FrontEndProcess* front_end(int fe_index) const;
   std::vector<FrontEndProcess*> front_ends() const;
+  // Fills `out` (cleared first) with the running front ends' endpoints in index
+  // order: the client-side balancing callback of PlaybackConfig::front_ends.
+  void LiveFrontEndEndpoints(std::vector<Endpoint>* out) const;
   MonitorProcess* monitor() const;
   std::vector<WorkerProcess*> live_workers() const;
   std::vector<WorkerProcess*> live_workers(const std::string& type) const;

@@ -172,6 +172,7 @@ void WorkerProcess::StartNext() {
   SimTime service_start = sim()->now();
   RunOnCpu(cost, [this, cost, task, span, enqueued_at, service_start,
                   request = std::move(request)] {
+    SNS_PROFILE_ZONE("worker.task");
     queued_cost_ -= cost;
     // Pathological input: the worker code crashes. The SNS layer's process-peer
     // fault tolerance masks this — no reply is sent; the front end times out or

@@ -1,5 +1,7 @@
 #include "src/store/consistent_hash.h"
 
+#include <algorithm>
+
 #include "src/util/strings.h"
 
 namespace sns {
@@ -19,17 +21,18 @@ void ConsistentHashRing::AddMember(int64_t member) {
     return;
   }
   for (int v = 0; v < vnodes_; ++v) {
-    ring_.insert({PointHash(member, v), member});
+    points_.emplace_back(PointHash(member, v), member);
   }
+  // Two vnodes of one member may share a point; the pair is kept once.
+  std::sort(points_.begin(), points_.end());
+  points_.erase(std::unique(points_.begin(), points_.end()), points_.end());
 }
 
 void ConsistentHashRing::RemoveMember(int64_t member) {
   if (members_.erase(member) == 0) {
     return;
   }
-  for (int v = 0; v < vnodes_; ++v) {
-    ring_.erase({PointHash(member, v), member});
-  }
+  std::erase_if(points_, [member](const Point& p) { return p.second == member; });
 }
 
 std::vector<int64_t> ConsistentHashRing::Members() const {
@@ -40,41 +43,32 @@ std::optional<int64_t> ConsistentHashRing::Lookup(const std::string& key) const 
   return LookupHash(Fnv1a(key));
 }
 
-std::optional<int64_t> ConsistentHashRing::LookupHash(uint64_t hash) const {
-  if (ring_.empty()) {
-    return std::nullopt;
-  }
-  auto it = ring_.lower_bound({hash, INT64_MIN});
-  if (it == ring_.end()) {
-    it = ring_.begin();  // Wrap around.
-  }
-  return it->second;
+size_t ConsistentHashRing::FirstAtOrAfter(uint64_t hash) const {
+  auto it = std::lower_bound(points_.begin(), points_.end(), Point{hash, INT64_MIN});
+  return it == points_.end() ? 0 : static_cast<size_t>(it - points_.begin());
 }
 
-std::vector<int64_t> ConsistentHashRing::LookupN(const std::string& key, size_t n) const {
-  std::vector<int64_t> out;
-  if (ring_.empty() || n == 0) {
+std::optional<int64_t> ConsistentHashRing::LookupHash(uint64_t hash) const {
+  if (points_.empty()) {
+    return std::nullopt;
+  }
+  return points_[FirstAtOrAfter(hash)].second;
+}
+
+ConsistentHashRing::Chain ConsistentHashRing::LookupN(const std::string& key, size_t n) const {
+  Chain out;
+  if (points_.empty() || n == 0) {
     return out;
   }
-  uint64_t hash = Fnv1a(key);
-  auto it = ring_.lower_bound({hash, INT64_MIN});
-  size_t visited = 0;
-  while (out.size() < n && visited < ring_.size()) {
-    if (it == ring_.end()) {
-      it = ring_.begin();
+  size_t i = FirstAtOrAfter(Fnv1a(key));
+  for (size_t visited = 0; out.size() < n && visited < points_.size(); ++visited) {
+    int64_t member = points_[i].second;
+    if (std::find(out.begin(), out.end(), member) == out.end()) {
+      out.push_back(member);
     }
-    bool seen = false;
-    for (int64_t m : out) {
-      if (m == it->second) {
-        seen = true;
-        break;
-      }
+    if (++i == points_.size()) {
+      i = 0;  // Wrap around.
     }
-    if (!seen) {
-      out.push_back(it->second);
-    }
-    ++it;
-    ++visited;
   }
   return out;
 }

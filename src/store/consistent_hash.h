@@ -16,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/util/inline_vector.h"
+
 namespace sns {
 
 class ConsistentHashRing {
@@ -23,6 +25,10 @@ class ConsistentHashRing {
   // Maps (member, vnode) to a ring point. Injectable so tests can force point
   // collisions deterministically; production rings use the default FNV mix.
   using PointHashFn = std::function<uint64_t(int64_t member, int vnode)>;
+
+  // Replica chains up to this length are built without allocating.
+  static constexpr size_t kInlineChain = 4;
+  using Chain = InlineVector<int64_t, kInlineChain>;
 
   // vnodes: virtual points per member; more points = smoother balance.
   explicit ConsistentHashRing(int vnodes = 64) : vnodes_(vnodes) {}
@@ -32,7 +38,7 @@ class ConsistentHashRing {
   void AddMember(int64_t member);
   void RemoveMember(int64_t member);
   bool HasMember(int64_t member) const { return members_.count(member) > 0; }
-  size_t PointCount() const { return ring_.size(); }
+  size_t PointCount() const { return points_.size(); }
   std::vector<int64_t> Members() const;
 
   // Member owning `key`; nullopt when the ring is empty.
@@ -41,21 +47,26 @@ class ConsistentHashRing {
 
   // The first `n` distinct members encountered clockwise from the key's position —
   // usable for replication / failover chains.
-  std::vector<int64_t> LookupN(const std::string& key, size_t n) const;
+  Chain LookupN(const std::string& key, size_t n) const;
 
  private:
+  using Point = std::pair<uint64_t, int64_t>;  // (ring point, member)
+
   uint64_t PointHash(int64_t member, int vnode) const;
+  // First point at or clockwise after `hash` (wrapping past the top).
+  size_t FirstAtOrAfter(uint64_t hash) const;
 
   int vnodes_;
   PointHashFn point_hash_;  // Empty = default FNV point hash.
   std::set<int64_t> members_;
-  // Ring points ordered by (point, member). Keying on the pair makes insertion
-  // collision-safe: two members whose vnodes hash to the same point both keep
-  // their entries (deterministically tie-broken by member id), and removal
-  // erases exactly the departing member's points. A plain point->member map
-  // silently dropped one side of every collision, and RemoveMember then deleted
-  // the survivor's vnode for good.
-  std::set<std::pair<uint64_t, int64_t>> ring_;
+  // Ring points sorted by (point, member), without duplicates: one flat array,
+  // so a lookup is a binary search plus a short forward scan. Keying on the
+  // pair makes insertion collision-safe: two members whose vnodes hash to the
+  // same point both keep their entries (deterministically tie-broken by member
+  // id), and removal erases exactly the departing member's points. A plain
+  // point->member map silently dropped one side of every collision, and
+  // RemoveMember then deleted the survivor's vnode for good.
+  std::vector<Point> points_;
 };
 
 }  // namespace sns

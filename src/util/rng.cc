@@ -1,7 +1,9 @@
 #include "src/util/rng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <memory>
 
 namespace sns {
 
@@ -16,6 +18,82 @@ uint64_t SplitMix64(uint64_t& state) {
 }
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+// The constants of Zipf's rejection sampler for one (n, s), memoised so a draw
+// costs one pow (the inverse envelope) instead of about five. Each value comes
+// from the expression a per-draw evaluation would use, so the draws are
+// bit-identical to evaluating everything per draw (ZipfMemoTest pins this).
+struct ZipfTable {
+  // Ranks up to this many keep their acceptance ratio; larger n computes it
+  // per draw (memory stays bounded for huge vocabularies).
+  static constexpr int64_t kMaxMemoRanks = 1 << 16;
+
+  ZipfTable(int64_t n_in, double s_in) : n(n_in), s(s_in), one_minus_s(1.0 - s_in) {
+    log_envelope = std::abs(one_minus_s) < 1e-9;
+    inv_one_minus_s = log_envelope ? 0.0 : 1.0 / one_minus_s;
+    hn = H(static_cast<double>(n) + 0.5);
+    h1 = H(1.5) - 1.0;
+    if (n <= kMaxMemoRanks) {
+      accept.assign(static_cast<size_t>(n), -1.0);
+    }
+  }
+
+  // H(x) = (x^(1-s) - 1) / (1 - s), or log(x) at s = 1.
+  double H(double x) const {
+    return log_envelope ? std::log(x) : (std::pow(x, one_minus_s) - 1.0) / one_minus_s;
+  }
+  double HInverse(double y) const {
+    return log_envelope ? std::exp(y) : std::pow(1.0 + y * one_minus_s, inv_one_minus_s);
+  }
+  // Probability of accepting rank k (1-based): the true mass against the envelope.
+  double Acceptance(int64_t k) {
+    auto compute = [this, k] {
+      double ratio = std::pow(static_cast<double>(k), -s) /
+                     std::pow(static_cast<double>(k) + 0.5, -s) * 0.5;
+      return std::min(1.0, ratio);
+    };
+    if (accept.empty()) {
+      return compute();
+    }
+    double& slot = accept[static_cast<size_t>(k - 1)];
+    if (slot < 0) {
+      slot = compute();
+    }
+    return slot;
+  }
+
+  int64_t n;
+  double s;
+  double one_minus_s;
+  double inv_one_minus_s = 0;
+  bool log_envelope = false;
+  double hn = 0;
+  double h1 = 0;
+  std::vector<double> accept;  // Per rank k at k - 1; negative until computed.
+};
+
+// The tables of the (n, s) pairs drawn most recently on this thread. A
+// workload alternates between a few pairs (user ids and URLs); beyond
+// kMaxTables pairs the oldest table is rebuilt on its next use.
+ZipfTable& ZipfTableFor(int64_t n, double s) {
+  constexpr size_t kMaxTables = 8;
+  thread_local std::vector<std::unique_ptr<ZipfTable>> tables;
+  thread_local size_t next_victim = 0;
+  for (const auto& table : tables) {
+    if (table->n == n && table->s == s) {
+      return *table;
+    }
+  }
+  auto table = std::make_unique<ZipfTable>(n, s);
+  if (tables.size() < kMaxTables) {
+    tables.push_back(std::move(table));
+    return *tables.back();
+  }
+  size_t victim = next_victim;
+  next_victim = (next_victim + 1) % kMaxTables;
+  tables[victim] = std::move(table);
+  return *tables[victim];
+}
 
 }  // namespace
 
@@ -150,25 +228,10 @@ int64_t Rng::Zipf(int64_t n, double s) {
     return UniformInt(0, n - 1);
   }
   // Inverse-CDF approximation of the continuous Zipf envelope with rejection.
-  // For s != 1: H(x) = (x^(1-s) - 1) / (1 - s).
-  double one_minus_s = 1.0 - s;
-  auto h = [&](double x) {
-    if (std::abs(one_minus_s) < 1e-9) {
-      return std::log(x);
-    }
-    return (std::pow(x, one_minus_s) - 1.0) / one_minus_s;
-  };
-  auto h_inv = [&](double y) {
-    if (std::abs(one_minus_s) < 1e-9) {
-      return std::exp(y);
-    }
-    return std::pow(1.0 + y * one_minus_s, 1.0 / one_minus_s);
-  };
-  double hn = h(static_cast<double>(n) + 0.5);
-  double h1 = h(1.5) - 1.0;
+  ZipfTable& table = ZipfTableFor(n, s);
   for (;;) {
-    double u = h1 + NextDouble() * (hn - h1);
-    double x = h_inv(u);
+    double u = table.h1 + NextDouble() * (table.hn - table.h1);
+    double x = table.HInverse(u);
     int64_t k = static_cast<int64_t>(x + 0.5);
     if (k < 1) {
       k = 1;
@@ -176,11 +239,9 @@ int64_t Rng::Zipf(int64_t n, double s) {
     if (k > n) {
       k = n;
     }
-    double ratio = std::pow(static_cast<double>(k), -s) /
-                   std::pow(static_cast<double>(k) + 0.5, -s) * 0.5;
     // Accept with probability proportional to the true mass vs envelope; the simple
     // acceptance below is adequate for workload synthesis (bias < 2% for s <= 2).
-    if (NextDouble() < std::min(1.0, ratio)) {
+    if (NextDouble() < table.Acceptance(k)) {
       return k - 1;
     }
   }

@@ -56,7 +56,8 @@ class Rng {
   double BoundedPareto(double alpha, double lo, double hi);
 
   // Zipf-like rank selection over n items with skew s (s=0 is uniform). Returns a
-  // rank in [0, n). Uses rejection-inversion; O(1) per draw after setup-free math.
+  // rank in [0, n). Uses rejection-inversion: O(1) per draw, with the envelope
+  // constants and per-rank acceptance ratios memoised per (n, s) on first use.
   int64_t Zipf(int64_t n, double s);
 
   // Picks an index in [0, weights.size()) with probability proportional to weight.

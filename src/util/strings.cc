@@ -6,14 +6,19 @@
 namespace sns {
 
 std::string StrFormat(const char* fmt, ...) {
+  // One pass into a stack buffer covers almost every call; only longer
+  // results format a second time, straight into the string.
+  char buf[256];
   va_list args;
   va_start(args, fmt);
   va_list args_copy;
   va_copy(args_copy, args);
-  int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  int needed = std::vsnprintf(buf, sizeof(buf), fmt, args);
   va_end(args);
   std::string out;
-  if (needed > 0) {
+  if (needed > 0 && static_cast<size_t>(needed) < sizeof(buf)) {
+    out.assign(buf, static_cast<size_t>(needed));
+  } else if (needed > 0) {
     out.resize(static_cast<size_t>(needed));
     std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
   }

@@ -1,7 +1,9 @@
 #include "src/workload/content_universe.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <string_view>
 
 #include "src/content/gif_codec.h"
 #include "src/content/html.h"
@@ -69,9 +71,23 @@ std::string ContentUniverse::UrlAt(int64_t index) const {
   // Derive the mime type for this slot deterministically from the index.
   Rng rng(config_.seed ^ (0x51AB1E5ULL + static_cast<uint64_t>(index) * 0x9E3779B97F4A7C15ULL));
   MimeType mime = size_model_.SampleMime(&rng);
-  return StrFormat("http://site%lld.example.edu/obj%lld.%s",
-                   static_cast<long long>(index % 977), static_cast<long long>(index),
-                   ExtensionFor(mime));
+  // "http://site<index % 977>.example.edu/obj<index>.<ext>", written by hand:
+  // workload synthesis builds one URL per request, and printf parsing cost
+  // several times the rest of this function.
+  char site[24];
+  char obj[24];
+  char* site_end = std::to_chars(site, site + sizeof(site), index % 977).ptr;
+  char* obj_end = std::to_chars(obj, obj + sizeof(obj), index).ptr;
+  std::string_view ext = ExtensionFor(mime);
+  std::string url;
+  url.reserve(32 + static_cast<size_t>((site_end - site) + (obj_end - obj)) + ext.size());
+  url.append("http://site")
+      .append(site, site_end)
+      .append(".example.edu/obj")
+      .append(obj, obj_end)
+      .append(".")
+      .append(ext);
+  return url;
 }
 
 std::string ContentUniverse::SamplePopularUrl(Rng* rng) const {

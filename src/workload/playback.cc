@@ -1,5 +1,6 @@
 #include "src/workload/playback.h"
 
+#include "src/obs/profiler.h"
 #include "src/util/logging.h"
 
 namespace sns {
@@ -31,6 +32,7 @@ void PlaybackEngine::StopLoad() {
 }
 
 void PlaybackEngine::ConstantRateTick() {
+  SNS_PROFILE_ZONE("playback.tick");
   rate_event_ = kInvalidEventId;
   if (rate_ <= 0 || !next_fn_) {
     return;
@@ -70,12 +72,12 @@ Endpoint PlaybackEngine::PickFrontEnd() {
   if (!config_.front_ends) {
     return Endpoint{};
   }
-  std::vector<Endpoint> fes = config_.front_ends();
-  if (fes.empty()) {
+  config_.front_ends(&live_fes_);
+  if (live_fes_.empty()) {
     return Endpoint{};
   }
-  fe_rr_ = (fe_rr_ + 1) % fes.size();
-  return fes[fe_rr_];
+  fe_rr_ = (fe_rr_ + 1) % live_fes_.size();
+  return live_fes_[fe_rr_];
 }
 
 uint64_t PlaybackEngine::SendRequest(const TraceRecord& record,
@@ -109,19 +111,19 @@ uint64_t PlaybackEngine::SendRequest(const TraceRecord& record,
   pending.sent_at = sim()->now();
   pending.deadline = payload->deadline;
   pending.user_id = record.user_id;
-  pending.trace = StartTrace();  // Root span: the whole client-observed request.
+  TraceContext trace = StartTrace();  // Root span: the whole client-observed request.
+  pending.trace = trace;
   pending.timeout = After(config_.request_timeout, [this, id] {
-    auto it = pending_.find(id);
-    if (it != pending_.end()) {
-      RecordSpan(it->second.trace, "client.request", it->second.sent_at, "timeout");
-      pending_.erase(it);
+    if (PendingRequest* timed_out = pending_.Find(id)) {
+      RecordSpan(timed_out->trace, "client.request", timed_out->sent_at, "timeout");
+      pending_.Erase(id);
       ++timeouts_;
       if (config_.availability != nullptr) {
         config_.availability->RecordUnanswered(sim()->now(), "timeout");
       }
     }
   });
-  pending_[id] = pending;
+  pending_.Set(id, std::move(pending));
 
   Message msg;
   msg.dst = fe;
@@ -129,43 +131,42 @@ uint64_t PlaybackEngine::SendRequest(const TraceRecord& record,
   msg.transport = Transport::kReliable;
   msg.size_bytes = WireSizeOf(*payload);
   msg.payload = payload;
-  msg.trace = pending.trace;
+  msg.trace = trace;
   San::SendOptions opts;
   opts.on_failed = [this, id](const Message&) {
     // The chosen front end is gone; client-side balancing will route the next
     // request elsewhere. This one is counted as a failure.
-    auto it = pending_.find(id);
-    if (it != pending_.end()) {
-      RecordSpan(it->second.trace, "client.request", it->second.sent_at, "send_failed");
-      CancelTimer(it->second.timeout);
-      pending_.erase(it);
+    if (PendingRequest* failed = pending_.Find(id)) {
+      RecordSpan(failed->trace, "client.request", failed->sent_at, "send_failed");
+      CancelTimer(failed->timeout);
+      pending_.Erase(id);
       ++send_failures_;
       if (config_.availability != nullptr) {
         config_.availability->RecordUnanswered(sim()->now(), "send_failed");
       }
     }
   };
-  uint64_t trace_id = pending.trace.trace_id;
   Send(std::move(msg), std::move(opts));
-  return trace_id;
+  return trace.trace_id;
 }
 
 void PlaybackEngine::OnMessage(const Message& msg) {
+  SNS_PROFILE_ZONE("playback.response");
   if (msg.type != kMsgClientResponse) {
     return;
   }
   const auto& reply = static_cast<const ClientResponsePayload&>(*msg.payload);
-  auto it = pending_.find(reply.client_request_id);
-  if (it == pending_.end()) {
+  PendingRequest* pending = pending_.Find(reply.client_request_id);
+  if (pending == nullptr) {
     return;  // Already timed out.
   }
-  double latency = ToSeconds(sim()->now() - it->second.sent_at);
-  SimTime deadline = it->second.deadline;
-  std::string user_id = std::move(it->second.user_id);
-  RecordSpan(it->second.trace, "client.request", it->second.sent_at,
+  double latency = ToSeconds(sim()->now() - pending->sent_at);
+  SimTime deadline = pending->deadline;
+  std::string user_id = std::move(pending->user_id);
+  RecordSpan(pending->trace, "client.request", pending->sent_at,
              reply.status.ok() ? "ok" : "error");
-  CancelTimer(it->second.timeout);
-  pending_.erase(it);
+  CancelTimer(pending->timeout);
+  pending_.Erase(reply.client_request_id);
   if (config_.on_response) {
     config_.on_response(user_id, reply.status.ok());
   }
@@ -189,7 +190,8 @@ void PlaybackEngine::OnMessage(const Message& msg) {
   latency_s_.Add(latency);
   latency_hist_.Add(latency);
   ++by_source_[ResponseSourceName(reply.source)];
-  ++completions_sec_[sim()->now() / kSecond];
+  // Completions arrive in time order: the hint makes the common case O(1).
+  ++completions_sec_.try_emplace(completions_sec_.end(), sim()->now() / kSecond)->second;
   if (!reply.status.ok()) {
     ++errors_;
   }

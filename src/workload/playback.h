@@ -13,13 +13,13 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cluster/process.h"
 #include "src/obs/availability.h"
 #include "src/sim/timer.h"
 #include "src/sns/messages.h"
+#include "src/util/flat_map.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/workload/trace.h"
@@ -33,9 +33,10 @@ struct PlaybackConfig {
   // the service sheds the request wherever it is when the deadline passes. 0 keeps
   // the legacy best-effort behavior (no deadline on the wire).
   SimDuration request_deadline = 0;
-  // Client-side load balancing: returns the currently live front ends. Re-queried
-  // for every request, masking transient FE failures (§3.1.2).
-  std::function<std::vector<Endpoint>()> front_ends;
+  // Client-side load balancing: fills `out` (cleared first) with the currently
+  // live front ends. Re-queried for every request, masking transient FE
+  // failures (§3.1.2); the engine reuses one buffer for every query.
+  std::function<void(std::vector<Endpoint>* out)> front_ends;
   // Fired once per completed request (not for timeouts / send failures) with the
   // request's user id and whether the service answered Ok. The chaos campaign's
   // write ledger uses this to mark which profile writes the client saw
@@ -108,6 +109,7 @@ class PlaybackEngine : public Process {
   Rng rng_;
   uint64_t next_request_id_ = 1;
   size_t fe_rr_ = 0;
+  std::vector<Endpoint> live_fes_;  // PickFrontEnd's reused query buffer.
 
   // Constant-rate state.
   double rate_ = 0;
@@ -119,7 +121,7 @@ class PlaybackEngine : public Process {
   size_t trace_pos_ = 0;
   SimTime trace_offset_ = 0;
 
-  std::unordered_map<uint64_t, PendingRequest> pending_;
+  FlatMap<uint64_t, PendingRequest> pending_;
 
   int64_t sent_ = 0;
   int64_t completed_ = 0;

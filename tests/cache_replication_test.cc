@@ -66,7 +66,7 @@ void ExpectFullReplication(TranSendService* service, int replication) {
   for (CacheNodeProcess* cache : caches) {
     int64_t self = CacheRingMemberId(cache->endpoint());
     for (const std::string& key : cache->CacheKeys()) {
-      std::vector<int64_t> chain = canonical.LookupN(key, r);
+      ConsistentHashRing::Chain chain = canonical.LookupN(key, r);
       ASSERT_FALSE(chain.empty());
       EXPECT_NE(std::find(chain.begin(), chain.end(), self), chain.end())
           << "cache n" << cache->node() << " holds orphan key " << key;

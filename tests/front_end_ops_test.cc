@@ -84,12 +84,8 @@ struct OpsFixture {
     client_node.workers_allowed = false;
     NodeId node = system->cluster()->AddNode(client_node);
     PlaybackConfig playback_config;
-    playback_config.front_ends = [this] {
-      std::vector<Endpoint> fes;
-      for (FrontEndProcess* fe : system->front_ends()) {
-        fes.push_back(fe->endpoint());
-      }
-      return fes;
+    playback_config.front_ends = [this](std::vector<Endpoint>* out) {
+      system->LiveFrontEndEndpoints(out);
     };
     auto engine = std::make_unique<PlaybackEngine>(playback_config);
     client = engine.get();
@@ -294,7 +290,7 @@ std::function<void(RequestContext*)> CacheGetScript(const std::string& key, Cach
 TEST(FrontEndOpsTest, CacheProbeHeadHit) {
   OpsFixture f(2, 2);
   const std::string key = "http://ops.example.edu/head";
-  std::vector<Endpoint> chain = f.fe()->stub().CacheChainForKey(key);
+  ManagerStub::CacheChain chain = f.fe()->stub().CacheChainForKey(key);
   ASSERT_EQ(chain.size(), 2u);
   f.seeder->PutTo(chain[0], key, TestContent(key));
   f.system->sim()->RunFor(Seconds(1));
@@ -312,7 +308,7 @@ TEST(FrontEndOpsTest, CacheProbeHeadHit) {
 TEST(FrontEndOpsTest, CacheProbeHeadMissReplicaHitRepairsHead) {
   OpsFixture f(2, 2);
   const std::string key = "http://ops.example.edu/replica";
-  std::vector<Endpoint> chain = f.fe()->stub().CacheChainForKey(key);
+  ManagerStub::CacheChain chain = f.fe()->stub().CacheChainForKey(key);
   ASSERT_EQ(chain.size(), 2u);
   f.seeder->PutTo(chain[1], key, TestContent(key));
   f.system->sim()->RunFor(Seconds(1));
@@ -350,7 +346,7 @@ TEST(FrontEndOpsTest, CacheProbeWholeChainMiss) {
 TEST(FrontEndOpsTest, CacheProbeDeadHeadTimesOutThenFailsOver) {
   OpsFixture f(2, 2);
   const std::string key = "http://ops.example.edu/deadhead";
-  std::vector<Endpoint> chain = f.fe()->stub().CacheChainForKey(key);
+  ManagerStub::CacheChain chain = f.fe()->stub().CacheChainForKey(key);
   ASSERT_EQ(chain.size(), 2u);
   f.seeder->PutTo(chain[1], key, TestContent(key));
   f.system->sim()->RunFor(Seconds(1));

@@ -272,7 +272,7 @@ TEST_F(ManagerStubTest, CacheChainForKeyReturnsDistinctReplicasHeadedByPrimary) 
   stub.OnBeacon(beacon, Seconds(1));
   for (int k = 0; k < 200; ++k) {
     std::string key = "http://example.com/img" + std::to_string(k);
-    std::vector<Endpoint> chain = stub.CacheChainForKey(key);
+    ManagerStub::CacheChain chain = stub.CacheChainForKey(key);
     ASSERT_EQ(chain.size(), 3u);
     EXPECT_EQ(chain[0], *stub.CacheNodeForKey(key));  // chain[0] is the primary.
     for (size_t i = 0; i < chain.size(); ++i) {
@@ -297,7 +297,7 @@ TEST_F(ManagerStubTest, CacheChainClampsToMembershipAndHonorsConfig) {
   single.cache_replication = 1;
   ManagerStub solo(single, &rng_);
   solo.OnBeacon(beacon, Seconds(1));
-  std::vector<Endpoint> chain = solo.CacheChainForKey("k");
+  ManagerStub::CacheChain chain = solo.CacheChainForKey("k");
   ASSERT_EQ(chain.size(), 1u);
   EXPECT_EQ(chain[0], *solo.CacheNodeForKey("k"));
 }
@@ -314,7 +314,7 @@ TEST_F(ManagerStubTest, CacheChainsRemapBoundedFractionUnderChurn) {
   stub.OnBeacon(beacon, Seconds(1));
 
   const int kKeys = 2000;
-  std::vector<std::vector<Endpoint>> before(kKeys);
+  std::vector<ManagerStub::CacheChain> before(kKeys);
   for (int k = 0; k < kKeys; ++k) {
     before[static_cast<size_t>(k)] =
         stub.CacheChainForKey("http://example.com/img" + std::to_string(k));

@@ -76,12 +76,8 @@ struct PipelineFixture {
     client_node.workers_allowed = false;
     NodeId node = system->cluster()->AddNode(client_node);
     PlaybackConfig playback_config;
-    playback_config.front_ends = [this] {
-      std::vector<Endpoint> fes;
-      for (FrontEndProcess* fe : system->front_ends()) {
-        fes.push_back(fe->endpoint());
-      }
-      return fes;
+    playback_config.front_ends = [this](std::vector<Endpoint>* out) {
+      system->LiveFrontEndEndpoints(out);
     };
     auto engine = std::make_unique<PlaybackEngine>(playback_config);
     client = engine.get();

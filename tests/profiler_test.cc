@@ -120,6 +120,81 @@ TEST_F(ProfilerTest, StridedZonesCountExactlyAndTimeEveryKth) {
   EXPECT_EQ(z->timed, 8);   // Clock readings only on every 8th entry.
 }
 
+int64_t SelfSum(const std::vector<Profiler::ZoneStats>& snap) {
+  int64_t sum = 0;
+  for (const Profiler::ZoneStats& z : snap) sum += z.self_ns;
+  return sum;
+}
+
+TEST_F(ProfilerTest, StridedChildrenKeepSummedSelfWithinCoverage) {
+  // A stride-0 parent whose strided child is timed on every 8th entry, and
+  // those timed entries run 8x longer than the rest: the child's scaled
+  // estimate overshoots its parent frame. Clamping that frame's self time at
+  // zero used to count the overshoot twice, so the zones' self times summed
+  // past the window. Unclamped, they telescope to exactly the root's time.
+  int parent = Profiler::Get().RegisterZone("test.sum.parent");
+  int child = Profiler::Get().RegisterZone("test.sum.child", /*stride_log2=*/3);
+  Profiler::Get().BeginMeasurement();
+  for (int i = 0; i < 64; ++i) {
+    ProfileZone p(parent);
+    SpinFor(20000);
+    ProfileZone c(child);
+    SpinFor(i % 8 == 0 ? 400000 : 50000);
+  }
+  Profiler::Get().EndMeasurement();
+
+  std::vector<Profiler::ZoneStats> snap = Profiler::Get().Snapshot();
+  const Profiler::ZoneStats* p = Find(snap, "test.sum.parent");
+  const Profiler::ZoneStats* c = Find(snap, "test.sum.child");
+  ASSERT_NE(p, nullptr);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->timed, 8);
+  EXPECT_EQ(p->self_ns + c->self_ns, p->root_ns);
+  int64_t window = Profiler::Get().measured_wall_ns();
+  EXPECT_LE(SelfSum(snap), static_cast<int64_t>(Profiler::Get().Coverage() * window) + 1);
+  EXPECT_LE(Profiler::Get().Coverage(), 1.0);
+}
+
+TEST_F(ProfilerTest, StridedParentsSampleTheirWholeSubtree) {
+  // root (stride 0) > middle (stride 2) > leaf (stride 0), uniform work. The
+  // leaf is timed only inside the middle's timed entries and stands for 4
+  // entries each time. Timing it inside untimed middle entries too charged it
+  // to the root as well, taking about 3/4 of the leaf time off the root's
+  // self time a second time.
+  int root = Profiler::Get().RegisterZone("test.three.root");
+  int middle = Profiler::Get().RegisterZone("test.three.middle", /*stride_log2=*/2);
+  int leaf = Profiler::Get().RegisterZone("test.three.leaf");
+  Profiler::Get().BeginMeasurement();
+  for (int i = 0; i < 64; ++i) {
+    ProfileZone r(root);
+    SpinFor(30000);
+    ProfileZone m(middle);
+    SpinFor(30000);
+    ProfileZone l(leaf);
+    SpinFor(30000);
+  }
+  Profiler::Get().EndMeasurement();
+
+  std::vector<Profiler::ZoneStats> snap = Profiler::Get().Snapshot();
+  const Profiler::ZoneStats* r = Find(snap, "test.three.root");
+  const Profiler::ZoneStats* m = Find(snap, "test.three.middle");
+  const Profiler::ZoneStats* l = Find(snap, "test.three.leaf");
+  ASSERT_NE(r, nullptr);
+  ASSERT_NE(m, nullptr);
+  ASSERT_NE(l, nullptr);
+  EXPECT_EQ(l->count, 64);
+  EXPECT_EQ(m->timed, 16);
+  EXPECT_EQ(l->timed, 16);
+  EXPECT_EQ(SelfSum(snap), r->root_ns);
+  // Each level did a third of the root's time; allow for spin jitter, but not
+  // for a third of the root going missing.
+  double third = static_cast<double>(r->root_ns) / 3;
+  for (const Profiler::ZoneStats* z : {r, m, l}) {
+    EXPECT_GT(static_cast<double>(z->self_ns), 0.7 * third) << z->name;
+    EXPECT_LT(static_cast<double>(z->self_ns), 1.3 * third) << z->name;
+  }
+}
+
 TEST_F(ProfilerTest, MeasuredSelfOverheadStaysBoundedOnChurnLoop) {
   // A mini churn loop: a strided hot zone wrapping real work inside a root
   // zone and a measurement window — the same shape profile-smoke gates at

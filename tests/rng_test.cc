@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -178,6 +179,89 @@ TEST(RngTest, FillBytesWritesLittleEndianWordsAndConsumesCeilNOver8Draws) {
     // The next draw is the twin's draw number ceil(n/8) + 1.
     EXPECT_EQ(rng.Next(), twin.Next());
   }
+}
+
+// Rng::Zipf as it was before its constants were memoised: every draw
+// re-evaluates the envelope and the acceptance ratio. Uses only the public
+// NextDouble/UniformInt draws, so it consumes the generator identically.
+int64_t ReferenceZipf(Rng* rng, int64_t n, double s) {
+  if (n == 1) {
+    return 0;
+  }
+  if (s <= 0.0) {
+    return rng->UniformInt(0, n - 1);
+  }
+  double one_minus_s = 1.0 - s;
+  auto h = [&](double x) {
+    if (std::abs(one_minus_s) < 1e-9) {
+      return std::log(x);
+    }
+    return (std::pow(x, one_minus_s) - 1.0) / one_minus_s;
+  };
+  auto h_inv = [&](double y) {
+    if (std::abs(one_minus_s) < 1e-9) {
+      return std::exp(y);
+    }
+    return std::pow(1.0 + y * one_minus_s, 1.0 / one_minus_s);
+  };
+  double hn = h(static_cast<double>(n) + 0.5);
+  double h1 = h(1.5) - 1.0;
+  for (;;) {
+    double u = h1 + rng->NextDouble() * (hn - h1);
+    double x = h_inv(u);
+    int64_t k = static_cast<int64_t>(x + 0.5);
+    if (k < 1) {
+      k = 1;
+    }
+    if (k > n) {
+      k = n;
+    }
+    double ratio = std::pow(static_cast<double>(k), -s) /
+                   std::pow(static_cast<double>(k) + 0.5, -s) * 0.5;
+    if (rng->NextDouble() < std::min(1.0, ratio)) {
+      return k - 1;
+    }
+  }
+}
+
+struct ZipfCase {
+  int64_t n;
+  double s;
+};
+
+// Draws `draws` rounds of `cases` in turn from one Rng, against the reference
+// on a twin Rng; returns the first mismatching draw index, or -1.
+int FirstZipfMismatch(uint64_t seed, const std::vector<ZipfCase>& cases, int draws) {
+  Rng memo(seed);
+  Rng reference(seed);
+  for (int i = 0; i < draws; ++i) {
+    for (const ZipfCase& c : cases) {
+      if (memo.Zipf(c.n, c.s) != ReferenceZipf(&reference, c.n, c.s)) {
+        return i;
+      }
+    }
+  }
+  return memo.Next() == reference.Next() ? -1 : draws;  // Same stream position after.
+}
+
+TEST(ZipfMemoTest, MatchesReferenceDrawForDraw) {
+  EXPECT_EQ(FirstZipfMismatch(1, {{40, 0.9}}, 20000), -1);
+  EXPECT_EQ(FirstZipfMismatch(2, {{64, 0.8}}, 20000), -1);
+  EXPECT_EQ(FirstZipfMismatch(3, {{1000, 1.0}}, 20000), -1);  // The log envelope.
+  EXPECT_EQ(FirstZipfMismatch(4, {{1, 0.9}}, 1000), -1);       // n = 1: always rank 0.
+  EXPECT_EQ(FirstZipfMismatch(5, {{50, 0.0}, {50, -0.5}}, 5000), -1);  // s <= 0: uniform.
+  EXPECT_EQ(FirstZipfMismatch(6, {{100000, 0.9}}, 5000), -1);  // Beyond the memoised ranks.
+}
+
+TEST(ZipfMemoTest, AlternatingPairsOnOneRngMatchReference) {
+  // The benchmark's workload: a user rank then a URL rank from one generator.
+  EXPECT_EQ(FirstZipfMismatch(9001, {{64, 0.8}, {40, 0.9}}, 20000), -1);
+  // More pairs than the per-thread memo keeps, so tables are evicted and rebuilt.
+  std::vector<ZipfCase> many;
+  for (int i = 0; i < 12; ++i) {
+    many.push_back({20 + i, 0.5 + 0.1 * i});
+  }
+  EXPECT_EQ(FirstZipfMismatch(77, many, 2000), -1);
 }
 
 // Property sweep: Zipf rank frequencies are monotone non-increasing and rank 0

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/sim/callback.h"
 #include "src/sim/simulator.h"
 #include "src/sim/timer.h"
 
@@ -251,6 +252,28 @@ TEST(SimulatorTest, MoveOnlyAndLargeCaptures) {
   sim.Run();
   EXPECT_EQ(seen, 7);
   EXPECT_EQ(got, 42);
+}
+
+TEST(InlineFunctionTest, ForwardsArgumentsAndReturnsValues) {
+  using Fn = InlineFunction<int(int, std::unique_ptr<int>), 32>;
+  int base = 10;
+  Fn add = [base](int x, std::unique_ptr<int> y) { return base + x + *y; };
+  EXPECT_EQ(add(1, std::make_unique<int>(2)), 13);
+  // A capture past the inline capacity takes the heap fallback, unchanged.
+  struct Big {
+    int values[32] = {};
+  };
+  Big big;
+  big.values[31] = 5;
+  Fn heap = [big](int x, std::unique_ptr<int> y) { return big.values[31] * x + *y; };
+  EXPECT_EQ(heap(2, std::make_unique<int>(1)), 11);
+  Fn moved = std::move(heap);
+  EXPECT_FALSE(heap);  // NOLINT(bugprone-use-after-move): moved-from is empty.
+  EXPECT_EQ(moved(3, std::make_unique<int>(0)), 15);
+  moved = std::move(add);
+  EXPECT_EQ(moved(0, std::make_unique<int>(0)), 10);
+  moved.Reset();
+  EXPECT_FALSE(moved);
 }
 
 TEST(PeriodicTimerTest, FiresRepeatedlyUntilStopped) {

@@ -4,7 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <cstdio>
 #include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/store/consistent_hash.h"
 #include "src/store/kvstore.h"
@@ -241,6 +247,112 @@ TEST(ConsistentHashTest, CollidingPointsBreakTiesDeterministically) {
   }
 }
 
+// The ring as it was kept before the flat point array: a std::set of
+// (point, member) pairs walked clockwise with a wrapping iterator. The flat
+// ring must return exactly these chains.
+class SetWalkRing {
+ public:
+  SetWalkRing(int vnodes, ConsistentHashRing::PointHashFn point_hash)
+      : vnodes_(vnodes), point_hash_(std::move(point_hash)) {}
+
+  void AddMember(int64_t member) {
+    if (members_.insert(member).second) {
+      for (int v = 0; v < vnodes_; ++v) ring_.insert({PointHash(member, v), member});
+    }
+  }
+  void RemoveMember(int64_t member) {
+    if (members_.erase(member) > 0) {
+      for (int v = 0; v < vnodes_; ++v) ring_.erase({PointHash(member, v), member});
+    }
+  }
+  size_t PointCount() const { return ring_.size(); }
+
+  std::vector<int64_t> LookupN(const std::string& key, size_t n) const {
+    std::vector<int64_t> out;
+    if (ring_.empty() || n == 0) return out;
+    auto it = ring_.lower_bound({Fnv1a(key), INT64_MIN});
+    for (size_t visited = 0; out.size() < n && visited < ring_.size(); ++visited, ++it) {
+      if (it == ring_.end()) it = ring_.begin();
+      if (std::find(out.begin(), out.end(), it->second) == out.end()) out.push_back(it->second);
+    }
+    return out;
+  }
+
+ private:
+  uint64_t PointHash(int64_t member, int vnode) const {
+    if (point_hash_) return point_hash_(member, vnode);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld#%d", static_cast<long long>(member), vnode);
+    return Fnv1a(buf, std::char_traits<char>::length(buf));
+  }
+
+  int vnodes_;
+  ConsistentHashRing::PointHashFn point_hash_;
+  std::set<int64_t> members_;
+  std::set<std::pair<uint64_t, int64_t>> ring_;
+};
+
+// Compares every chain length 0..5 for `keys` keys; returns the mismatch count.
+int ChainMismatches(const ConsistentHashRing& flat, const SetWalkRing& walk, int keys) {
+  int mismatches = 0;
+  for (int i = 0; i < keys; ++i) {
+    std::string key = StrFormat("http://example.com/%d.jpg|orig", i);
+    size_t n = static_cast<size_t>(i % 6);
+    ConsistentHashRing::Chain got = flat.LookupN(key, n);
+    std::vector<int64_t> want = walk.LookupN(key, n);
+    if (!std::equal(got.begin(), got.end(), want.begin(), want.end())) ++mismatches;
+  }
+  return mismatches;
+}
+
+void ExpectFlatRingMatchesSetWalk(int vnodes, const ConsistentHashRing::PointHashFn& hash) {
+  ConsistentHashRing flat = hash ? ConsistentHashRing(vnodes, hash) : ConsistentHashRing(vnodes);
+  SetWalkRing walk(vnodes, hash);
+  constexpr int kKeys = 10000;
+  EXPECT_EQ(ChainMismatches(flat, walk, kKeys), 0) << "empty ring";
+  // Joins, a duplicate join, leaves (including an absent member) and rejoins.
+  const std::vector<std::pair<bool, int64_t>> steps = {
+      {true, 5},  {true, 1},  {true, 9},  {true, 1},  {true, 42}, {false, 9},
+      {true, 7},  {false, 3}, {false, 5}, {true, 9},  {true, 13}, {false, 1},
+      {false, 42}, {false, 7}, {false, 13}, {false, 9}, {true, 2}};
+  for (size_t i = 0; i < steps.size(); ++i) {
+    auto [add, member] = steps[i];
+    if (add) {
+      flat.AddMember(member);
+      walk.AddMember(member);
+    } else {
+      flat.RemoveMember(member);
+      walk.RemoveMember(member);
+    }
+    ASSERT_EQ(flat.PointCount(), walk.PointCount()) << "after step " << i;
+    EXPECT_EQ(ChainMismatches(flat, walk, kKeys), 0) << "after step " << i;
+  }
+}
+
+TEST(ConsistentHashTest, FlatRingChainsMatchSetWalk) {
+  ExpectFlatRingMatchesSetWalk(64, nullptr);
+}
+
+TEST(ConsistentHashTest, FlatRingChainsMatchSetWalkWithCollidingPoints) {
+  // Every member's vnodes land on the same few points, and two vnodes of one
+  // member share a point (kept once by both rings).
+  ExpectFlatRingMatchesSetWalk(8, [](int64_t member, int vnode) {
+    return static_cast<uint64_t>(vnode / 2) * 0x1000000000000000ull + (member % 2);
+  });
+}
+
+TEST(ConsistentHashTest, ChainsLongerThanTheInlineCapacitySpill) {
+  ConsistentHashRing ring(16);
+  for (int64_t m = 0; m < 10; ++m) ring.AddMember(m);
+  ConsistentHashRing::Chain chain = ring.LookupN("k", 10);
+  ASSERT_EQ(chain.size(), 10u);
+  std::vector<int64_t> members(chain.begin(), chain.end());
+  std::sort(members.begin(), members.end());
+  EXPECT_EQ(members, ring.Members());
+  ConsistentHashRing::Chain head = ring.LookupN("k", ConsistentHashRing::kInlineChain);
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), chain.begin()));
+}
+
 TEST(ConsistentHashTest, LookupNChainOrderIsDeterministicAcrossRings) {
   ConsistentHashRing a(64);
   ConsistentHashRing b(64);
@@ -265,7 +377,7 @@ TEST(ConsistentHashTest, MembershipChangeRemapsAboutOneNthOfChains) {
   for (int64_t m = 0; m < 8; ++m) {
     ring.AddMember(m);
   }
-  std::vector<std::vector<int64_t>> before(kKeys);
+  std::vector<ConsistentHashRing::Chain> before(kKeys);
   for (int i = 0; i < kKeys; ++i) {
     before[i] = ring.LookupN(StrFormat("url-%d", i), 2);
   }

@@ -9,6 +9,7 @@
 #include "src/services/transend/distillers.h"
 #include "src/services/transend/transend.h"
 #include "src/services/transend/transend_logic.h"
+#include "src/util/strings.h"
 #include "src/workload/content_universe.h"
 
 namespace sns {
@@ -81,6 +82,33 @@ TEST(JpegDistillerTest, OpaqueOutputHasModeledSizeFloorAndHeader) {
     EXPECT_EQ(result.output->bytes[0], 'X');
     EXPECT_EQ(result.output->bytes[1], 'X');
     EXPECT_EQ(distiller.Process(request).output->bytes, result.output->bytes);
+  }
+}
+
+// OpaqueOutput's byte stream as it was written before: one xorshift64* word
+// per 8 bytes, stored one byte per inner-loop step, low byte first.
+std::vector<uint8_t> ReferenceOpaqueBytes(const std::string& url, size_t n) {
+  std::vector<uint8_t> bytes(n);
+  uint64_t h = Fnv1a(url) * 0x9E3779B97F4A7C15ULL;
+  for (size_t i = 0; i < bytes.size();) {
+    h ^= h >> 12;
+    h ^= h << 25;
+    h ^= h >> 27;
+    uint64_t word = h * 0x2545F4914F6CDD1DULL;
+    for (int k = 0; k < 8 && i < bytes.size(); ++k, ++i, word >>= 8) {
+      bytes[i] = static_cast<uint8_t>(word);
+    }
+  }
+  return bytes;
+}
+
+TEST(JpegDistillerTest, WordAtATimeOpaqueBytesMatchByteLoop) {
+  for (const std::string url : {"http://x/a.jpg", "http://example.com/img/12345.gif"}) {
+    for (size_t n = 160; n <= 2048; ++n) {  // Every tail length 0..7 many times over.
+      std::vector<uint8_t> got(n);
+      FillOpaqueBytes(url, got.data(), n);
+      ASSERT_EQ(got, ReferenceOpaqueBytes(url, n)) << url << " n=" << n;
+    }
   }
 }
 

@@ -1,7 +1,14 @@
-// Unit tests for src/util: time formatting, status/result, strings, token bucket.
+// Unit tests for src/util: time formatting, status/result, strings, token
+// bucket, and the flat containers of the request path.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/util/flat_map.h"
+#include "src/util/inline_vector.h"
 #include "src/util/status.h"
 #include "src/util/strings.h"
 #include "src/util/time.h"
@@ -88,6 +95,15 @@ TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("empty"), "empty");
 }
 
+TEST(StringsTest, StrFormatPastTheStackBuffer) {
+  std::string long_text(1000, 'x');
+  std::string out = StrFormat("<%s|%d>", long_text.c_str(), 7);
+  EXPECT_EQ(out, "<" + long_text + "|7>");
+  EXPECT_EQ(StrFormat("%s", std::string(255, 'y').c_str()).size(), 255u);  // Exactly fits.
+  EXPECT_EQ(StrFormat("%s", std::string(256, 'y').c_str()).size(), 256u);  // One past.
+  EXPECT_EQ(StrFormat("%s", ""), "");
+}
+
 TEST(StringsTest, JoinAndSplit) {
   EXPECT_EQ(StrJoin({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(StrJoin({}, ","), "");
@@ -119,6 +135,54 @@ TEST(StringsTest, Fnv1aIsStableAndSpreads) {
 }
 
 // ---------- token bucket ---------------------------------------------------------
+
+// ---------- flat containers --------------------------------------------------
+
+TEST(InlineVectorTest, StaysInlineUpToCapacityThenSpills) {
+  InlineVector<int64_t, 3> v;
+  EXPECT_TRUE(v.empty());
+  for (int64_t i = 0; i < 3; ++i) v.push_back(i);
+  const int64_t* inline_data = v.data();
+  EXPECT_EQ(v.size(), 3u);
+  v.push_back(3);  // Spills: the elements move to the heap, in order.
+  v.push_back(4);
+  EXPECT_NE(v.data(), inline_data);
+  EXPECT_EQ(std::vector<int64_t>(v.begin(), v.end()), (std::vector<int64_t>{0, 1, 2, 3, 4}));
+  InlineVector<int64_t, 3> copy = v;
+  EXPECT_EQ(copy, v);
+  copy.clear();
+  EXPECT_TRUE(copy.empty());
+  copy.push_back(9);
+  EXPECT_EQ(copy.front(), 9);
+  EXPECT_NE(copy, v);
+  EXPECT_EQ(copy, (InlineVector<int64_t, 3>{9}));
+}
+
+TEST(FlatMapTest, ChurnRecyclesPositionsAndKeepsValuesInPlace) {
+  // Request ids inserted and erased in turn, never more than 8 live at once.
+  FlatMap<uint64_t, std::unique_ptr<int>> map;
+  for (uint64_t id = 1; id <= 8; ++id) map.Set(id, std::make_unique<int>(static_cast<int>(id)));
+  std::unique_ptr<int>* slot_of_8 = map.Find(8);
+  std::unique_ptr<int>* slot_of_1 = map.Find(1);
+  map.Erase(1);
+  map.Set(9, std::make_unique<int>(9));
+  // Erasing another key moves no value, and the erased position is reused.
+  EXPECT_EQ(map.Find(8), slot_of_8);
+  EXPECT_EQ(map.Find(9), slot_of_1);
+  for (uint64_t id = 10; id <= 100000; ++id) {
+    ASSERT_TRUE(map.Erase(id - 8));
+    map.Set(id, std::make_unique<int>(static_cast<int>(id)));
+    ASSERT_EQ(map.size(), 8u);
+  }
+  for (uint64_t id = 100000 - 7; id <= 100000; ++id) {
+    ASSERT_NE(map.Find(id), nullptr) << id;
+    EXPECT_EQ(**map.Find(id), static_cast<int>(id));
+  }
+  EXPECT_EQ(map.Find(100000 - 8), nullptr);
+  EXPECT_FALSE(map.Erase(12345));
+  EXPECT_EQ(map.EraseIf([](uint64_t id, const std::unique_ptr<int>&) { return id % 2 == 0; }), 4u);
+  EXPECT_EQ(map.size(), 4u);
+}
 
 TEST(TokenBucketTest, StartsFull) {
   TokenBucket bucket(10.0, 5.0);

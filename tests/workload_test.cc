@@ -14,6 +14,7 @@
 #include "src/content/html.h"
 #include "src/content/jpeg_codec.h"
 #include "src/util/stats.h"
+#include "src/util/strings.h"
 #include "src/workload/content_universe.h"
 #include "src/workload/size_model.h"
 #include "src/workload/trace.h"
@@ -201,6 +202,20 @@ TEST(UniverseTest, MimeFollowsExtension) {
     gif += universe.MimeOf(url) == MimeType::kGif ? 1 : 0;
   }
   EXPECT_GT(gif, 180);  // ~50% by the request mix.
+}
+
+TEST(UniverseTest, UrlsKeepTheirPrintfForm) {
+  ContentUniverseConfig config;
+  ContentUniverse universe(config);
+  for (int64_t i : {int64_t{0}, int64_t{1}, int64_t{976}, int64_t{977}, int64_t{123456},
+                    int64_t{9999999999}, INT64_MAX}) {
+    std::string url = universe.UrlAt(i);
+    std::string ext = url.substr(url.rfind('.') + 1);
+    EXPECT_TRUE(ext == "html" || ext == "gif" || ext == "jpg" || ext == "dat") << url;
+    EXPECT_EQ(url, StrFormat("http://site%lld.example.edu/obj%lld.%s",
+                             static_cast<long long>(i % 977), static_cast<long long>(i),
+                             ext.c_str()));
+  }
 }
 
 TEST(UniverseTest, OpaqueImagesFailMagicCheck) {
