@@ -2,7 +2,11 @@
 //
 //   "meta"           {"schema_version":2,"bench":<name>,"time_ns":<sim time>}
 //   "snapshot"       monitor export: every registry metric, components, alarms
-//   "timeseries"     columnar ring-buffer samples from the flight recorder
+//   "timeseries"     the flight recorder's ring buffers, {} without a recorder:
+//                    {"interval_ns":N,"samples":N,"t_ns":[...],
+//                     "series":{"<name>":{"v":[...]},...}}; one clock
+//                    for all series, each series' values aligned with its
+//                    last entries (see src/obs/timeseries.h)
 //   "critical_path"  per-stage latency decomposition over retained traces
 //   "availability"   harvest/yield ledger: windows, faults, recovery gaps
 //   "profile"        wall-clock zone profiler snapshot

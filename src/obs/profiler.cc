@@ -67,10 +67,51 @@ int g_calib_timed = -1;
 // scaled by its stride, and its parent's self time goes negative by as much.
 int64_t g_timed_bias_ns = 0;
 
+// The next 32 pseudo-random bits of the thread's gap stream (xorshift64).
+uint64_t NextRandom32(ThreadState* t) {
+  uint64_t x = t->gap_rng;
+  x ^= x << 13;
+  x ^= x >> 7;
+  x ^= x << 17;
+  t->gap_rng = x;
+  return x >> 32;
+}
+
+// Gaps are uniform on [1, span], span = 2^(k+1) - 1 (mean 2^k); 1 at stride 0.
+uint64_t GapSpan(int zone) { return 2 * prof_internal::g_stride_mask[zone] + 1; }
+
+// Draws the number of entries until the zone's next timed one.
+int64_t DrawGap(ThreadState* t, int zone) {
+  return 1 + static_cast<int64_t>((NextRandom32(t) * GapSpan(zone)) >> 32);
+}
+
+// Draws which of a zone's first entries is its first timed one, from the
+// gaps' equilibrium distribution: P(d) falls linearly from d = 1 to d = span,
+// which the smaller of two uniform draws matches to within 1/span. Every
+// entry, the first included, is then timed with the same chance; always
+// timing the first, often the coldest, entry and scaling it by a whole gap
+// overstates the zone.
+int64_t DrawFirstDelay(ThreadState* t, int zone) {
+  uint64_t u = std::min(NextRandom32(t), NextRandom32(t));
+  return 1 + static_cast<int64_t>((u * GapSpan(zone)) >> 32);
+}
+
 }  // namespace
 
 bool ProfileZone::Push(ThreadState* t, int zone, bool due) {
   using namespace prof_internal;
+  // A countdown below zero is the zone's first entry on this thread (Enter
+  // took it down from the zeroed state; a timed entry sets it to a gap >= 1).
+  if (due && t->countdown[zone] < 0) {
+    int64_t delay = DrawFirstDelay(t, zone);
+    t->countdown[zone] = delay - 1;
+    due = delay == 1;
+  }
+  int64_t gap = 0;
+  if (due) {
+    gap = DrawGap(t, zone);
+    t->countdown[zone] = gap;
+  }
   if (t->stack_depth >= kMaxDepth) {
     return false;  // Too deep to track: counted only.
   }
@@ -85,8 +126,8 @@ bool ProfileZone::Push(ThreadState* t, int zone, bool due) {
   }
   ++t->timed[zone];
   ++t->live_depth[zone];
-  f.weight = (parent != nullptr ? parent->weight : 1) *
-             static_cast<int64_t>(g_stride_mask[zone] + 1);
+  f.gap = gap;
+  f.weight = (parent != nullptr ? parent->weight : 1) * gap;
   f.start_ns = NowNs();
   return true;
 }
@@ -108,7 +149,7 @@ void ProfileZone::Exit(ThreadState* t, int zone) {
   }
   if (t->stack_depth > 0) {
     Frame& parent = t->stack[t->stack_depth - 1];
-    parent.child_ns += dur * static_cast<int64_t>(g_stride_mask[zone] + 1);
+    parent.child_ns += dur * f.gap;
     g_has_children[parent.zone] = true;
   } else {
     t->root_ns[zone] += weighted;
@@ -142,8 +183,8 @@ int Profiler::RegisterZone(const char* name, int stride_log2) {
 
 void Profiler::Enable() {
   if (g_calib_untimed < 0) {
-    // Stride 2^20: after the first entry the calibration loop exercises the
-    // pure count-only path, which is what the hot zones pay almost always.
+    // Stride 2^20: the calibration loop exercises the pure count-only path
+    // (bar a timed entry or two), which is what the hot zones pay almost always.
     g_calib_untimed = RegisterZone("prof.calibrate_untimed", 20);
     g_calib_timed = RegisterZone("prof.calibrate_timed", 0);
   }

@@ -18,7 +18,7 @@
 // Cost discipline: disabled (the default), a zone entry is one predicted
 // branch — zero accumulation, safe to leave compiled into release paths.
 // Enabled, every entry pays an exact count increment; clock reads are taken
-// only on every 2^stride_log2-th entry (inside a timed parent), and the
+// on one entry in 2^stride_log2 on average (inside a timed parent), and the
 // observed duration (less the calibrated cost of timing an empty zone) is
 // scaled by the frame's weight, below, so totals remain unbiased estimates.
 // Hot leaf zones (timer-wheel schedule/cancel at ~100 ns/op) register with a
@@ -29,19 +29,25 @@
 // (calibrated cost x exact entry counts / measured wall window) — the number
 // the profile-smoke CI gate holds under 3%.
 //
+// Strided zones time their entries at seeded pseudo-random gaps, uniform on
+// [1, 2^(k+1) - 1] (mean 2^k). A fixed every-2^k-th stride would lock onto a
+// loop whose period divides 2^k and time the same phase of it every time; a
+// random gap lands on every phase alike. Each timed entry stands for its gap:
+// itself and the untimed entries before the zone's next timed one. The first
+// timed entry comes after a delay drawn so that the first entry, often the
+// coldest, is timed no more often than any other.
+//
 // Strided attribution samples subtrees: an entry is timed only when its
-// parent frame is timed (and its own counter comes up), and a timed frame
+// parent frame is timed (and its own gap has run out), and a timed frame
 // stands for `weight` entries, the product of its own and its timed
-// ancestors' strides. Its self time is its duration less its timed children's
-// (each scaled by the child's own stride), times its weight, and may go
-// negative for one frame when a child's scaled estimate overshoots it;
-// clamping it at zero would bias the parent upward. Weighted this way, the
-// zones' self times sum to exactly the root zones' time, so summed self time
-// equals coverage. An untimed entry of a zone seen to have nested zones pushes
-// a placeholder frame (no clock reading), so nothing inside it is timed or
-// charged to its parent; leaf zones' untimed entries stay a bare count. When
-// every-2^k-th sampling aliases with a periodic loop, a zone's estimate is
-// biased and its self time can read negative.
+// ancestors' gaps. Its self time is its duration less its timed children's
+// (each scaled by the child's own gap), times its weight, and may go negative
+// for one frame when a child's scaled estimate overshoots it; clamping it at
+// zero would bias the parent upward. Weighted this way, the zones' self times
+// sum to exactly the root zones' time, so summed self time equals coverage.
+// An untimed entry of a zone seen to have nested zones pushes a placeholder
+// frame (no clock reading), so nothing inside it is timed or charged to its
+// parent; leaf zones' untimed entries stay a bare count.
 //
 // Single-threaded simulators are the design center: toggling Enable/Disable
 // while zones are open on another thread is not supported.
@@ -65,9 +71,10 @@ constexpr int kMaxDepth = 64;
 struct Frame {
   int zone;
   int64_t start_ns;  // -1 for an untimed entry's placeholder.
-  int64_t child_ns;  // Nested zones' time, each scaled by its own stride.
+  int64_t child_ns;  // Nested zones' time, each scaled by its own gap.
+  int64_t gap;       // Entries of its zone this frame stands for.
   int64_t weight;    // Entries this frame stands for: the product of the
-                     // strides of it and its timed ancestors.
+                     // gaps of it and its timed ancestors.
 };
 
 struct ThreadState {
@@ -77,6 +84,10 @@ struct ThreadState {
   int64_t self_ns[kMaxZones] = {};      // Scaled; total minus nested zones.
   int64_t root_ns[kMaxZones] = {};      // Scaled; frames entered at stack depth 0.
   int32_t live_depth[kMaxZones] = {};   // Open timed frames per zone (re-entrancy).
+  // Entries left before the zone's next timed one; due once it reaches 0.
+  // The zeroed state makes the first entry call Push, which draws the delay.
+  int64_t countdown[kMaxZones] = {};
+  uint64_t gap_rng = 0x9E3779B97F4A7C15ull;  // xorshift64 state: the gaps are seeded.
   Frame stack[kMaxDepth];
   int stack_depth = 0;
 };
@@ -104,8 +115,9 @@ class Profiler {
   static Profiler& Get();
 
   // Registers (or finds) the zone named `name`. Idempotent by name: the first
-  // registration's stride wins. stride_log2 > 0 times every 2^k-th entry; 0
-  // times every entry (exact attribution). Returns the zone id.
+  // registration's stride wins. stride_log2 > 0 times one entry in 2^k on
+  // average, at pseudo-random gaps; 0 times every entry (exact attribution).
+  // Returns the zone id.
   int RegisterZone(const char* name, int stride_log2 = 0);
 
   static bool enabled() { return prof_internal::g_enabled; }
@@ -181,19 +193,21 @@ class ProfileZone {
     if (__builtin_expect(t == nullptr, 0)) {
       t = TlsSlow();
     }
-    uint64_t n = static_cast<uint64_t>(t->count[zone]++);
-    if (__builtin_expect((n & g_stride_mask[zone]) != 0 && !g_has_children[zone], 1)) {
+    ++t->count[zone];
+    bool due = --t->countdown[zone] <= 0;
+    if (__builtin_expect(!due && !g_has_children[zone], 1)) {
       return;  // Untimed leaf entry: the count was the whole cost.
     }
-    if (Push(t, zone, (n & g_stride_mask[zone]) == 0)) {
+    if (Push(t, zone, due)) {
       t_ = t;
       zone_ = zone;
     }
   }
 
   // Pushes a timed frame (when `due` and the parent frame is timed) or a
-  // placeholder; false when the stack is too deep to track. Static, like
-  // Exit, so the scope object stays in registers on the untimed path.
+  // placeholder; false when the stack is too deep to track. A due entry draws
+  // the zone's next gap either way. Static, like Exit, so the scope object
+  // stays in registers on the untimed path.
   static bool Push(prof_internal::ThreadState* t, int zone, bool due);
   // Pops the frame Push pushed; a timed one is attributed to `zone`.
   static void Exit(prof_internal::ThreadState* t, int zone);

@@ -1,6 +1,7 @@
 #include "src/obs/timeseries.h"
 
 #include <string_view>
+#include <unordered_set>
 #include <utility>
 
 namespace sns {
@@ -8,8 +9,7 @@ namespace sns {
 namespace {
 
 // The fixed text around each series, as ToJson writes it.
-constexpr std::string_view kSeriesOpen = "\":{\"t_ns\":[";  // After the quoted name.
-constexpr std::string_view kSeriesMid = "],\"v\":[";
+constexpr std::string_view kSeriesOpen = "\":{\"v\":[";  // After the quoted name.
 constexpr std::string_view kSeriesClose = "]}";
 
 }  // namespace
@@ -18,31 +18,33 @@ void TimeSeriesRecorder::AddProbe(const std::string& series, std::function<doubl
   probes_[series] = std::move(probe);
 }
 
-void TimeSeriesRecorder::Record(Series* s, SimTime now, double value) {
-  s->t.push_back(now);
+void TimeSeriesRecorder::Record(Series* s, double value) {
+  if (s == nullptr) {
+    return;  // A repeated name: its first slot this tick already recorded it.
+  }
   s->v.push_back(value);
-  while (s->t.size() > max_samples_) {
-    s->t.pop_front();
+  if (s->v.size() > max_samples_) {
     s->v.pop_front();
   }
 }
 
 void TimeSeriesRecorder::Bind() {
   slots_.clear();
+  std::unordered_set<const Series*> bound;
+  auto bind = [&](const std::string& name) {
+    Series* s = &series_[name];
+    slots_.push_back(bound.insert(s).second ? s : nullptr);
+  };
   if (registry_ != nullptr) {
-    registry_->ForEachCounter([this](const std::string& name, const Counter&) {
-      slots_.push_back(&series_[name]);
-    });
-    registry_->ForEachGauge([this](const std::string& name, const Gauge&) {
-      slots_.push_back(&series_[name]);
-    });
-    registry_->ForEachHistogram([this](const std::string& name, const Histogram&) {
-      slots_.push_back(&series_[name + ".count"]);
-      slots_.push_back(&series_[name + ".mean"]);
+    registry_->ForEachCounter([&](const std::string& name, const Counter&) { bind(name); });
+    registry_->ForEachGauge([&](const std::string& name, const Gauge&) { bind(name); });
+    registry_->ForEachHistogram([&](const std::string& name, const Histogram&) {
+      bind(name + ".count");
+      bind(name + ".mean");
     });
   }
   for (const auto& [name, probe] : probes_) {
-    slots_.push_back(&series_[name]);
+    bind(name);
   }
   bound_instruments_ = InstrumentCount();
   bound_probes_ = probes_.size();
@@ -54,23 +56,27 @@ size_t TimeSeriesRecorder::InstrumentCount() const {
 
 void TimeSeriesRecorder::SampleAt(SimTime now) {
   ++samples_taken_;
+  times_.push_back(now);
+  if (times_.size() > max_samples_) {
+    times_.pop_front();
+  }
   if (InstrumentCount() != bound_instruments_ || probes_.size() != bound_probes_) {
     Bind();
   }
   auto slot = slots_.begin();
   if (registry_ != nullptr) {
     registry_->ForEachCounter([&](const std::string&, const Counter& c) {
-      Record(*slot++, now, static_cast<double>(c.value()));
+      Record(*slot++, static_cast<double>(c.value()));
     });
     registry_->ForEachGauge(
-        [&](const std::string&, const Gauge& g) { Record(*slot++, now, g.value()); });
+        [&](const std::string&, const Gauge& g) { Record(*slot++, g.value()); });
     registry_->ForEachHistogram([&](const std::string&, const Histogram& h) {
-      Record(*slot++, now, static_cast<double>(h.TotalCount()));
-      Record(*slot++, now, h.summary().mean());
+      Record(*slot++, static_cast<double>(h.TotalCount()));
+      Record(*slot++, h.summary().mean());
     });
   }
   for (const auto& [name, probe] : probes_) {
-    Record(*slot++, now, probe());
+    Record(*slot++, probe());
   }
 }
 
@@ -80,8 +86,9 @@ const TimeSeriesRecorder::Series* TimeSeriesRecorder::Find(const std::string& na
 }
 
 std::string TimeSeriesRecorder::ToJson() const {
-  // The values are rendered first, into one scratch buffer. With them every
-  // byte of the output is known, so it is reserved once at its final size.
+  // The head (with the clock) and the values are rendered first, into scratch
+  // buffers. With them every byte of the output is known, so it is reserved
+  // once at its final size.
   std::string values;
   std::vector<size_t> values_end;
   values_end.reserve(series_.size());
@@ -89,7 +96,12 @@ std::string TimeSeriesRecorder::ToJson() const {
   AppendInt(&head, interval_);
   head += ",\"samples\":";
   AppendInt(&head, samples_taken_);
-  head += ",\"series\":{";
+  head += ",\"t_ns\":[";
+  for (size_t i = 0; i < times_.size(); ++i) {
+    if (i > 0) head += ',';
+    AppendInt(&head, times_[i]);
+  }
+  head += "],\"series\":{";
   // Fixed text: the head, the closing "}}" and a comma between series.
   size_t size = head.size() + 2 + (series_.empty() ? 0 : series_.size() - 1);
   for (const auto& [name, s] : series_) {
@@ -98,12 +110,7 @@ std::string TimeSeriesRecorder::ToJson() const {
       AppendDouble6g(&values, s.v[i]);
     }
     values_end.push_back(values.size());
-    size += 1 + EscapedLength(name) + kSeriesOpen.size() + kSeriesMid.size() +
-            kSeriesClose.size();
-    for (SimTime t : s.t) {
-      size += IntLength(t);
-    }
-    size += s.t.empty() ? 0 : s.t.size() - 1;  // Commas between times.
+    size += 1 + EscapedLength(name) + kSeriesOpen.size() + kSeriesClose.size();
   }
   size += values.size();
 
@@ -116,11 +123,6 @@ std::string TimeSeriesRecorder::ToJson() const {
     out += '"';
     AppendEscaped(&out, name);
     out += kSeriesOpen;
-    for (size_t i = 0; i < s.t.size(); ++i) {
-      if (i > 0) out += ',';
-      AppendInt(&out, s.t[i]);
-    }
-    out += kSeriesMid;
     size_t values_begin = index > 0 ? values_end[index - 1] : 0;
     out.append(values, values_begin, values_end[index] - values_begin);
     out += kSeriesClose;

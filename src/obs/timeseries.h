@@ -10,6 +10,13 @@
 // outside the registry). Rings are bounded, so long experiments keep the most
 // recent window.
 //
+// Every series shares one clock. A series joins at the first tick after its
+// instrument or probe appears and gets exactly one value on every tick from
+// then on, so its values line up with the *last* v.size() entries of times():
+// value i was sampled at times()[times().size() - v.size() + i]. The clock and
+// every series drop their oldest entry together, so the rule survives
+// eviction. The clock is stored and exported once instead of once per series.
+//
 // The recorder is driven externally via SampleAt(now): it has no event-loop
 // dependency of its own (obs stays below sim/net in the layer order); SnsSystem
 // owns a PeriodicTimer that calls it on the configured cadence.
@@ -32,8 +39,7 @@ namespace sns {
 class TimeSeriesRecorder {
  public:
   struct Series {
-    std::deque<SimTime> t;  // Sample times, parallel to v.
-    std::deque<double> v;
+    std::deque<double> v;  // End-aligned with times(); see the header comment.
   };
 
   explicit TimeSeriesRecorder(const MetricsRegistry* registry,
@@ -52,14 +58,20 @@ class TimeSeriesRecorder {
   int64_t samples_taken() const { return samples_taken_; }
   size_t series_count() const { return series_.size(); }
   const Series* Find(const std::string& name) const;
+  // The shared sample clock: the last max_samples tick times, oldest first.
+  const std::deque<SimTime>& times() const { return times_; }
+  // The time value i of `s` was sampled at.
+  SimTime TimeOf(const Series& s, size_t i) const {
+    return times_[times_.size() - s.v.size() + i];
+  }
 
-  // Columnar JSON:
-  //   {"interval_ns":N,"samples":N,"series":{"name":{"t_ns":[...],"v":[...]},...}}
-  // Series are sorted by name; arrays are parallel and bounded by max_samples.
+  // Columnar JSON, the clock once and each series' values end-aligned with it:
+  //   {"interval_ns":N,"samples":N,"t_ns":[...],"series":{"name":{"v":[...]},...}}
+  // Series are sorted by name; every array is bounded by max_samples.
   std::string ToJson() const;
 
  private:
-  void Record(Series* s, SimTime now, double value);
+  void Record(Series* s, double value);
   // Points slots_ at the series of every instrument and probe, in sampling order.
   void Bind();
   size_t InstrumentCount() const;  // 0 without a registry.
@@ -68,11 +80,14 @@ class TimeSeriesRecorder {
   SimDuration interval_;
   size_t max_samples_;
   int64_t samples_taken_ = 0;
+  std::deque<SimTime> times_;
   std::map<std::string, std::function<double()>> probes_;
   std::map<std::string, Series> series_;
   // One slot per sampled value, in SampleAt's order: counters, gauges, histogram
   // count and mean, probes. Instruments are never removed, so the slots stay
-  // valid until the instrument or probe count changes.
+  // valid until the instrument or probe count changes. A name sampled twice in
+  // one tick (a counter "x.count" beside a histogram "x") keeps its first
+  // value; its later slots are null, so no series gets two values per tick.
   std::vector<Series*> slots_;
   size_t bound_instruments_ = 0;
   size_t bound_probes_ = 0;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "src/sns/worker_process.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
+#include "tools/json_reader.h"
 
 namespace sns {
 namespace {
@@ -61,7 +63,7 @@ TEST(TimeSeriesRecorderTest, SamplesCountersGaugesHistogramsAndProbes) {
   const TimeSeriesRecorder::Series* c = recorder.Find("fe.requests");
   ASSERT_NE(c, nullptr);
   ASSERT_EQ(c->v.size(), 2u);
-  EXPECT_EQ(c->t[0], Milliseconds(100));
+  EXPECT_EQ(recorder.TimeOf(*c, 0), Milliseconds(100));
   EXPECT_DOUBLE_EQ(c->v[0], 3.0);   // Counters sample cumulative values.
   EXPECT_DOUBLE_EQ(c->v[1], 5.0);
 
@@ -109,11 +111,15 @@ TEST(TimeSeriesRecorderTest, InstrumentsAndProbesAddedLaterJoinTheSampling) {
       {"d.hist.count", {1, 1}}, {"d.hist.mean", {4, 4}}, {"e.probe", {5, 6}},
   };
   EXPECT_EQ(recorder.series_count(), want.size());
+  // One clock for every series; a late joiner's values are its last entries.
+  ASSERT_EQ(recorder.times().size(), 3u);
   for (const auto& [name, values] : want) {
     const TimeSeriesRecorder::Series* series = recorder.Find(name);
     ASSERT_NE(series, nullptr) << name;
     EXPECT_EQ(std::vector<double>(series->v.begin(), series->v.end()), values) << name;
-    EXPECT_EQ(series->t.back(), Milliseconds(30)) << name;
+    SimTime joined = values.size() == 3 ? Milliseconds(10) : Milliseconds(20);
+    EXPECT_EQ(recorder.TimeOf(*series, 0), joined) << name;
+    EXPECT_EQ(recorder.TimeOf(*series, series->v.size() - 1), Milliseconds(30)) << name;
   }
 }
 
@@ -128,10 +134,126 @@ TEST(TimeSeriesRecorderTest, RingBuffersAreBounded) {
   const TimeSeriesRecorder::Series* series = recorder.Find("c");
   ASSERT_NE(series, nullptr);
   ASSERT_EQ(series->v.size(), 4u);  // Oldest samples evicted.
-  EXPECT_EQ(series->t.front(), Milliseconds(70));
+  ASSERT_EQ(recorder.times().size(), 4u);  // From the clock too.
+  EXPECT_EQ(recorder.times().front(), Milliseconds(70));
+  EXPECT_EQ(recorder.TimeOf(*series, 0), Milliseconds(70));
   EXPECT_DOUBLE_EQ(series->v.front(), 7.0);
   EXPECT_DOUBLE_EQ(series->v.back(), 10.0);
   EXPECT_EQ(recorder.samples_taken(), 10);
+}
+
+TEST(TimeSeriesRecorderTest, RepeatedNameKeepsOneValuePerTick) {
+  // A counter "x.count" and a histogram "x" both sample into "x.count". The
+  // series must still get one value per tick, or it would outgrow the clock.
+  MetricsRegistry registry;
+  registry.GetCounter("x.count")->Increment(7);
+  registry.GetHistogram("x", 0.0, 10.0, 10)->Add(1.0);
+  TimeSeriesRecorder recorder(&registry, Milliseconds(10));
+  recorder.SampleAt(Milliseconds(10));
+  recorder.SampleAt(Milliseconds(20));
+  const TimeSeriesRecorder::Series* series = recorder.Find("x.count");
+  ASSERT_NE(series, nullptr);
+  // Counters are sampled first, so the counter's value is the one kept.
+  EXPECT_EQ(std::vector<double>(series->v.begin(), series->v.end()),
+            (std::vector<double>{7, 7}));
+  ASSERT_NE(recorder.Find("x.mean"), nullptr);
+  EXPECT_EQ(recorder.Find("x.mean")->v.size(), 2u);
+}
+
+// The (time, value) pairs of every series in a ToJson() document, each value
+// paired with its entry of the shared clock (series are end-aligned with it).
+using TimedValues = std::map<std::string, std::vector<std::pair<SimTime, double>>>;
+
+bool DecodeTimeSeries(const std::string& json, TimedValues* out) {
+  JsonReader reader(json);
+  std::vector<SimTime> clock;
+  bool ok = reader.Object([&](const std::string& key) {
+    if (key == "t_ns") {
+      return reader.Array([&] {
+        double t = 0;
+        if (!reader.Number(&t)) return false;
+        clock.push_back(static_cast<SimTime>(t));
+        return true;
+      });
+    }
+    if (key != "series") {
+      return reader.Skip();
+    }
+    return reader.Object([&](const std::string& name) {
+      return reader.Object([&](const std::string& field) {
+        if (field != "v") {
+          return reader.Fail("unexpected series field " + field);
+        }
+        std::vector<std::pair<SimTime, double>>& pairs = (*out)[name];
+        return reader.Array([&] {
+          double v = 0;
+          if (!reader.Number(&v)) return false;
+          pairs.emplace_back(0, v);  // Its time is filled in from the clock below.
+          return true;
+        });
+      });
+    });
+  });
+  if (!ok || !reader.AtEnd()) {
+    ADD_FAILURE() << "ToJson() does not decode: " << reader.error();
+    return false;
+  }
+  for (auto& [name, pairs] : *out) {
+    if (pairs.size() > clock.size()) {
+      ADD_FAILURE() << name << " has more values than the clock has times";
+      return false;
+    }
+    size_t offset = clock.size() - pairs.size();
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      pairs[i].first = clock[offset + i];
+    }
+  }
+  return true;
+}
+
+TEST(TimeSeriesRecorderTest, ToJsonRoundTripsEveryTimedValue) {
+  MetricsRegistry registry;
+  Counter* ticks = registry.GetCounter("a.ticks");
+  TimeSeriesRecorder recorder(&registry, Milliseconds(10), /*max_samples=*/4);
+  TimedValues want;  // Built from the ticks below, not read off the recorder.
+  double late = 0;
+  for (int i = 1; i <= 10; ++i) {
+    ticks->Increment();
+    if (i == 4) {
+      registry.GetGauge("b.gauge");  // Joins on tick 4, then evicts like "a".
+    }
+    if (i == 9) {
+      recorder.AddProbe("c.late", [&late] { return late; });  // Joins on tick 9.
+    }
+    registry.GetGauge("b.gauge")->Set(i * 1.5);
+    late = -0.25 * i;
+    SimTime now = Milliseconds(10 * i);
+    recorder.SampleAt(now);
+    want["a.ticks"].emplace_back(now, i);
+    if (i >= 4) want["b.gauge"].emplace_back(now, i * 1.5);
+    if (i >= 9) want["c.late"].emplace_back(now, late);
+  }
+  for (auto& [name, pairs] : want) {  // The ring keeps the last 4 ticks.
+    if (pairs.size() > 4) pairs.erase(pairs.begin(), pairs.end() - 4);
+  }
+
+  // The accessor pairs each value with its tick...
+  TimedValues accessed;
+  for (const auto& [name, pairs] : want) {
+    const TimeSeriesRecorder::Series* s = recorder.Find(name);
+    ASSERT_NE(s, nullptr) << name;
+    for (size_t i = 0; i < s->v.size(); ++i) {
+      accessed[name].emplace_back(recorder.TimeOf(*s, i), s->v[i]);
+    }
+  }
+  EXPECT_EQ(accessed, want);
+  // ...and so does the exported document, which writes the clock once.
+  std::string json = recorder.ToJson();
+  TimedValues decoded;
+  ASSERT_TRUE(DecodeTimeSeries(json, &decoded));
+  EXPECT_EQ(decoded, want);
+  EXPECT_EQ(json.find("\"t_ns\""), json.rfind("\"t_ns\""));
+  EXPECT_LT(json.capacity() - json.size(), 16u);
 }
 
 // ---------------------------------------------------------------------------
@@ -427,7 +549,7 @@ TEST(ExportGoldenTest, SectionsMatchPinnedBytes) {
 
   const TraceCollector& tracer = *service.system()->tracer();
   const std::map<std::string, ExportDigest> pinned = {
-      {"timeseries", {180047, 0x32a4e88b5698a949ULL}},
+      {"timeseries", {40824, 0x4bccc4bac8827cd6ULL}},
       {"traces", {576383, 0x818835ff5939f63eULL}},
       {"critical_path", {986, 0xb85b7404572e0547ULL}},
       {"chrome_trace", {1809545, 0xa40a383c4d734929ULL}},

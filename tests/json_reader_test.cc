@@ -8,6 +8,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 namespace sns {
 namespace {
@@ -116,6 +117,26 @@ TEST(JsonReaderTest, TypedReadsRejectOtherTypes) {
   JsonReader reader("NaN");
   EXPECT_FALSE(reader.Number(&d));
   EXPECT_FALSE(reader.error().empty());
+}
+
+TEST(JsonReaderTest, ReadsArraysElementByElement) {
+  JsonReader reader(" [1, 2.5 ,-3] ");
+  std::vector<double> values;
+  ASSERT_TRUE(reader.Array([&] {
+    double v = 0;
+    if (!reader.Number(&v)) return false;
+    values.push_back(v);
+    return true;
+  })) << reader.error();
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(values, (std::vector<double>{1, 2.5, -3}));
+
+  int calls = 0;
+  EXPECT_TRUE(JsonReader("[]").Array([&] { return ++calls > 0; }));
+  EXPECT_EQ(calls, 0);
+  EXPECT_FALSE(JsonReader("{}").Array([] { return true; }));
+  JsonReader trailing("[1,]");
+  EXPECT_FALSE(trailing.Array([&] { return trailing.Skip(); }));
 }
 
 TEST(JsonReaderTest, MemberCallbackFailureStopsTheRead) {

@@ -1,9 +1,9 @@
 // A small strict pull-style JSON reader for the artifact tools
 // (validate_bench_artifact, bench_diff). Header-only, so a tool that includes
 // it builds with no libraries. The caller walks the document: Object() hands
-// each member's key to a callback that consumes the value. Values nobody asks
-// for are validated and skipped, never stored, so memory stays flat on
-// multi-megabyte artifacts.
+// each member's key to a callback that consumes the value, and Array() calls
+// one for each element. Values nobody asks for are validated and skipped,
+// never stored, so memory stays flat on multi-megabyte artifacts.
 //
 // Numbers must match '-'? int frac? exp? with int = 0 | [1-9][0-9]*, and be
 // finite: strtod alone would accept "NaN"/"Infinity" (what a printf of a NaN
@@ -62,6 +62,13 @@ class JsonReader {
       std::string key;
       return String(&key) && Consume(':') && member(key);
     });
+  }
+
+  // Reads an array, calling item() with the reader at each element. `item`
+  // must consume the element and return whether it succeeded.
+  template <typename ItemFn>
+  bool Array(ItemFn&& item) {
+    return List('[', ']', item);
   }
 
   // Reads a string into `out` (which may be null to just validate it).

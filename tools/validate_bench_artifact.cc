@@ -10,6 +10,12 @@
 // carries every top-level section. Exit 0 on success; non-zero with a message
 // on any missing/malformed artifact.
 //
+// A "timeseries" section other than {} must have the flight recorder's layout
+// (src/obs/timeseries.h): "interval_ns" > 0; one shared clock "t_ns" of
+// strictly increasing integers, no longer than "samples"; and "series", whose
+// members are each {"v":[finite numbers]} with no more values than the clock
+// has times (each series is end-aligned with the clock).
+//
 // The profile-smoke label additionally gates the profiler's quality figures:
 //   --min-profile-coverage X   require profile.coverage >= X (named root zones
 //                              must attribute at least this wall fraction)
@@ -22,6 +28,7 @@
 // constants come from artifact.h, so this tool links no library.
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -73,6 +80,89 @@ bool ReadProfile(JsonReader* reader, ProfileFacts* profile) {
   return ok && (fields > 0 || reader->Fail("profile is an empty object"));
 }
 
+// Reads the timeseries section: {} or the recorder's layout (see the top).
+bool ReadTimeseries(JsonReader* reader) {
+  if (reader->Peek() != '{') {
+    return reader->Fail("timeseries is not an object");
+  }
+  int fields = 0;
+  double interval_ns = -1;
+  double samples = -1;
+  bool has_clock = false;
+  bool has_series = false;
+  size_t clock_size = 0;
+  double last_t = 0;
+  size_t longest = 0;
+  std::string longest_name;
+  bool ok = reader->Object([&](const std::string& key) {
+    ++fields;
+    if (key == "interval_ns") {
+      return NumberOrMinusOne(reader, &interval_ns);
+    }
+    if (key == "samples") {
+      return NumberOrMinusOne(reader, &samples);
+    }
+    if (key == "t_ns") {
+      has_clock = true;
+      return reader->Array([&] {
+        double t = 0;
+        if (!reader->Number(&t)) {
+          return false;
+        }
+        if (t != std::floor(t)) {
+          return reader->Fail("timeseries.t_ns holds a non-integer time");
+        }
+        if (clock_size > 0 && t <= last_t) {
+          return reader->Fail("timeseries.t_ns is not strictly increasing");
+        }
+        last_t = t;
+        ++clock_size;
+        return true;
+      });
+    }
+    if (key != "series") {
+      return reader->Skip();
+    }
+    has_series = true;
+    return reader->Object([&](const std::string& name) {
+      size_t values = 0;
+      bool has_v = false;
+      bool read = reader->Object([&](const std::string& field) {
+        if (field != "v") {
+          return reader->Fail("timeseries.series." + name + " has a field other than \"v\"");
+        }
+        has_v = true;
+        return reader->Array([&] {
+          ++values;
+          return reader->Number(nullptr);
+        });
+      });
+      if (read && values > longest) {
+        longest = values;
+        longest_name = name;
+      }
+      return read && (has_v || reader->Fail("timeseries.series." + name + " has no \"v\""));
+    });
+  });
+  if (!ok || fields == 0) {
+    return ok;  // {}: the bench ran no recorder.
+  }
+  if (interval_ns <= 0) {
+    return reader->Fail("timeseries.interval_ns is missing or not positive");
+  }
+  if (!has_clock || !has_series) {
+    return reader->Fail("timeseries.t_ns or timeseries.series is missing");
+  }
+  if (samples < static_cast<double>(clock_size)) {
+    return reader->Fail("timeseries.samples is missing or below the length of t_ns");
+  }
+  if (longest > clock_size) {
+    return reader->Fail("timeseries.series." + longest_name +
+                        " has more values than timeseries.t_ns has times");
+  }
+  return true;
+}
+
 // Checks the artifact's schema. Returns what is wrong with it, or "".
 std::string Validate(const std::string& text, ProfileFacts* profile) {
   JsonReader reader(text);
@@ -84,6 +174,9 @@ std::string Validate(const std::string& text, ProfileFacts* profile) {
     seen.insert(key);
     if (key == "profile") {
       return ReadProfile(&reader, profile);
+    }
+    if (key == "timeseries") {
+      return ReadTimeseries(&reader);
     }
     if (key != "meta") {
       return reader.Skip();
@@ -101,7 +194,7 @@ std::string Validate(const std::string& text, ProfileFacts* profile) {
     });
   });
   if (!ok) {
-    return "malformed JSON: " + reader.error();
+    return "malformed JSON or section layout: " + reader.error();
   }
   if (!reader.AtEnd()) {
     return "trailing content after top-level object";
