@@ -7,10 +7,14 @@
 //                     "series":{"<name>":{"v":[...]},...}}; one clock
 //                    for all series, each series' values aligned with its
 //                    last entries (see src/obs/timeseries.h)
-//   "critical_path"  per-stage latency decomposition over retained traces
-//   "availability"   harvest/yield ledger: windows, faults, recovery gaps
+//   "critical_path"  per-stage latency decomposition over every request
+//   "availability"   harvest/yield ledger: windows by offer time (offered,
+//                    answered, unanswered, yield, harvest), faults, recovery
+//                    gaps
 //   "profile"        wall-clock zone profiler snapshot
-//   "traces"         raw span trees
+//   "traces"         trace classes (root outcome, dominant stage) with their
+//                    counts, a few exemplar span trees each and class counts
+//                    per 10-s window (see src/obs/trace.h)
 //
 // followed by any caller-specific sections (the scenario matrix appends
 // "matrix"). WriteRunArtifact is the only writer of this layout, and

@@ -40,20 +40,20 @@ void AvailabilityLedger::RecordOffered(SimTime at) {
   UpdateGauges();
 }
 
-void AvailabilityLedger::RecordAnswered(SimTime at, double harvest) {
+void AvailabilityLedger::RecordAnswered(SimTime offered_at, double harvest) {
   harvest = std::clamp(harvest, 0.0, 1.0);
   ++answered_;
   harvest_sum_ += harvest;
-  WindowRow& row = Row(at);
+  WindowRow& row = Row(offered_at);
   ++row.answered;
   row.harvest_sum += harvest;
   UpdateGauges();
 }
 
-void AvailabilityLedger::RecordUnanswered(SimTime at, const std::string& reason) {
+void AvailabilityLedger::RecordUnanswered(SimTime offered_at, const std::string& reason) {
   ++unanswered_;
   ++unanswered_by_reason_[reason];
-  ++Row(at).unanswered;
+  ++Row(offered_at).unanswered;
   UpdateGauges();
 }
 
@@ -125,12 +125,13 @@ std::vector<AvailabilityLedger::RecoveryGap> AvailabilityLedger::DeriveRecoveryG
 
 std::string AvailabilityLedger::ToJson(const EventLog* events) const {
   std::vector<WindowRow> rows = Windows();
-  std::string seconds, offered, answered, yields, harvests;
+  std::string seconds, offered, answered, unanswered, yields, harvests;
   for (const WindowRow& row : rows) {
     const char* sep = seconds.empty() ? "" : ",";
     seconds += StrFormat("%s%lld", sep, static_cast<long long>(row.second));
     offered += StrFormat("%s%lld", sep, static_cast<long long>(row.offered));
     answered += StrFormat("%s%lld", sep, static_cast<long long>(row.answered));
+    unanswered += StrFormat("%s%lld", sep, static_cast<long long>(row.unanswered));
     double y = row.offered > 0
                    ? static_cast<double>(row.answered) / static_cast<double>(row.offered)
                    : 1.0;
@@ -170,12 +171,12 @@ std::string AvailabilityLedger::ToJson(const EventLog* events) const {
       "{\"window_s\":%.3f,\"offered\":%lld,\"answered\":%lld,\"unanswered\":%lld,"
       "\"yield\":%.6f,\"harvest\":%.6f,\"unanswered_by_reason\":{%s},"
       "\"windows\":{\"second\":[%s],\"offered\":[%s],\"answered\":[%s],"
-      "\"yield\":[%s],\"harvest\":[%s]},"
+      "\"unanswered\":[%s],\"yield\":[%s],\"harvest\":[%s]},"
       "\"faults\":[%s],\"recovery_gaps\":[%s],\"max_recovery_gap_s\":%.3f}",
       ToSeconds(window_), static_cast<long long>(offered_),
       static_cast<long long>(answered_), static_cast<long long>(unanswered_),
       RunYield(), RunHarvest(), reasons.c_str(), seconds.c_str(), offered.c_str(),
-      answered.c_str(), yields.c_str(), harvests.c_str(), faults.c_str(),
+      answered.c_str(), unanswered.c_str(), yields.c_str(), harvests.c_str(), faults.c_str(),
       gaps_json.c_str(), max_gap_s);
 }
 

@@ -10,7 +10,9 @@
 // the mapping from response provenance to fraction lives with the service
 // layer, see ResponseHarvest in src/sns/messages.h) or as unanswered with a
 // reason (error / timeout / late / send_failed). The ledger buckets both into
-// fixed windows of sim time, producing the yield and harvest time-series, and
+// fixed windows of sim time by the request's offer time, so a window's answered
+// and unanswered counts never exceed its offered count and its yield is at most
+// 1, producing the yield and harvest time-series, and
 // folds the EventLog's fault instants (injector faults, quorum transitions,
 // fence kills) into an availability timeline: per-window yield annotated with
 // the faults that landed there, plus derived recovery gaps — maximal runs of
@@ -44,10 +46,11 @@ class AvailabilityLedger {
   void BindMetrics(MetricsRegistry* metrics);
 
   void RecordOffered(SimTime at);
+  // The resolution of the request offered at `offered_at`, whenever it comes.
   // `harvest` in [0, 1] (clamped): the completeness of the answer.
-  void RecordAnswered(SimTime at, double harvest);
+  void RecordAnswered(SimTime offered_at, double harvest);
   // reason: "error", "timeout", "late", "send_failed" (free-form tolerated).
-  void RecordUnanswered(SimTime at, const std::string& reason);
+  void RecordUnanswered(SimTime offered_at, const std::string& reason);
 
   int64_t offered() const { return offered_; }
   int64_t answered() const { return answered_; }
@@ -83,8 +86,9 @@ class AvailabilityLedger {
     return unanswered_by_reason_;
   }
 
-  // The artifact "availability" section: run totals, windowed yield/harvest
-  // series (columnar), fault annotations, and derived recovery gaps.
+  // The artifact "availability" section: run totals, windowed
+  // offered/answered/unanswered counts and yield/harvest series (columnar, by
+  // offer window), fault annotations, and derived recovery gaps.
   std::string ToJson(const EventLog* events) const;
   // Paper-style figure table: one row per window with yield, harvest, and
   // fault/gap annotations. For bench/scenario console output.
@@ -94,8 +98,9 @@ class AvailabilityLedger {
 
  private:
   int64_t WindowIndex(SimTime at) const { return at / window_; }
-  // The row of the window holding `at`, created on first use. Records arrive
-  // in time order, so the newest window is found without a tree search.
+  // The row of the window holding `at`, created on first use. Offers arrive
+  // in time order, so the newest window is found without a tree search;
+  // resolutions land in their offer's window, a search back.
   WindowRow& Row(SimTime at);
   void UpdateGauges();
 

@@ -115,11 +115,12 @@ uint64_t PlaybackEngine::SendRequest(const TraceRecord& record,
   pending.trace = trace;
   pending.timeout = After(config_.request_timeout, [this, id] {
     if (PendingRequest* timed_out = pending_.Find(id)) {
-      RecordSpan(timed_out->trace, "client.request", timed_out->sent_at, "timeout");
+      SimTime sent_at = timed_out->sent_at;
+      RecordSpan(timed_out->trace, "client.request", sent_at, "timeout");
       pending_.Erase(id);
       ++timeouts_;
       if (config_.availability != nullptr) {
-        config_.availability->RecordUnanswered(sim()->now(), "timeout");
+        config_.availability->RecordUnanswered(sent_at, "timeout");
       }
     }
   });
@@ -137,12 +138,13 @@ uint64_t PlaybackEngine::SendRequest(const TraceRecord& record,
     // The chosen front end is gone; client-side balancing will route the next
     // request elsewhere. This one is counted as a failure.
     if (PendingRequest* failed = pending_.Find(id)) {
-      RecordSpan(failed->trace, "client.request", failed->sent_at, "send_failed");
+      SimTime sent_at = failed->sent_at;
+      RecordSpan(failed->trace, "client.request", sent_at, "send_failed");
       CancelTimer(failed->timeout);
       pending_.Erase(id);
       ++send_failures_;
       if (config_.availability != nullptr) {
-        config_.availability->RecordUnanswered(sim()->now(), "send_failed");
+        config_.availability->RecordUnanswered(sent_at, "send_failed");
       }
     }
   };
@@ -160,11 +162,11 @@ void PlaybackEngine::OnMessage(const Message& msg) {
   if (pending == nullptr) {
     return;  // Already timed out.
   }
-  double latency = ToSeconds(sim()->now() - pending->sent_at);
+  SimTime sent_at = pending->sent_at;
+  double latency = ToSeconds(sim()->now() - sent_at);
   SimTime deadline = pending->deadline;
   std::string user_id = std::move(pending->user_id);
-  RecordSpan(pending->trace, "client.request", pending->sent_at,
-             reply.status.ok() ? "ok" : "error");
+  RecordSpan(pending->trace, "client.request", sent_at, reply.status.ok() ? "ok" : "error");
   CancelTimer(pending->timeout);
   pending_.Erase(reply.client_request_id);
   if (config_.on_response) {
@@ -181,10 +183,9 @@ void PlaybackEngine::OnMessage(const Message& msg) {
     // response delivered inside the client's deadline. A late OK answered
     // nobody — by then the user has navigated away (§4.5's whole premise).
     if (reply.status.ok() && !late) {
-      config_.availability->RecordAnswered(sim()->now(), ResponseHarvest(reply.source));
+      config_.availability->RecordAnswered(sent_at, ResponseHarvest(reply.source));
     } else {
-      config_.availability->RecordUnanswered(sim()->now(),
-                                             reply.status.ok() ? "late" : "error");
+      config_.availability->RecordUnanswered(sent_at, reply.status.ok() ? "late" : "error");
     }
   }
   latency_s_.Add(latency);

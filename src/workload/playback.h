@@ -45,7 +45,8 @@ struct PlaybackConfig {
   // When set, every request is entered into the harvest/yield ledger: offered at
   // send time, answered (with a harvest fraction derived from the response's
   // provenance) or unanswered (timeout / error / late / no reachable FE) at
-  // resolution. Not owned. TranSendService wires its system ledger in by default.
+  // resolution, in the window of its send time. Not owned. TranSendService
+  // wires its system ledger in by default.
   AvailabilityLedger* availability = nullptr;
 };
 

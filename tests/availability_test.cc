@@ -1,5 +1,5 @@
 // Tests for the harvest/yield availability ledger: window bucketing and
-// zero-fill, run-total conservation, recovery-gap derivation against the event
+// zero-fill, run-total conservation, answers counted in their offer's window, recovery-gap derivation against the event
 // log, the response-provenance -> harvest mapping, and end-to-end wiring
 // through a live TranSend system (full answers score exactly 1.0; degraded
 // BASE answers score fractionally).
@@ -182,6 +182,33 @@ TEST(AvailabilityIntegrationTest, FullAnswersScoreExactlyOne) {
   EXPECT_DOUBLE_EQ(
       service.system()->metrics()->FindGauge("availability.yield")->value(),
       ledger->RunYield());
+}
+
+TEST(AvailabilityIntegrationTest, AnswersLandInTheirOfferWindow) {
+  Logger::Get().set_min_level(LogLevel::kNone);
+  TranSendService service(DistillHeavyOptions());
+  service.Start();
+  PlaybackEngine* client = service.AddPlaybackEngine(0xA7A2);
+  // Distillation takes longer than the gap between requests, so most answers
+  // arrive in a later second than their offer.
+  client->StartConstantRate(10, UniformUrls(service.universe(), 0x11AB, "offer-window"));
+  service.sim()->RunFor(Seconds(15));
+  client->StopLoad();
+  service.sim()->RunFor(Seconds(10));  // Drain in-flight requests.
+
+  AvailabilityLedger* ledger = service.system()->availability();
+  std::vector<AvailabilityLedger::WindowRow> rows = ledger->Windows();
+  ASSERT_FALSE(rows.empty());
+  int64_t answered = 0;
+  for (const AvailabilityLedger::WindowRow& row : rows) {
+    // Drained, so every window's offers are resolved, inside that window.
+    EXPECT_EQ(row.offered, row.answered + row.unanswered) << "window " << row.second;
+    answered += row.answered;
+  }
+  EXPECT_EQ(answered, ledger->answered());
+  // No answer outlives the last offer's window.
+  EXPECT_GT(rows.back().offered, 0);
+  EXPECT_NE(ledger->ToJson(nullptr).find("\"unanswered\":["), std::string::npos);
 }
 
 TEST(AvailabilityIntegrationTest, DegradedAnswersYieldFractionalHarvest) {

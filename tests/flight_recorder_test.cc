@@ -328,9 +328,9 @@ TEST(CriticalPathTest, SummaryAccumulatesAndRenders) {
   std::vector<SpanRecord> spans;
   spans.push_back(MakeSpan(1, 0, "client.request", 0, Milliseconds(10)));
   spans.push_back(MakeSpan(2, 1, "worker.service", 0, Milliseconds(4)));
-  auto path = AnalyzeTrace(spans);
-  ASSERT_TRUE(path.has_value());
-  summary.Add(*path);
+  TraceAnalyzer analyzer;
+  ASSERT_TRUE(analyzer.Analyze(spans));
+  summary.Add(analyzer);
   EXPECT_EQ(summary.request_count(), 1);
   std::string table = summary.RenderTable();
   EXPECT_NE(table.find("worker_service"), std::string::npos);
@@ -550,7 +550,7 @@ TEST(ExportGoldenTest, SectionsMatchPinnedBytes) {
   const TraceCollector& tracer = *service.system()->tracer();
   const std::map<std::string, ExportDigest> pinned = {
       {"timeseries", {40824, 0x4bccc4bac8827cd6ULL}},
-      {"traces", {576383, 0x818835ff5939f63eULL}},
+      {"traces", {71910, 0x2d541685bff215fULL}},
       {"critical_path", {986, 0xb85b7404572e0547ULL}},
       {"chrome_trace", {1809545, 0xa40a383c4d734929ULL}},
   };

@@ -4,7 +4,8 @@
 // it, and a process's timer list stays exact across fired, cancelled and reused
 // event slots. A warmed TranSend service bounds the allocations of a whole
 // request: continuations, replica chains and the per-request tables allocate
-// nothing, so what remains is message payloads, cache keys and the client's
+// nothing, and neither does folding an evicted trace into the run's
+// statistics, so what remains is message payloads, cache keys and the client's
 // own records.
 //
 // This file replaces the global operator new with a counting one, so every test
@@ -21,6 +22,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/net/san.h"
+#include "src/obs/critical_path.h"
 #include "src/obs/events.h"
 #include "src/obs/trace.h"
 #include "src/services/transend/transend.h"
@@ -115,6 +117,10 @@ TEST(HotPathAllocTest, FullCollectorRecordsTracesWithoutAllocating) {
     RecordTrace(&collector, component, 10);
   }
   EXPECT_EQ(g_new_calls - before, 0);
+  // Each evicted trace was folded on the way out (inside the window above),
+  // and export adds the retained ones: the summary counts every trace once.
+  EXPECT_EQ(CriticalPathSummary::FromCollector(collector).request_count(),
+            static_cast<int64_t>(3 * kMaxTraces + 1000));
 
   EXPECT_EQ(collector.trace_count(), kMaxTraces);
   EXPECT_EQ(collector.span_count(), kMaxTraces * 10);

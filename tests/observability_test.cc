@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/obs/artifact.h"
+#include "src/obs/critical_path.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/services/transend/transend.h"
@@ -337,6 +338,155 @@ TEST(TraceCollectorTest, EvictsOldestTraceFifo) {
   EXPECT_TRUE(collector.Trace(ids[0]).empty());   // Oldest evicted.
   EXPECT_FALSE(collector.Trace(ids[2]).empty());  // Tail retained.
   EXPECT_EQ(collector.traces_started(), 3u);
+}
+
+// Records trace number `k` of a synthetic run: a client request whose front end
+// probes the cache and runs a task (retried for some), with the stage that
+// dominates, the outcome and the start time varying with k. Children are
+// recorded before their parents, as spans are recorded when they end. Every
+// 13th trace has no root span yet (a request still in flight).
+void RecordSyntheticTrace(TraceCollector* collector, int k) {
+  TraceContext root = collector->StartTrace();
+  const SimTime t = Milliseconds(700) * k;
+  std::vector<SpanRecord> spans;
+  auto add = [&](const TraceContext& ctx, std::string_view operation, SimTime start,
+                 SimTime end, std::string_view outcome) {
+    SpanRecord span;
+    span.trace_id = ctx.trace_id;
+    span.span_id = ctx.span_id;
+    span.parent_span_id = ctx.parent_span_id;
+    span.component = "synthetic";
+    span.operation = operation;
+    span.start = start;
+    span.end = end;
+    span.outcome = outcome;
+    spans.push_back(span);
+  };
+  TraceContext fe = collector->ChildOf(root);
+  TraceContext cache_get = collector->ChildOf(fe);
+  TraceContext cache = collector->ChildOf(cache_get);
+  const SimTime cache_ms = Milliseconds(5 + (k * 37) % 90);
+  add(cache, "cache.get", t + Milliseconds(3), t + Milliseconds(3) + cache_ms, "miss");
+  add(cache_get, "fe.cache_get", t + Milliseconds(2), t + Milliseconds(4) + cache_ms, "miss");
+  SimTime cursor = t + Milliseconds(4) + cache_ms;
+  for (int attempt = 0; attempt <= k % 3; ++attempt) {
+    TraceContext task = collector->ChildOf(fe);
+    TraceContext worker = collector->ChildOf(task);
+    TraceContext service = collector->ChildOf(worker);
+    const SimTime service_ms = Milliseconds(10 + (k * 53) % 120);
+    add(service, "worker.service", cursor + Milliseconds(2), cursor + Milliseconds(2) + service_ms,
+        "ok");
+    add(worker, "worker.task", cursor + Milliseconds(1), cursor + Milliseconds(2) + service_ms,
+        "ok");
+    add(task, "fe.task_attempt", cursor, cursor + Milliseconds(3) + service_ms, "ok");
+    cursor += Milliseconds(3) + service_ms;
+    if (k % 5 == 0) {
+      TraceContext custom = collector->ChildOf(fe);
+      add(custom, "custom.stage", cursor, cursor + Milliseconds(40), "ok");
+      cursor += Milliseconds(40);
+    }
+  }
+  add(fe, "fe.request", t + Milliseconds(1), cursor + Milliseconds(1), "ok");
+  if (k % 13 != 12) {
+    add(root, "client.request", t, cursor + Milliseconds(2 + k % 4),
+        k % 7 == 3 ? "error" : (k % 11 == 5 ? "timeout" : "ok"));
+  }
+  for (const SpanRecord& span : spans) {
+    collector->Record(span);
+  }
+}
+
+TEST(TraceCollectorTest, FoldedStatisticsDoNotDependOnRetention) {
+  // The bounded collector folds all but two traces on eviction; the unbounded
+  // one folds every trace at export. Both must describe the same run.
+  TraceCollector bounded(/*max_traces=*/2);
+  TraceCollector unbounded(/*max_traces=*/1 << 20);
+  for (int k = 0; k < 150; ++k) {
+    RecordSyntheticTrace(&bounded, k);
+    RecordSyntheticTrace(&unbounded, k);
+  }
+  EXPECT_EQ(bounded.trace_count(), 2u);
+  EXPECT_EQ(unbounded.trace_count(), 150u);
+
+  std::string paths = CriticalPathSummary::FromCollector(bounded).ToJson();
+  EXPECT_EQ(paths, CriticalPathSummary::FromCollector(unbounded).ToJson());
+  // 150 traces, of which 11 have no root.
+  EXPECT_NE(paths.find("{\"requests\":139,"), std::string::npos) << paths;
+  EXPECT_NE(paths.find("\"custom.stage\":{"), std::string::npos) << paths;
+  EXPECT_EQ(bounded.ToJson(), unbounded.ToJson());
+  // Export is const and idempotent: it folds the retained traces into a copy.
+  EXPECT_EQ(paths, CriticalPathSummary::FromCollector(bounded).ToJson());
+  EXPECT_EQ(bounded.trace_count(), 2u);
+}
+
+TEST(TraceCollectorTest, ExportsSpreadExemplarsClassCountsAndWindows) {
+  TraceCollector collector(/*max_traces=*/4);
+  for (int k = 0; k < 100; ++k) {
+    TraceContext root = collector.StartTrace();
+    SpanRecord span;
+    span.trace_id = root.trace_id;
+    span.span_id = root.span_id;
+    span.component = "playback";
+    span.operation = "client.request";
+    span.start = Seconds(1) * k;
+    span.end = span.start + Milliseconds(20);
+    span.outcome = k == 40 ? "timeout" : "ok";
+    collector.Record(span);
+  }
+  std::string json = collector.ToJson();
+  // Eight exemplars at most per class, spread evenly over its traces in the
+  // order they were folded: the ok class's traces number 0, 16, ..., 96.
+  EXPECT_NE(json.find("{\"outcome\":\"ok\",\"stage\":\"san_transit\",\"count\":99,"
+                      "\"exemplars\":[1,17,33,50,66,82,98]}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\"outcome\":\"timeout\",\"stage\":\"san_transit\",\"count\":1,"
+                      "\"exemplars\":[41]}"),
+            std::string::npos)
+      << json;
+  // Ten traces per 10-s window of root start; the timeout fell in the fifth.
+  EXPECT_NE(json.find("\"window_s\":10,\"windows\":{\"start_s\":[0,10,20,30,40,50,60,70,80,90],"
+                      "\"counts\":[[10,0],[10,0],[10,0],[10,0],[9,1],[10,0],"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.rfind("{\"traces\":[{\"trace_id\":1,\"spans\":[{", 0), 0u);
+}
+
+TEST(TraceCollectorTest, LateSpanOfEvictedTraceKeepsExemplarIdsUnique) {
+  TraceCollector collector(/*max_traces=*/1);
+  TraceContext first = collector.StartTrace();
+  TraceContext child = collector.ChildOf(first);
+  SpanRecord root;
+  root.trace_id = first.trace_id;
+  root.span_id = first.span_id;
+  root.operation = "client.request";
+  root.end = 100;
+  root.outcome = "ok";
+  collector.Record(root);
+  TraceContext second = collector.StartTrace();
+  SpanRecord next = root;
+  next.trace_id = second.trace_id;
+  next.span_id = second.span_id;
+  collector.Record(next);  // Evicts and folds the first trace.
+  SpanRecord late;
+  late.trace_id = child.trace_id;
+  late.span_id = child.span_id;
+  late.parent_span_id = child.parent_span_id;
+  late.operation = "cache.put";
+  late.start = 50;
+  late.end = 200;
+  late.outcome = "ok";
+  collector.Record(late);  // Starts a rootless fragment under the first id.
+
+  std::string json = collector.ToJson();
+  // The fragment is counted in its own class, but the whole trace stays the
+  // only exemplar under that id.
+  EXPECT_NE(json.find("{\"outcome\":\"no_root\",\"stage\":\"none\",\"count\":1,"
+                      "\"exemplars\":[]}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"count\":2,\"exemplars\":[1,2]}"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"operation\":\"cache.put\""), std::string::npos) << json;
 }
 
 // ---------- end-to-end tracing through the live system ----------------------------------------

@@ -16,6 +16,20 @@
 // members are each {"v":[finite numbers]} with no more values than the clock
 // has times (each series is end-aligned with the clock).
 //
+// A "traces" section other than {} must have the trace collector's layout
+// (src/obs/trace.h): exemplar trace objects whose spans carry every field
+// ({"span_id","parent_span_id","component","operation","node","start_ns",
+// "end_ns","outcome"}); classes with a count >= 1 whose exemplar ids are unique
+// and name exactly the exemplar traces; "window_s" > 0; and a window table with
+// one row of per-class counts per start time, each class's counts summing to
+// its count.
+//
+// The "availability" section's "windows" arrays (second, offered, answered,
+// unanswered, yield, harvest) must be of one length, with yield and harvest in
+// [0, 1] and answered + unanswered <= offered in every window (answers are
+// counted in the window of their offer). With --quiesced, every window must be
+// resolved: answered + unanswered == offered.
+//
 // The profile-smoke label additionally gates the profiler's quality figures:
 //   --min-profile-coverage X   require profile.coverage >= X (named root zones
 //                              must attribute at least this wall fraction)
@@ -31,6 +45,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -163,8 +178,188 @@ bool ReadTimeseries(JsonReader* reader) {
   return true;
 }
 
+// Reads an array of numbers into `out`.
+bool Numbers(JsonReader* reader, std::vector<double>* out) {
+  out->clear();
+  return reader->Array([&] {
+    double x = 0;
+    if (!reader->Number(&x)) {
+      return false;
+    }
+    out->push_back(x);
+    return true;
+  });
+}
+
+// Reads one span object; every field must be there, with its type.
+bool ReadSpan(JsonReader* reader) {
+  static const std::set<std::string> kStringFields = {"component", "operation", "outcome"};
+  static const std::set<std::string> kNumberFields = {"span_id", "parent_span_id", "node",
+                                                      "start_ns", "end_ns"};
+  std::set<std::string> seen;
+  bool ok = reader->Object([&](const std::string& key) {
+    seen.insert(key);
+    if (kStringFields.count(key) > 0) {
+      return reader->Peek() == '"' ? reader->String(nullptr)
+                                   : reader->Fail("span field \"" + key + "\" is not a string");
+    }
+    if (kNumberFields.count(key) > 0) {
+      return reader->Number(nullptr);
+    }
+    return reader->Skip();
+  });
+  if (!ok) {
+    return false;
+  }
+  for (const std::set<std::string>* fields : {&kStringFields, &kNumberFields}) {
+    for (const std::string& field : *fields) {
+      if (seen.count(field) == 0) {
+        return reader->Fail("a span has no \"" + field + "\"");
+      }
+    }
+  }
+  return true;
+}
+
+// Reads the traces section: {} or the collector's layout (see the top).
+bool ReadTraces(JsonReader* reader) {
+  if (reader->Peek() != '{') {
+    return reader->Fail("traces is not an object");
+  }
+  int fields = 0;
+  std::set<double> trace_ids;
+  std::set<double> exemplar_ids;
+  std::vector<double> class_counts;
+  double window_s = -1;
+  std::vector<double> start_s;
+  std::vector<std::vector<double>> rows;
+  bool has_classes = false;
+  bool has_windows = false;
+  bool ok = reader->Object([&](const std::string& key) {
+    ++fields;
+    if (key == "traces") {
+      return reader->Array([&] {
+        return reader->Object([&](const std::string& field) {
+          if (field == "trace_id") {
+            double id = 0;
+            return reader->Number(&id) &&
+                   (trace_ids.insert(id).second || reader->Fail("two exemplar traces share an id"));
+          }
+          return field == "spans" ? reader->Array([&] { return ReadSpan(reader); })
+                                  : reader->Skip();
+        });
+      });
+    }
+    if (key == "classes") {
+      has_classes = true;
+      return reader->Array([&] {
+        double count = -1;
+        bool read = reader->Object([&](const std::string& field) {
+          if (field == "count") {
+            return NumberOrMinusOne(reader, &count);
+          }
+          if (field != "exemplars") {
+            return reader->Skip();
+          }
+          return reader->Array([&] {
+            double id = 0;
+            return reader->Number(&id) && (exemplar_ids.insert(id).second ||
+                                           reader->Fail("an exemplar id is listed twice"));
+          });
+        });
+        class_counts.push_back(count);
+        return read && (count >= 1 || reader->Fail("a trace class has a count below 1"));
+      });
+    }
+    if (key == "window_s") {
+      return NumberOrMinusOne(reader, &window_s);
+    }
+    if (key != "windows") {
+      return reader->Skip();
+    }
+    has_windows = true;
+    return reader->Object([&](const std::string& field) {
+      if (field == "start_s") {
+        return Numbers(reader, &start_s);
+      }
+      if (field != "counts") {
+        return reader->Skip();
+      }
+      return reader->Array([&] { return Numbers(reader, &rows.emplace_back()); });
+    });
+  });
+  if (!ok || fields == 0) {
+    return ok;  // {}: the bench ran no trace collector.
+  }
+  if (!has_classes || !has_windows) {
+    return reader->Fail("traces.classes or traces.windows is missing");
+  }
+  if (exemplar_ids != trace_ids) {
+    return reader->Fail("the classes' exemplar ids are not the exemplar traces' ids");
+  }
+  if (window_s <= 0) {
+    return reader->Fail("traces.window_s is missing or not positive");
+  }
+  if (rows.size() != start_s.size()) {
+    return reader->Fail("traces.windows.counts and traces.windows.start_s differ in length");
+  }
+  std::vector<double> sums(class_counts.size(), 0);
+  for (const std::vector<double>& row : rows) {
+    if (row.size() != class_counts.size()) {
+      return reader->Fail("a traces.windows.counts row does not have one count per class");
+    }
+    for (size_t c = 0; c < row.size(); ++c) {
+      sums[c] += row[c];
+    }
+  }
+  return sums == class_counts ||
+         reader->Fail("a trace class's window counts do not sum to its count");
+}
+
+// Reads the availability section; checks its windows (see the top).
+bool ReadAvailability(JsonReader* reader, bool quiesced) {
+  std::map<std::string, std::vector<double>> windows;
+  bool has_windows = false;
+  bool ok = reader->Object([&](const std::string& key) {
+    if (key != "windows") {
+      return reader->Skip();
+    }
+    has_windows = true;
+    return reader->Object(
+        [&](const std::string& name) { return Numbers(reader, &windows[name]); });
+  });
+  if (!ok || !has_windows) {
+    return ok;
+  }
+  const std::vector<double>& seconds = windows["second"];
+  for (const char* name : {"offered", "answered", "unanswered", "yield", "harvest"}) {
+    if (windows.count(name) == 0 || windows[name].size() != seconds.size()) {
+      return reader->Fail(std::string("availability.windows.") + name +
+                          " is missing or differs in length from availability.windows.second");
+    }
+  }
+  for (size_t i = 0; i < seconds.size(); ++i) {
+    double offered = windows["offered"][i];
+    double resolved = windows["answered"][i] + windows["unanswered"][i];
+    std::string where = "availability window " + std::to_string(i);
+    for (const char* name : {"yield", "harvest"}) {
+      double x = windows[name][i];
+      if (x < 0 || x > 1) {
+        return reader->Fail(where + " has a " + name + " outside [0, 1]");
+      }
+    }
+    if (resolved > offered) {
+      return reader->Fail(where + " has answered + unanswered above offered");
+    }
+    if (quiesced && resolved != offered) {
+      return reader->Fail(where + " has offers neither answered nor unanswered");
+    }
+  }
+  return true;
+}
+
 // Checks the artifact's schema. Returns what is wrong with it, or "".
-std::string Validate(const std::string& text, ProfileFacts* profile) {
+std::string Validate(const std::string& text, bool quiesced, ProfileFacts* profile) {
   JsonReader reader(text);
   std::set<std::string> seen;
   double schema_version = -1;
@@ -177,6 +372,12 @@ std::string Validate(const std::string& text, ProfileFacts* profile) {
     }
     if (key == "timeseries") {
       return ReadTimeseries(&reader);
+    }
+    if (key == "traces") {
+      return ReadTraces(&reader);
+    }
+    if (key == "availability") {
+      return ReadAvailability(&reader, quiesced);
     }
     if (key != "meta") {
       return reader.Skip();
@@ -219,10 +420,13 @@ std::string Validate(const std::string& text, ProfileFacts* profile) {
 int main(int argc, char** argv) {
   double min_coverage = -1;
   double max_overhead = -1;
+  bool quiesced = false;
   std::vector<const char*> paths;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--min-profile-coverage" && i + 1 < argc) {
+    if (arg == "--quiesced") {
+      quiesced = true;
+    } else if (arg == "--min-profile-coverage" && i + 1 < argc) {
       min_coverage = std::strtod(argv[++i], nullptr);
     } else if (arg == "--max-profile-overhead" && i + 1 < argc) {
       max_overhead = std::strtod(argv[++i], nullptr);
@@ -232,7 +436,7 @@ int main(int argc, char** argv) {
   }
   if (paths.empty()) {
     std::fprintf(stderr,
-                 "usage: %s [--min-profile-coverage X] [--max-profile-overhead Y] "
+                 "usage: %s [--quiesced] [--min-profile-coverage X] [--max-profile-overhead Y] "
                  "BENCH_<name>.json [...]\n",
                  argv[0]);
     return 2;
@@ -246,7 +450,7 @@ int main(int argc, char** argv) {
       continue;
     }
     ProfileFacts profile;
-    std::string error = Validate(text, &profile);
+    std::string error = Validate(text, quiesced, &profile);
     if (!error.empty()) {
       std::fprintf(stderr, "%s: INVALID: %s\n", path, error.c_str());
       ++bad;
