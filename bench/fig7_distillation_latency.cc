@@ -41,11 +41,8 @@ void Run() {
     int64_t size = model.SampleSize(MimeType::kGif, &rng);
     TaccRequest request;
     request.url = StrFormat("http://trace/item%lld.gif", static_cast<long long>(i));
-    auto content = std::make_shared<Content>();
-    content->url = request.url;
-    content->mime = MimeType::kGif;
-    content->bytes.resize(static_cast<size_t>(size));
-    request.inputs.push_back(std::move(content));
+    request.inputs.push_back(Content::Make(request.url, MimeType::kGif,
+                                           std::vector<uint8_t>(static_cast<size_t>(size))));
 
     double latency_s = ToSeconds(distiller.EstimateCost(request));
     by_bucket[size / 1024].Add(latency_s);

@@ -33,7 +33,7 @@ class ShoutWorker : public TaccWorker {
     }
     // Mass customization: the user's profile rides along automatically (§2.3).
     bool excited = request.profile.GetBoolOr("excited", false);
-    std::vector<uint8_t> out = request.input()->bytes;
+    std::vector<uint8_t> out = request.input()->bytes();
     for (uint8_t& b : out) {
       b = static_cast<uint8_t>(std::toupper(b));
     }

@@ -24,7 +24,7 @@ namespace sns {
 namespace {
 
 std::string TextOf(const ContentPtr& content) {
-  return std::string(content->bytes.begin(), content->bytes.end());
+  return std::string(content->bytes().begin(), content->bytes().end());
 }
 
 void Run() {

@@ -247,4 +247,10 @@ bool IsGif(const std::vector<uint8_t>& bytes) {
   return bytes.size() > 8 && bytes[0] == kMagic0 && bytes[1] == kMagic1;
 }
 
+bool IsGif(const Content& content) {
+  uint8_t magic[2];
+  return content.size() > 8 && content.CopyPrefix(magic, 2) == 2 && magic[0] == kMagic0 &&
+         magic[1] == kMagic1;
+}
+
 }  // namespace sns

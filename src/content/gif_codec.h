@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/content/content.h"
 #include "src/content/image.h"
 #include "src/util/status.h"
 
@@ -24,6 +25,8 @@ Result<RasterImage> GifDecode(const std::vector<uint8_t>& bytes);
 
 // True if `bytes` starts with the SGIF magic.
 bool IsGif(const std::vector<uint8_t>& bytes);
+// The same check on a Content's first bytes; opaque content stays unmaterialized.
+bool IsGif(const Content& content);
 
 }  // namespace sns
 

@@ -351,4 +351,10 @@ bool IsJpeg(const std::vector<uint8_t>& bytes) {
   return bytes.size() > 7 && bytes[0] == kMagic0 && bytes[1] == kMagic1;
 }
 
+bool IsJpeg(const Content& content) {
+  uint8_t magic[2];
+  return content.size() > 7 && content.CopyPrefix(magic, 2) == 2 && magic[0] == kMagic0 &&
+         magic[1] == kMagic1;
+}
+
 }  // namespace sns

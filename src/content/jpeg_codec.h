@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/content/content.h"
 #include "src/content/image.h"
 #include "src/util/status.h"
 
@@ -28,6 +29,8 @@ Result<RasterImage> JpegDecode(const std::vector<uint8_t>& bytes);
 Result<int> JpegQualityOf(const std::vector<uint8_t>& bytes);
 
 bool IsJpeg(const std::vector<uint8_t>& bytes);
+// The same check on a Content's first bytes; opaque content stays unmaterialized.
+bool IsJpeg(const Content& content);
 
 }  // namespace sns
 

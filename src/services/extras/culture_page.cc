@@ -117,7 +117,7 @@ TaccResult CulturePageWorker::Process(const TaccRequest& request) {
     if (page == nullptr) {
       continue;  // An unreachable source shrinks the calendar (approximate answer).
     }
-    std::string text = StripTags(std::string(page->bytes.begin(), page->bytes.end()));
+    std::string text = StripTags(std::string(page->bytes().begin(), page->bytes().end()));
     for (ExtractedEvent& event : ExtractEvents(text)) {
       if (month_filter == 0 || event.month == month_filter) {
         all.push_back(std::move(event));

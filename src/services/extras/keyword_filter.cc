@@ -10,7 +10,7 @@ TaccResult KeywordFilterWorker::Process(const TaccRequest& request) {
     return TaccResult::Fail(InvalidArgumentError("filter-keywords: no input"));
   }
   std::string keywords = request.ArgOr(kArgKeywords, request.profile.GetOr(kArgKeywords, ""));
-  std::string html(request.input()->bytes.begin(), request.input()->bytes.end());
+  std::string html(request.input()->bytes().begin(), request.input()->bytes().end());
   for (const std::string& keyword : StrSplit(keywords, ',')) {
     if (!keyword.empty()) {
       html = HighlightKeyword(html, keyword, "<b><font color=\"red\" size=\"+1\">",

@@ -89,7 +89,7 @@ TaccResult PalmTransformWorker::Process(const TaccRequest& request) {
       request.ArgIntOr(kArgColumns, request.profile.GetIntOr("palm_cols", 40)));
   int rows = static_cast<int>(
       request.ArgIntOr(kArgRows, request.profile.GetIntOr("palm_rows", 12)));
-  std::string html(request.input()->bytes.begin(), request.input()->bytes.end());
+  std::string html(request.input()->bytes().begin(), request.input()->bytes().end());
   std::string spoon = SpoonFeed(html, cols, rows);
   std::vector<uint8_t> bytes(spoon.begin(), spoon.end());
   return TaccResult::Ok(Content::Make(request.url, MimeType::kOther, std::move(bytes)));

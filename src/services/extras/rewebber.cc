@@ -22,7 +22,7 @@ TaccResult RewebberWorker::Process(const TaccRequest& request) {
     return TaccResult::Fail(InvalidArgumentError("rewebber: no input"));
   }
   std::string key = request.ArgOr(kArgKey, request.profile.GetOr(kArgKey, "default-hop-key"));
-  std::vector<uint8_t> transformed = XorKeystream(request.input()->bytes, key);
+  std::vector<uint8_t> transformed = XorKeystream(request.input()->bytes(), key);
   // Encrypted payloads are opaque; decrypted ones regain the original type.
   MimeType mime = encrypt_ ? MimeType::kOther : request.input()->mime;
   return TaccResult::Ok(Content::Make(request.url, mime, std::move(transformed)));

@@ -86,7 +86,7 @@ void HotBotLogic::HandleRequest(RequestContext* ctx) {
     c->CacheGet(SearchCacheKey(query, kCachedResultDepth),
                 [this, query, page](RequestContext* c2, bool hit, ContentPtr content) {
                   if (hit && content != nullptr) {
-                    RespondPage(c2, ParseResultPage(content->bytes), page,
+                    RespondPage(c2, ParseResultPage(content->bytes()), page,
                                 /*cache_hit=*/true);
                     return;
                   }
@@ -177,7 +177,7 @@ void HotBotLogic::RunQuery(RequestContext* ctx, const std::string& query, int pa
                     [state, finalize](RequestContext* c, Status status, ContentPtr content) {
                       ++state->received;
                       if (status.ok() && content != nullptr) {
-                        auto decoded = DecodeSearchResults(content->bytes);
+                        auto decoded = DecodeSearchResults(content->bytes());
                         if (decoded.ok()) {
                           ++state->reached;
                           state->docs += decoded->doc_count;

@@ -26,15 +26,11 @@ constexpr SimDuration kHtmlPerKb = Milliseconds(0.8);
 // Lognormal sigma of the per-item cost noise (Fig. 7 shows large variance).
 constexpr double kNoiseSigma = 0.25;
 
-// Opaque content transform: produce undecodable bytes of the modeled size.
+// Opaque content transform: undecodable bytes of the modeled size, synthesized
+// only if something reads them.
 ContentPtr OpaqueOutput(const TaccRequest& request, MimeType mime, int64_t out_size) {
-  std::vector<uint8_t> bytes(static_cast<size_t>(std::max(out_size, kMinDistilledBytes)));
-  FillOpaqueBytes(request.url, bytes.data(), bytes.size());
-  if (bytes.size() >= 2) {
-    bytes[0] = 'X';
-    bytes[1] = 'X';
-  }
-  return Content::Make(request.url, mime, std::move(bytes));
+  return Content::MakeOpaque(request.url, mime, Content::Filler::kDistilled, Fnv1a(request.url),
+                             std::max(out_size, kMinDistilledBytes));
 }
 
 SimDuration NoisyCost(SimDuration fixed, SimDuration per_kb, const TaccRequest& request) {
@@ -44,35 +40,6 @@ SimDuration NoisyCost(SimDuration fixed, SimDuration per_kb, const TaccRequest& 
 }
 
 }  // namespace
-
-void FillOpaqueBytes(const std::string& url, uint8_t* out, size_t n) {
-  uint64_t h = Fnv1a(url) * 0x9E3779B97F4A7C15ULL;
-  auto next_word = [&h] {
-    h ^= h >> 12;
-    h ^= h << 25;
-    h ^= h >> 27;
-    return h * 0x2545F4914F6CDD1DULL;
-  };
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    // Spelled out so the compiler merges them into one store on little-endian hosts.
-    uint64_t word = next_word();
-    out[i] = static_cast<uint8_t>(word);
-    out[i + 1] = static_cast<uint8_t>(word >> 8);
-    out[i + 2] = static_cast<uint8_t>(word >> 16);
-    out[i + 3] = static_cast<uint8_t>(word >> 24);
-    out[i + 4] = static_cast<uint8_t>(word >> 32);
-    out[i + 5] = static_cast<uint8_t>(word >> 40);
-    out[i + 6] = static_cast<uint8_t>(word >> 48);
-    out[i + 7] = static_cast<uint8_t>(word >> 56);
-  }
-  if (i < n) {
-    uint64_t word = next_word();
-    for (; i < n; ++i, word >>= 8) {
-      out[i] = static_cast<uint8_t>(word);
-    }
-  }
-}
 
 double ImageReductionRatio(int scale, int quality) {
   scale = std::max(scale, 1);
@@ -105,8 +72,8 @@ TaccResult JpegDistiller::Process(const TaccRequest& request) {
   const ContentPtr& in = request.input();
   int scale = static_cast<int>(request.ArgIntOr(kArgScale, 2));
   int quality = static_cast<int>(request.ArgIntOr(kArgQuality, 25));
-  if (IsJpeg(in->bytes)) {
-    auto decoded = JpegDecode(in->bytes);
+  if (IsJpeg(*in)) {
+    auto decoded = JpegDecode(in->bytes());
     if (!decoded.ok()) {
       return TaccResult::Fail(decoded.status());
     }
@@ -137,9 +104,9 @@ TaccResult GifDistiller::Process(const TaccRequest& request) {
   const ContentPtr& in = request.input();
   int scale = static_cast<int>(request.ArgIntOr(kArgScale, 2));
   int quality = static_cast<int>(request.ArgIntOr(kArgQuality, 25));
-  if (IsGif(in->bytes)) {
+  if (IsGif(*in)) {
     // GIF -> JPEG conversion followed by JPEG degradation (§3.1.6).
-    auto decoded = GifDecode(in->bytes);
+    auto decoded = GifDecode(in->bytes());
     if (!decoded.ok()) {
       return TaccResult::Fail(decoded.status());
     }
@@ -167,7 +134,8 @@ TaccResult HtmlDistiller::Process(const TaccRequest& request) {
     return TaccResult::Fail(InvalidArgumentError("munge-html: no input"));
   }
   const ContentPtr& in = request.input();
-  std::string html(in->bytes.begin(), in->bytes.end());
+  const std::vector<uint8_t>& page = in->bytes();
+  std::string html(page.begin(), page.end());
   MungeOptions options;
   // The user interface for TranSend is controlled by the HTML distiller, under the
   // direction of the user preferences from the front end (§3.1.6).

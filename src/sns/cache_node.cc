@@ -328,12 +328,12 @@ void CacheNodeProcess::HandlePut(const Message& msg) {
     SNS_PROFILE_ZONE("cache.put");
     --outstanding_;
     if (put->content != nullptr) {
-      // Content equality (one ContentPtr, or equal bytes: two origin fetches of a
-      // URL are distinct ContentPtrs) tells a fresh migrated entry from a re-push
-      // of one we already hold — only the former is echoed, so anti-entropy ends.
+      // Content equality (one ContentPtr, or the same bytes: two origin fetches of
+      // a URL are distinct ContentPtrs with one opaque descriptor) tells a fresh
+      // migrated entry from a re-push of one we already hold — only the former is
+      // echoed, so anti-entropy ends.
       const ContentPtr* existing = cache_.Peek(put->key);
-      bool already_known = existing != nullptr && (*existing == put->content ||
-                                                   (*existing)->bytes == put->content->bytes);
+      bool already_known = existing != nullptr && SameBytes(**existing, *put->content);
       cache_.Put(put->key, put->content);
       if (put->rebalance && !already_known) {
         echo_keys_.insert(put->key);

@@ -63,6 +63,11 @@ class CacheNodeProcess : public Process {
   size_t entry_count() const { return cache_.size(); }
   double outstanding_ops() const { return static_cast<double>(outstanding_); }
   bool HasKey(const std::string& key) const { return cache_.Contains(key); }
+  // The entry under `key`, or null; neither promotes it nor counts a hit or miss.
+  ContentPtr PeekContent(const std::string& key) const {
+    const ContentPtr* entry = cache_.Peek(key);
+    return entry != nullptr ? *entry : nullptr;
+  }
   // Snapshot of resident keys (MRU first); used by the chaos replica-chain
   // convergence invariant to audit placement at quiesce.
   std::vector<std::string> CacheKeys() const;

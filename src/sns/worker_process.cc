@@ -115,11 +115,14 @@ void WorkerProcess::HandleTask(const Message& msg) {
     RejectTask(*task, ChildSpan(msg.trace), "worker queue full");
     return;
   }
-  TaccRequest probe;
-  probe.url = task->url;
-  probe.inputs = task->inputs;
-  probe.args = task->args;
-  SimDuration cost = worker_->EstimateCost(probe);
+  // The task's one copy into a TaccRequest; it moves through the queue into
+  // the in-service slot the CPU callback reads. The profile is copied only once
+  // the task is admitted.
+  TaccRequest request;
+  request.url = task->url;
+  request.inputs = task->inputs;
+  request.args = task->args;
+  SimDuration cost = worker_->EstimateCost(request);
   // Deadline-aware admission: if the queued backlog plus this task's own cost
   // cannot fit inside the remaining budget, refuse now rather than let the task
   // queue up and expire at its deadline. The front end falls back to an
@@ -131,8 +134,9 @@ void WorkerProcess::HandleTask(const Message& msg) {
     return;
   }
   queued_cost_ += cost;
-  QueuedTask queued{std::move(task), cost, ChildSpan(msg.trace), sim()->now()};
-  queue_.push_back(std::move(queued));
+  request.profile = task->profile;
+  queue_.push_back(
+      QueuedTask{std::move(task), std::move(request), cost, ChildSpan(msg.trace), sim()->now()});
   if (!busy_) {
     StartNext();
   }
@@ -152,28 +156,22 @@ void WorkerProcess::StartNext() {
     return;
   }
   busy_ = true;
-  QueuedTask queued = std::move(queue_.front());
+  in_service_ = std::move(queue_.front());
   queue_.pop_front();
-  auto task = std::move(queued.payload);
-
-  TaccRequest request;
-  request.url = task->url;
-  request.inputs = task->inputs;
-  request.profile = task->profile;
-  request.args = task->args;
-
-  SimDuration cost = queued.estimated_cost;
-  TraceContext span = queued.trace;
-  SimTime enqueued_at = queued.enqueued_at;
-  if (sim()->now() > enqueued_at) {
+  const QueuedTask& next = in_service_;
+  if (sim()->now() > next.enqueued_at) {
     // Sub-span: time queued behind earlier tasks, distinct from the compute below.
-    RecordSpan(ChildSpan(span), "worker.queue_wait", enqueued_at, "ok");
+    RecordSpan(ChildSpan(next.trace), "worker.queue_wait", next.enqueued_at, "ok");
   }
   SimTime service_start = sim()->now();
-  RunOnCpu(cost, [this, cost, task, span, enqueued_at, service_start,
-                  request = std::move(request)] {
+  // The callback captures only `this` and a time, so it stays in SimTask's
+  // inline storage; the task itself waits in in_service_.
+  RunOnCpu(next.estimated_cost, [this, service_start] {
     SNS_PROFILE_ZONE("worker.task");
-    queued_cost_ -= cost;
+    QueuedTask task = std::move(in_service_);
+    const TaccRequest& request = task.request;
+    const TraceContext& span = task.trace;
+    queued_cost_ -= task.estimated_cost;
     // Pathological input: the worker code crashes. The SNS layer's process-peer
     // fault tolerance masks this — no reply is sent; the front end times out or
     // sees a broken connection and retries elsewhere (§3.1.6).
@@ -190,14 +188,14 @@ void WorkerProcess::StartNext() {
     completed_->Increment();
     RecordSpan(ChildSpan(span), "worker.service", service_start,
                result.status.ok() ? "ok" : "error");
-    RecordSpan(span, "worker.task", enqueued_at, result.status.ok() ? "ok" : "error");
+    RecordSpan(span, "worker.task", task.enqueued_at, result.status.ok() ? "ok" : "error");
     auto reply = std::make_shared<TaskResponsePayload>();
-    reply->task_id = task->task_id;
+    reply->task_id = task.payload->task_id;
     reply->status = result.status;
     reply->output = result.output;
     reply->worker_type = type_;
     Message out;
-    out.dst = task->reply_to;
+    out.dst = task.payload->reply_to;
     out.type = kMsgTaskResponse;
     out.transport = Transport::kReliable;
     out.size_bytes = WireSizeOf(*reply);

@@ -64,6 +64,7 @@ class WorkerProcess : public Process {
 
   struct QueuedTask {
     std::shared_ptr<const TaskRequestPayload> payload;
+    TaccRequest request;  // The payload's work, copied once on arrival.
     SimDuration estimated_cost = 0;
     TraceContext trace;        // This worker's span context for the task.
     SimTime enqueued_at = 0;   // Span start: queueing time is part of worker latency.
@@ -71,6 +72,7 @@ class WorkerProcess : public Process {
 
   ManagerLink manager_;
   std::deque<QueuedTask> queue_;
+  QueuedTask in_service_;  // Read by the in-service task's CPU callback.
   SimDuration queued_cost_ = 0;    // Sum over queue_ + the in-service task.
   bool busy_ = false;
   // Registry instruments under "worker.<type>.p<pid>.*", bound in OnStart. Keyed by

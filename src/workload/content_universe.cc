@@ -125,7 +125,8 @@ ContentPtr ContentUniverse::GetContent(const std::string& url) const {
 }
 
 ContentPtr ContentUniverse::Generate(const std::string& url, const UrlTraits& traits) const {
-  Rng rng(config_.seed ^ Fnv1a(url) ^ 0xC0FFEE);
+  uint64_t seed = config_.seed ^ Fnv1a(url) ^ 0xC0FFEE;
+  Rng rng(seed);
   std::vector<uint8_t> bytes;
 
   if (traits.error_page) {
@@ -163,35 +164,27 @@ ContentPtr ContentUniverse::Generate(const std::string& url, const UrlTraits& tr
     }
     case MimeType::kGif:
     case MimeType::kJpeg: {
-      bool real = traits.size <= config_.real_image_max_bytes;
-      if (real) {
-        // Choose dimensions so the encoded size lands near the target, then pad.
-        bool jpeg = traits.mime == MimeType::kJpeg;
-        bool icon = !jpeg && traits.size < 1024;
-        double bpp = jpeg ? 0.18 : (icon ? 0.14 : 0.75);
-        double pixels = std::max(64.0, static_cast<double>(traits.size) / bpp);
-        int width = std::clamp(static_cast<int>(std::sqrt(pixels * 4.0 / 3.0)), 8, 1024);
-        int height = std::clamp(static_cast<int>(pixels / width), 8, 1024);
-        RasterImage img = icon ? SynthesizeIcon(&rng, width, height)
-                               : SynthesizePhoto(&rng, width, height);
-        bytes = jpeg ? JpegEncode(img, 85) : GifEncode(img, icon ? 32 : 128);
-        PadTo(&bytes, traits.size, &rng);
-      } else {
+      if (traits.size > config_.real_image_max_bytes) {
         // Opaque image: correct size, undecodable (no codec magic).
-        bytes.resize(static_cast<size_t>(traits.size));
-        rng.FillBytes(bytes.data(), bytes.size());
-        if (bytes.size() >= 2) {
-          bytes[0] = 'X';  // Ensure the magic check fails.
-          bytes[1] = 'X';
-        }
+        return Content::MakeOpaque(url, traits.mime, Content::Filler::kUniverseImage, seed,
+                                   traits.size);
       }
+      // Choose dimensions so the encoded size lands near the target, then pad.
+      bool jpeg = traits.mime == MimeType::kJpeg;
+      bool icon = !jpeg && traits.size < 1024;
+      double bpp = jpeg ? 0.18 : (icon ? 0.14 : 0.75);
+      double pixels = std::max(64.0, static_cast<double>(traits.size) / bpp);
+      int width = std::clamp(static_cast<int>(std::sqrt(pixels * 4.0 / 3.0)), 8, 1024);
+      int height = std::clamp(static_cast<int>(pixels / width), 8, 1024);
+      RasterImage img = icon ? SynthesizeIcon(&rng, width, height)
+                             : SynthesizePhoto(&rng, width, height);
+      bytes = jpeg ? JpegEncode(img, 85) : GifEncode(img, icon ? 32 : 128);
+      PadTo(&bytes, traits.size, &rng);
       break;
     }
-    case MimeType::kOther: {
-      bytes.resize(static_cast<size_t>(traits.size));
-      rng.FillBytes(bytes.data(), bytes.size());
-      break;
-    }
+    case MimeType::kOther:
+      return Content::MakeOpaque(url, traits.mime, Content::Filler::kUniverseOther, seed,
+                                 traits.size);
   }
   return Content::Make(url, traits.mime, std::move(bytes));
 }

@@ -11,12 +11,14 @@
 //   - real:   images are synthesized and actually encoded with the SGIF/SJPG codecs,
 //             so distillers run genuine pixel transforms. Costs host CPU per call;
 //             meant for examples, tests, and small universes.
-//   - opaque: content is seeded filler of exactly the modeled size, written a
-//             64-bit RNG word at a time (Rng::FillBytes); opaque images start
-//             with "XX" so the codec magic check fails. Only the size and those
-//             magic bytes are ever read: distillers fall back to a calibrated
-//             size-reduction model, keeping SAN/cache byte counts realistic at
-//             negligible host cost; meant for large-scale benchmarks.
+//   - opaque: content is seeded filler of exactly the modeled size, handed out
+//             as a descriptor (Content::Filler, the Rng seed, the size) whose
+//             bytes Rng::FillBytes writes only if something calls bytes();
+//             opaque images start with "XX" so the codec magic check fails.
+//             Only the size and those magic bytes are read on the request path:
+//             distillers fall back to a calibrated size-reduction model, keeping
+//             SAN/cache byte counts realistic at negligible host cost; meant for
+//             large-scale benchmarks.
 // HTML is always real (generation is cheap), so the HTML munger always does real
 // string rewriting.
 
@@ -58,8 +60,9 @@ class ContentUniverse {
   // Zipf-popularity URL draw (popular pages dominate, giving cache locality).
   std::string SamplePopularUrl(Rng* rng) const;
 
-  // Deterministic content for a URL, synthesized and counted on every call; the
-  // caller holds the only reference. Unknown URLs hash to content too.
+  // Deterministic content for a URL, made and counted (at its full size, opaque
+  // or not) on every call; the caller holds the only reference. Unknown URLs hash
+  // to content too.
   ContentPtr GetContent(const std::string& url) const;
 
   // Modeled (pre-generation) size of a URL's content; cheap, no synthesis.

@@ -23,7 +23,7 @@ TaccRequest HtmlRequest(const std::string& html) {
 }
 
 std::string TextOf(const ContentPtr& content) {
-  return std::string(content->bytes.begin(), content->bytes.end());
+  return std::string(content->bytes().begin(), content->bytes().end());
 }
 
 // ---------- keyword filter ------------------------------------------------------------

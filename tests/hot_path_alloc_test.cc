@@ -6,7 +6,8 @@
 // request: continuations, replica chains and the per-request tables allocate
 // nothing, and neither does folding an evicted trace into the run's
 // statistics, so what remains is message payloads, cache keys and the client's
-// own records.
+// own records. Nor does a request synthesize the bytes of opaque content: the
+// origin objects and distilled variants it moves stay descriptors.
 //
 // This file replaces the global operator new with a counting one, so every test
 // here can measure the allocations of a window of work.
@@ -27,6 +28,7 @@
 #include "src/obs/trace.h"
 #include "src/services/transend/transend.h"
 #include "src/sim/simulator.h"
+#include "src/sns/cache_node.h"
 #include "src/workload/trace.h"
 
 namespace {
@@ -233,6 +235,37 @@ TEST(RequestPathAllocTest, WarmTranSendRequestsStayWithinBudget) {
   double per_request = static_cast<double>(allocations) / static_cast<double>(requests);
   EXPECT_LE(per_request, kRequestAllocationBudget) << allocations << " allocations for "
                                                    << requests << " requests";
+}
+
+TEST(RequestPathAllocTest, WarmTranSendRequestsLeaveOpaqueContentUnmaterialized) {
+  TranSendOptions options = DefaultTranSendOptions();
+  options.universe.url_count = 200;  // All imagery opaque (real_image_max_bytes = 0).
+  TranSendService service(options);
+  service.Start();
+  PlaybackEngine* client = service.AddPlaybackEngine(7);
+  service.sim()->RunFor(Seconds(3));
+  client->StartConstantRate(50, UniformUrls(service.universe(), 11, "u1"));
+  service.sim()->RunFor(Seconds(40));
+  ASSERT_GE(client->completed(), 1500);
+
+  // Every origin object and distilled variant the cache holds went through
+  // origin fetch, cache puts (and their equality test), distillation and cache
+  // hits; none of them needed its bytes.
+  int origins = 0;
+  int distilled = 0;
+  for (const CacheNodeProcess* node : service.system()->cache_node_processes()) {
+    for (const std::string& key : node->CacheKeys()) {
+      ContentPtr content = node->PeekContent(key);
+      ASSERT_NE(content, nullptr) << key;
+      origins += content->filler() == Content::Filler::kUniverseImage ? 1 : 0;
+      distilled += content->filler() == Content::Filler::kDistilled ? 1 : 0;
+      if (content->filler() != Content::Filler::kNone) {
+        EXPECT_FALSE(content->materialized()) << key;
+      }
+    }
+  }
+  EXPECT_GT(origins, 20);
+  EXPECT_GT(distilled, 20);
 }
 
 TEST_F(ProcessBookkeepingTest, SpanComponentOutlivesCrashedProcess) {

@@ -104,7 +104,7 @@ TEST(SearchWorkerTest, ProcessReturnsParsableResults) {
   request.args[kArgTopK] = "5";
   TaccResult result = worker.Process(request);
   ASSERT_TRUE(result.status.ok());
-  auto decoded = DecodeSearchResults(result.output->bytes);
+  auto decoded = DecodeSearchResults(result.output->bytes());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->shard_id, 0);
   EXPECT_EQ(decoded->doc_count, shards[0]->doc_count());

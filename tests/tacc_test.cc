@@ -59,7 +59,7 @@ class UpperCaseWorker : public TaccWorker {
  public:
   std::string type() const override { return "upper"; }
   TaccResult Process(const TaccRequest& request) override {
-    std::vector<uint8_t> out = request.input()->bytes;
+    std::vector<uint8_t> out = request.input()->bytes();
     for (uint8_t& b : out) {
       b = static_cast<uint8_t>(std::toupper(b));
     }
@@ -71,7 +71,7 @@ class SuffixWorker : public TaccWorker {
  public:
   std::string type() const override { return "suffix"; }
   TaccResult Process(const TaccRequest& request) override {
-    std::vector<uint8_t> out = request.input()->bytes;
+    std::vector<uint8_t> out = request.input()->bytes();
     std::string suffix = request.ArgOr("suffix", "!");
     out.insert(out.end(), suffix.begin(), suffix.end());
     return TaccResult::Ok(Content::Make(request.url, MimeType::kHtml, std::move(out)));
@@ -95,7 +95,7 @@ TaccRequest MakeRequest(const std::string& text) {
 }
 
 std::string TextOf(const ContentPtr& content) {
-  return std::string(content->bytes.begin(), content->bytes.end());
+  return std::string(content->bytes().begin(), content->bytes().end());
 }
 
 TEST(WorkerTest, RequestHelpers) {

@@ -11,6 +11,7 @@
 #include "src/services/transend/transend_logic.h"
 #include "src/util/strings.h"
 #include "src/workload/content_universe.h"
+#include "tests/opaque_reference.h"
 
 namespace sns {
 namespace {
@@ -52,7 +53,7 @@ TEST(JpegDistillerTest, RealImageShrinksAndHalvesDimensions) {
   TaccResult result = distiller.Process(ImageRequest(original, 2, 25));
   ASSERT_TRUE(result.status.ok());
   EXPECT_LT(result.output->size(), original->size());
-  auto decoded = JpegDecode(result.output->bytes);
+  auto decoded = JpegDecode(result.output->bytes());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->width(), 64);
   EXPECT_EQ(decoded->height(), 48);
@@ -79,27 +80,10 @@ TEST(JpegDistillerTest, OpaqueOutputHasModeledSizeFloorAndHeader) {
     TaccResult result = distiller.Process(request);
     ASSERT_TRUE(result.status.ok());
     ASSERT_EQ(result.output->size(), std::max<int64_t>(out, 160));
-    EXPECT_EQ(result.output->bytes[0], 'X');
-    EXPECT_EQ(result.output->bytes[1], 'X');
-    EXPECT_EQ(distiller.Process(request).output->bytes, result.output->bytes);
+    EXPECT_EQ(result.output->bytes()[0], 'X');
+    EXPECT_EQ(result.output->bytes()[1], 'X');
+    EXPECT_EQ(distiller.Process(request).output->bytes(), result.output->bytes());
   }
-}
-
-// OpaqueOutput's byte stream as it was written before: one xorshift64* word
-// per 8 bytes, stored one byte per inner-loop step, low byte first.
-std::vector<uint8_t> ReferenceOpaqueBytes(const std::string& url, size_t n) {
-  std::vector<uint8_t> bytes(n);
-  uint64_t h = Fnv1a(url) * 0x9E3779B97F4A7C15ULL;
-  for (size_t i = 0; i < bytes.size();) {
-    h ^= h >> 12;
-    h ^= h << 25;
-    h ^= h >> 27;
-    uint64_t word = h * 0x2545F4914F6CDD1DULL;
-    for (int k = 0; k < 8 && i < bytes.size(); ++k, ++i, word >>= 8) {
-      bytes[i] = static_cast<uint8_t>(word);
-    }
-  }
-  return bytes;
 }
 
 TEST(JpegDistillerTest, WordAtATimeOpaqueBytesMatchByteLoop) {
@@ -143,7 +127,7 @@ TEST(GifDistillerTest, ConvertsGifToJpegAndShrinks) {
   TaccResult result = distiller.Process(ImageRequest(original, 2, 25));
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.output->mime, MimeType::kJpeg);  // GIF->JPEG conversion (§3.1.6).
-  EXPECT_TRUE(IsJpeg(result.output->bytes));
+  EXPECT_TRUE(IsJpeg(result.output->bytes()));
   EXPECT_LT(result.output->size(), original->size() / 3);
 }
 
@@ -169,7 +153,7 @@ TEST(HtmlDistillerTest, MungesUnderProfileControl) {
   request.profile.Set("quality", "low");
   TaccResult result = distiller.Process(request);
   ASSERT_TRUE(result.status.ok());
-  std::string munged(result.output->bytes.begin(), result.output->bytes.end());
+  std::string munged(result.output->bytes().begin(), result.output->bytes().end());
   EXPECT_NE(munged.find("transend-toolbar"), std::string::npos);
   EXPECT_NE(munged.find("q=low"), std::string::npos);  // Prefs drive the rewrite.
   EXPECT_NE(munged.find("[original]"), std::string::npos);
@@ -185,7 +169,7 @@ TEST(HtmlDistillerTest, ProfileCanDisableToolbar) {
   request.profile.Set("toolbar", "false");
   TaccResult result = distiller.Process(request);
   ASSERT_TRUE(result.status.ok());
-  std::string munged(result.output->bytes.begin(), result.output->bytes.end());
+  std::string munged(result.output->bytes().begin(), result.output->bytes().end());
   EXPECT_EQ(munged.find("transend-toolbar"), std::string::npos);
 }
 
@@ -286,7 +270,7 @@ TEST(TranSendLogicTest, LocalPipelineDistillsRealUniverseImage) {
       continue;
     }
     ContentPtr content = universe.GetContent(url);
-    if (!IsGif(content->bytes) || content->size() < 2048) {
+    if (!IsGif(content->bytes()) || content->size() < 2048) {
       continue;
     }
     TaccRequest request;

@@ -165,7 +165,7 @@ TEST(UniverseTest, ContentIsDeterministicPerUrl) {
   for (int i = 0; i < 20; ++i) {
     std::string url = a.UrlAt(i);
     EXPECT_EQ(url, b.UrlAt(i));
-    EXPECT_EQ(a.GetContent(url)->bytes, b.GetContent(url)->bytes);
+    EXPECT_EQ(a.GetContent(url)->bytes(), b.GetContent(url)->bytes());
   }
 }
 
@@ -175,7 +175,7 @@ TEST(UniverseTest, DifferentSeedsDiffer) {
   cb.seed = ca.seed + 1;
   ContentUniverse a(ca);
   ContentUniverse b(cb);
-  EXPECT_NE(a.GetContent(a.UrlAt(0))->bytes, b.GetContent(a.UrlAt(0))->bytes);
+  EXPECT_NE(a.GetContent(a.UrlAt(0))->bytes(), b.GetContent(a.UrlAt(0))->bytes());
 }
 
 TEST(UniverseTest, SizesTrackModeledSizes) {
@@ -226,7 +226,7 @@ TEST(UniverseTest, OpaqueImagesFailMagicCheck) {
   for (int i = 0; i < 200; ++i) {
     std::string url = universe.UrlAt(i);
     if (universe.MimeOf(url) == MimeType::kGif) {
-      EXPECT_FALSE(IsRealImage(MimeType::kGif, universe.GetContent(url)->bytes));
+      EXPECT_FALSE(IsRealImage(MimeType::kGif, universe.GetContent(url)->bytes()));
     }
   }
 }
@@ -245,7 +245,7 @@ TEST(UniverseTest, OpaqueContentHasExactlyTheModeledSize) {
       continue;
     }
     ContentPtr content = universe.GetContent(url);
-    const std::vector<uint8_t>& bytes = content->bytes;
+    const std::vector<uint8_t>& bytes = content->bytes();
     int64_t modeled = universe.ModeledSize(url);
     EXPECT_EQ(static_cast<int64_t>(bytes.size()), modeled) << url;
     if (mime == MimeType::kOther || bytes[0] == '<') {
@@ -269,11 +269,11 @@ TEST(UniverseTest, RealImagesDecode) {
   for (int i = 0; i < 400 && real_checked < 5; ++i) {
     std::string url = universe.UrlAt(i);
     ContentPtr content = universe.GetContent(url);
-    if (content->mime == MimeType::kGif && IsGif(content->bytes)) {
-      EXPECT_TRUE(GifDecode(content->bytes).ok());
+    if (content->mime == MimeType::kGif && IsGif(content->bytes())) {
+      EXPECT_TRUE(GifDecode(content->bytes()).ok());
       ++real_checked;
-    } else if (content->mime == MimeType::kJpeg && IsJpeg(content->bytes)) {
-      EXPECT_TRUE(JpegDecode(content->bytes).ok());
+    } else if (content->mime == MimeType::kJpeg && IsJpeg(content->bytes())) {
+      EXPECT_TRUE(JpegDecode(content->bytes()).ok());
       ++real_checked;
     }
   }
@@ -292,7 +292,7 @@ TEST(UniverseTest, RetainsNoContentAfterCallerDropsIt) {
     ContentPtr content = universe.GetContent(url);
     const char* kind = content->mime == MimeType::kHtml    ? "html"
                        : content->mime == MimeType::kOther ? "other"
-                       : content->bytes[0] == '<'          ? "error page"
+                       : content->bytes()[0] == '<'          ? "error page"
                                                            : "opaque image";
     url_of_kind.emplace(kind, url);
   }
@@ -321,10 +321,10 @@ TEST(UniverseTest, RegeneratedContentIsByteIdentical) {
       ContentPtr again = universe.GetContent(url);
       calls += 2;
       bytes += first.size() + again->size();
-      EXPECT_EQ(again->bytes, first.bytes) << url;
+      EXPECT_EQ(again->bytes(), first.bytes()) << url;
       EXPECT_EQ(again->mime, first.mime) << url;
       EXPECT_EQ(again->url, first.url) << url;
-      real_images += IsRealImage(first.mime, first.bytes) ? 1 : 0;
+      real_images += IsRealImage(first.mime, first.bytes()) ? 1 : 0;
     }
     EXPECT_EQ(universe.generated_count(), calls);
     EXPECT_EQ(universe.generated_bytes(), bytes);
@@ -342,7 +342,7 @@ TEST(UniverseTest, HtmlContentIsRealMarkup) {
     std::string url = universe.UrlAt(i);
     if (universe.MimeOf(url) == MimeType::kHtml) {
       ContentPtr content = universe.GetContent(url);
-      std::string text(content->bytes.begin(), content->bytes.end());
+      std::string text(content->bytes().begin(), content->bytes().end());
       EXPECT_NE(text.find("<html>"), std::string::npos);
       return;
     }
