@@ -10,13 +10,14 @@
 #define BENCH_BENCH_COMMON_H_
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/obs/critical_path.h"
-#include "src/obs/perfetto.h"
 #include "src/services/transend/transend.h"
 #include "src/sns/worker_process.h"
 #include "src/util/strings.h"
@@ -32,25 +33,18 @@ inline void Header(const std::string& title, const std::string& paper_ref) {
   std::printf("================================================================\n");
 }
 
-// Emits the run artifact (src/obs/artifact.h) under the uniform name
-// "BENCH_<name>.json" in the current directory, and a Chrome-trace timeline
-// ("BENCH_<name>.trace.json", openable in ui.perfetto.dev) alongside it.
-inline bool DumpBenchArtifact(SnsSystem* system, const std::string& bench_name) {
-  bool ok = WriteRunArtifact("BENCH_" + bench_name + ".json", bench_name,
-                             system->sim()->now(), system->ArtifactSections());
-  std::string trace = ExportChromeTrace(*system->tracer(), system->event_log());
-  std::FILE* f = std::fopen(("BENCH_" + bench_name + ".trace.json").c_str(), "w");
-  if (f != nullptr) {
-    std::fputs(trace.c_str(), f);
-    std::fclose(f);
-  } else {
-    ok = false;
+// Emits the run artifact (src/obs/artifact.h) as "BENCH_<name>.json" in the
+// current directory, or exits with status 1, so no later check reads a stale
+// artifact from an earlier run. tools/render_trace draws its timeline.
+inline void DumpBenchArtifact(SnsSystem* system, const std::string& bench_name) {
+  std::string path = "BENCH_" + bench_name + ".json";
+  errno = 0;
+  if (!WriteRunArtifact(path, bench_name, system->sim()->now(), system->ArtifactSections())) {
+    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
+                 errno != 0 ? std::strerror(errno) : "missing or misordered section");
+    std::exit(1);
   }
-  if (ok) {
-    std::printf("\nartifacts: BENCH_%s.json, BENCH_%s.trace.json\n", bench_name.c_str(),
-                bench_name.c_str());
-  }
-  return ok;
+  std::printf("\nartifact: %s\n", path.c_str());
 }
 
 // Acceptance check for the critical-path decomposition: for every retained

@@ -114,8 +114,7 @@ RunResult RunPhase(double rate, SimDuration deadline, SimDuration measure,
     std::printf("%s", CriticalPathSummary::FromCollector(*service.system()->tracer())
                           .RenderTable()
                           .c_str());
-    Check(benchutil::DumpBenchArtifact(service.system(), "overload_degradation"),
-          "BENCH_overload_degradation.json artifact written");
+    benchutil::DumpBenchArtifact(service.system(), "overload_degradation");
   }
   return result;
 }

@@ -75,15 +75,14 @@ int Run(int argc, char** argv) {
   }
 
   int failed = 0;
-  std::printf("%-28s %6s %6s %7s %7s %6s %7s %5s %6s %6s  %s\n", "cell", "p50ms",
-              "p99ms", "goodput", "hitrate", "yield", "harvest", "rec_s", "sent",
-              "faults", "invariants");
+  std::printf("%-28s %6s %6s %7s %6s %7s %5s %6s %6s  %s\n", "cell", "p50ms", "p99ms",
+              "hitrate", "yield", "harvest", "rec_s", "sent", "faults", "invariants");
   for (const ScenarioCell& cell : to_run) {
     CellResult result = RunScenarioCell(cell, options);
     const CellMetrics& m = result.metrics;
-    std::printf("%-28s %6.0f %6.0f %7.3f %7.3f %6.3f %7.3f %5.0f %6lld %6lld  %s\n",
+    std::printf("%-28s %6.0f %6.0f %7.3f %6.3f %7.3f %5.0f %6lld %6lld  %s\n",
                 cell.Name().c_str(), m.latency_p50_s * 1000, m.latency_p99_s * 1000,
-                m.goodput, m.hit_rate, m.yield, m.harvest, m.recovery_s,
+                m.hit_rate, m.yield, m.harvest, m.recovery_s,
                 static_cast<long long>(m.sent),
                 static_cast<long long>(result.faults_injected),
                 result.passed() ? "OK" : "VIOLATED");

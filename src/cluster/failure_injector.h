@@ -50,7 +50,7 @@ class FailureInjector {
   const std::vector<std::string>& event_log() const { return events_; }
 
   // Also forwards every applied fault to `sink` (sim time + description) — the
-  // flight recorder hangs fault instants on the Perfetto timeline through this.
+  // flight recorder's fault instants, in the artifact's availability.faults.
   void set_event_sink(std::function<void(SimTime, const std::string&)> sink) {
     event_sink_ = std::move(sink);
   }

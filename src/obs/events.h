@@ -4,9 +4,9 @@
 // Spans (src/obs/trace.h) show what each component did; this log adds the edges
 // between them — every traced message's send, deliver, or drop, correlated by a
 // per-message sequence number — plus the faults the chaos harness injected. The
-// Perfetto exporter (src/obs/perfetto.h) joins all three into a single
-// causally-linked timeline, the debugging view the cluster-service literature
-// argues is the only way to follow distributed state transitions.
+// faults reach the run artifact's availability section, where tools/render_trace
+// draws them on the exemplar spans' timeline; the message events are read by
+// the benchmark's latency probe (perfbench/sns_bench.cc).
 //
 // This layer deliberately knows nothing about src/net types (net links obs, not
 // the reverse): nodes are raw int32 ids, message types raw uint32s.

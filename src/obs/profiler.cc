@@ -313,33 +313,4 @@ std::string Profiler::ToJson() const {
       zones.c_str());
 }
 
-std::string ProfilerCounterTrackJson() {
-  const Profiler& prof = Profiler::Get();
-  std::vector<Profiler::ZoneStats> zones = prof.Snapshot();
-  if (zones.empty()) {
-    return "";
-  }
-  // One counter track per zone on a dedicated "pid", sampled at the window
-  // bounds so Perfetto draws cumulative self/total milliseconds.
-  constexpr int kProfilerPid = 9999;
-  double end_us =
-      std::max(1.0, static_cast<double>(prof.measured_wall_ns()) / 1000.0);
-  std::string out = StrFormat(
-      "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%d,"
-      "\"args\":{\"name\":\"host profiler (wall-clock)\"}},",
-      kProfilerPid);
-  for (const Profiler::ZoneStats& z : zones) {
-    double self_ms = static_cast<double>(z.self_ns) / 1e6;
-    double total_ms = static_cast<double>(z.total_ns) / 1e6;
-    out += StrFormat(
-        "{\"ph\":\"C\",\"name\":\"prof.%s\",\"cat\":\"profile\",\"pid\":%d,"
-        "\"tid\":0,\"ts\":0,\"args\":{\"self_ms\":0,\"total_ms\":0}},"
-        "{\"ph\":\"C\",\"name\":\"prof.%s\",\"cat\":\"profile\",\"pid\":%d,"
-        "\"tid\":0,\"ts\":%.3f,\"args\":{\"self_ms\":%.3f,\"total_ms\":%.3f}},",
-        JsonEscape(z.name).c_str(), kProfilerPid, JsonEscape(z.name).c_str(),
-        kProfilerPid, end_us, self_ms, total_ms);
-  }
-  return out;
-}
-
 }  // namespace sns

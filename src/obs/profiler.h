@@ -227,11 +227,6 @@ class ProfileZone {
   ::sns::ProfileZone SNS_PROF_CONCAT(sns_prof_scope_, __LINE__)(          \
       SNS_PROF_CONCAT(sns_prof_zone_id_, __LINE__))
 
-// Chrome-trace counter-track events ("C" phase) for every zone with nonzero
-// self time, suffixed with a trailing comma when non-empty — ready to splice
-// into ExportChromeTrace's event stream. Empty when the profiler never ran.
-std::string ProfilerCounterTrackJson();
-
 }  // namespace sns
 
 #endif  // SRC_OBS_PROFILER_H_

@@ -6,8 +6,8 @@
 // Message. Ids are allocated by a cluster-wide TraceCollector, so they are
 // deterministic across runs of the simulator.
 //
-// The collector retains the newest traces whole, for late spans, Chrome traces
-// and tests, and folds every trace exactly once as it leaves that window (or at
+// The collector retains the newest traces whole, for late spans and tests,
+// and folds every trace exactly once as it leaves that window (or at
 // export, for the traces still retained): into the critical-path summary
 // (src/obs/critical_path.h) and into a class keyed by the trace's root outcome
 // and dominant stage. The exported traces section holds, per class, its count,

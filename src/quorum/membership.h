@@ -72,7 +72,7 @@ class MembershipService {
   // Mirrors every transition line (regroup view changes and NoteTransition
   // entries) to an external timeline. SnsSystem folds these into the
   // flight-recorder fault log, so quorum flips annotate the availability
-  // timeline and Perfetto traces alongside injected faults.
+  // timeline (and its rendered Perfetto view) alongside injected faults.
   void set_event_sink(std::function<void(SimTime, const std::string&)> sink) {
     event_sink_ = std::move(sink);
   }

@@ -108,7 +108,7 @@ std::vector<ScenarioCell> SmokeMatrix() {
   }
   {
     // Saturating stream: 16 sessions x 4 fps = 64 frames/s against ~46 req/s of
-    // distiller capacity. Streams never back off, so goodput measures graceful
+    // distiller capacity. Streams never back off, so yield measures graceful
     // degradation under sustained structural overload.
     ScenarioCell cell =
         Cell(WorkloadShape::kStream, Shape(2, 1, 2, 2), OverloadRegime::kSaturating);

@@ -137,11 +137,11 @@ TranSendOptions CellOptions(const ScenarioCell& cell) {
 
 std::string MetricsJson(const CellMetrics& m) {
   return StrFormat(
-      "{\"latency_p50_s\":%.9g,\"latency_p99_s\":%.9g,\"goodput\":%.9g,"
+      "{\"latency_p50_s\":%.9g,\"latency_p99_s\":%.9g,"
       "\"hit_rate\":%.9g,\"recovery_s\":%.9g,\"yield\":%.9g,\"harvest\":%.9g,"
       "\"sent\":%lld,\"completed\":%lld,"
       "\"errors\":%lld,\"timeouts\":%lld,\"late_completions\":%lld}",
-      m.latency_p50_s, m.latency_p99_s, m.goodput, m.hit_rate,
+      m.latency_p50_s, m.latency_p99_s, m.hit_rate,
       m.recovery_s, m.yield, m.harvest, static_cast<long long>(m.sent),
       static_cast<long long>(m.completed), static_cast<long long>(m.errors),
       static_cast<long long>(m.timeouts),
@@ -332,10 +332,6 @@ CellResult RunScenarioCell(const ScenarioCell& cell, const CellRunOptions& optio
   m.late_completions = client->late_completions();
   m.latency_p50_s = client->latency_histogram().Percentile(0.50);
   m.latency_p99_s = client->latency_histogram().Percentile(0.99);
-  m.goodput = m.sent > 0 ? static_cast<double>(m.completed - m.errors -
-                                               m.late_completions) /
-                               static_cast<double>(m.sent)
-                         : 0.0;
   int64_t hits = 0;
   int64_t misses = 0;
   for (int node : cache_node_ids) {

@@ -8,10 +8,10 @@
 // operating point, compiles the cell's fault schedule through the same
 // ApplyScheduledFault path the campaign uses, checks every quiesce invariant,
 // and emits a BENCH_matrix_<cell>.json artifact whose "matrix" section carries
-// the cell's headline metrics (latency percentiles, goodput, cache hit rate,
-// recovery time). Because the simulator is deterministic, the same cell on the
-// same build produces byte-identical metrics — which is what makes exact
-// baseline-diff perf gating (tools/bench_diff) feasible in CI.
+// the cell's headline metrics (latency percentiles, yield and harvest, cache
+// hit rate, recovery time). Because the simulator is deterministic, the same
+// cell on the same build produces byte-identical metrics — which is what makes
+// exact baseline-diff perf gating (tools/bench_diff) feasible in CI.
 
 #ifndef SRC_SCENARIO_SCENARIO_H_
 #define SRC_SCENARIO_SCENARIO_H_
@@ -88,9 +88,6 @@ double CellOfferedRate(const ScenarioCell& cell);
 struct CellMetrics {
   double latency_p50_s = 0;
   double latency_p99_s = 0;
-  // Fraction of sent requests answered Ok within deadline:
-  // (completed - errors - late_completions) / sent.
-  double goodput = 0;
   // Cache-tier hit fraction over the whole run, via the per-node gauges (which
   // survive cache-node deaths).
   double hit_rate = 1.0;
@@ -137,8 +134,8 @@ struct CellRunOptions {
 CellResult RunScenarioCell(const ScenarioCell& cell, const CellRunOptions& options = {});
 
 // Longest run of consecutive whole seconds in [from_s, to_s) absent from
-// `completions_per_second` (the playback engine's completion buckets).
-// Exposed for direct unit testing of the recovery metric.
+// `completions_per_second` (the playback engine's completion buckets). Exposed
+// for unit tests, and for perfbench's sns_bench, which reports max_outage_s.
 int64_t LongestZeroCompletionGap(const std::map<int64_t, int64_t>& completions_per_second,
                                  int64_t from_s, int64_t to_s);
 

@@ -19,7 +19,7 @@ SnsSystem::SnsSystem(const SnsConfig& config, const SystemTopology& topology)
   membership_ = std::make_unique<MembershipService>(&san_, quorum_disk_.get());
   fence_agent_ = std::make_unique<FenceAgent>(&cluster_);
   // Quorum regroups and fence kills land on the same fault timeline as injected
-  // failures, so the availability ledger (and Perfetto traces) can annotate
+  // failures, so the availability ledger (and its rendered timeline) annotates
   // yield dips with the transition that caused or resolved them.
   membership_->set_event_sink(
       [this](SimTime at, const std::string& what) { event_log_.RecordFault({at, what}); });

@@ -6,12 +6,12 @@
 // cs/0504051), each session emits frames at a fixed rate for the whole run,
 // every frame is fresh content that must be pulled from the session's source
 // and chained through the distillers, and a frame is only worth delivering
-// while its per-frame deadline holds — goodput is frames meeting deadline, not
-// frames eventually answered. This stresses the load balancer in ways
-// request/response never does: offered load never decays when the cluster
-// lags (sessions do not back off), arrivals are phase-structured rather than
-// Poisson, and a burst of deadline misses is user-visible as a glitch even
-// when every frame is eventually "answered".
+// while its per-frame deadline holds — the availability ledger counts a frame
+// answered after its deadline as unanswered (late), not as answered. This
+// stresses the load balancer in ways request/response never does: offered
+// load never decays when the cluster lags (sessions do not back off), arrivals
+// are phase-structured rather than Poisson, and a burst of deadline misses is
+// user-visible as a glitch even when every frame is eventually "answered".
 //
 // This file is deliberately free of cluster/workload dependencies: it produces
 // a deterministic frame schedule (times, session ids, URL indices) that the
@@ -35,7 +35,7 @@ inline constexpr double kStreamFramesPerSecond = 4.0;
 struct StreamSessionConfig {
   int sessions = 8;
   // Per-frame deadline budget: a frame not delivered within this of its emit
-  // time is a goodput loss even if an answer eventually arrives.
+  // time is a yield loss even if an answer eventually arrives.
   SimDuration frame_deadline = Milliseconds(2500);
   // Total length of every session (sessions are long-lived: they all span the
   // whole window).
@@ -68,15 +68,6 @@ std::string StreamUserId(int session);
 // disjoint block of `url_space` URLs; url_space must be >= StreamUrlSpace().
 std::vector<StreamFrame> GenerateStreamFrames(const StreamSessionConfig& config,
                                               int64_t url_space);
-
-// Goodput accounting for a stream run: frames on time / frames emitted.
-struct StreamGoodput {
-  int64_t frames = 0;
-  int64_t on_time = 0;
-  double goodput() const {
-    return frames > 0 ? static_cast<double>(on_time) / static_cast<double>(frames) : 0.0;
-  }
-};
 
 }  // namespace sns
 

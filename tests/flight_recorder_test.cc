@@ -1,8 +1,9 @@
 // Flight recorder tests: time-series sampling, critical-path decomposition,
-// span parentage across retries, Chrome-trace export, and the monitor-snapshot
-// metric audit.
+// span parentage across retries, the Perfetto timeline rendered from a run
+// artifact, and the monitor-snapshot metric audit.
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <utility>
@@ -11,9 +12,9 @@
 #include <gtest/gtest.h>
 
 #include "src/cluster/failure_injector.h"
+#include "src/obs/artifact.h"
 #include "src/obs/critical_path.h"
 #include "src/obs/metrics.h"
-#include "src/obs/perfetto.h"
 #include "src/obs/timeseries.h"
 #include "src/obs/trace.h"
 #include "src/services/transend/transend.h"
@@ -21,6 +22,7 @@
 #include "src/util/logging.h"
 #include "src/util/strings.h"
 #include "tools/json_reader.h"
+#include "tools/render_trace.h"
 
 namespace sns {
 namespace {
@@ -408,8 +410,22 @@ TEST(FlightRecorderIntegrationTest, RetriedTaskYieldsSiblingAttemptSubtrees) {
 }
 
 // ---------------------------------------------------------------------------
-// Chrome-trace export (integration)
+// Perfetto timeline rendered from the run artifact (integration)
 // ---------------------------------------------------------------------------
+
+// Writes the run artifact of `system` as a bench does and renders it with
+// tools/render_trace.h.
+TraceRenderer RenderRunArtifact(SnsSystem* system, const std::string& name) {
+  std::string path = ::testing::TempDir() + "BENCH_" + name + ".json";
+  EXPECT_TRUE(WriteRunArtifact(path, name, system->sim()->now(), system->ArtifactSections()));
+  std::string artifact;
+  EXPECT_TRUE(ReadFile(path.c_str(), &artifact));
+  std::remove(path.c_str());
+  TraceRenderer trace;
+  std::string error;
+  EXPECT_TRUE(trace.Render(artifact, &error)) << error;
+  return trace;
+}
 
 TEST(FlightRecorderIntegrationTest, ChromeTraceExportCarriesSpansFlowsAndFaults) {
   Logger::Get().set_min_level(LogLevel::kNone);
@@ -433,8 +449,8 @@ TEST(FlightRecorderIntegrationTest, ChromeTraceExportCarriesSpansFlowsAndFaults)
   EXPECT_GT(service.system()->event_log()->faults_recorded(), 0u);
   EXPECT_GT(service.system()->event_log()->messages_recorded(), 0u);
 
-  std::string trace = ExportChromeTrace(*service.system()->tracer(),
-                                        service.system()->event_log());
+  TraceRenderer rendered = RenderRunArtifact(service.system(), "chrome_trace_test");
+  const std::string& trace = rendered.json;
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);  // Span slices.
   EXPECT_NE(trace.find("\"ph\":\"s\""), std::string::npos);  // Flow starts.
@@ -442,6 +458,16 @@ TEST(FlightRecorderIntegrationTest, ChromeTraceExportCarriesSpansFlowsAndFaults)
   EXPECT_NE(trace.find("\"ph\":\"i\""), std::string::npos);  // Fault instants.
   EXPECT_NE(trace.find("\"cat\":\"fault\""), std::string::npos);
   EXPECT_NE(trace.find("\"process_name\""), std::string::npos);
+
+  // One slice per exemplar span, one instant per recorded fault.
+  std::map<std::string, long long> phases;
+  ASSERT_TRUE(CountTracePhases(trace, &phases));
+  EXPECT_GT(rendered.spans, 0);
+  EXPECT_EQ(phases["X"], rendered.spans);
+  EXPECT_GT(rendered.flows, 0);
+  EXPECT_EQ(phases["s"], rendered.flows);
+  EXPECT_EQ(phases["f"], rendered.flows);
+  EXPECT_EQ(phases["i"], service.system()->event_log()->faults_recorded());
 }
 
 // ---------------------------------------------------------------------------
@@ -528,8 +554,9 @@ ExportDigest DigestOf(const std::string& json) { return {json.size(), Fnv1a(json
 // Pins the length and FNV-1a hash of each exported section of a short traced run
 // with a mid-run worker crash (so error outcomes, retries and fault instants are
 // all present). The pins were taken from the printf-based exporters; the
-// appender-based ones must reproduce them byte for byte. A deliberate format
-// change re-pins them from the failure message.
+// appender-based ones must reproduce them byte for byte. "chrome_trace" is the
+// run artifact's timeline as tools/render_trace.h renders it. A deliberate
+// format change re-pins them from the failure message.
 TEST(ExportGoldenTest, SectionsMatchPinnedBytes) {
   Logger::Get().set_min_level(LogLevel::kNone);
   TranSendService service(DistillHeavyOptions());
@@ -552,7 +579,7 @@ TEST(ExportGoldenTest, SectionsMatchPinnedBytes) {
       {"timeseries", {40824, 0x4bccc4bac8827cd6ULL}},
       {"traces", {71910, 0x2d541685bff215fULL}},
       {"critical_path", {986, 0xb85b7404572e0547ULL}},
-      {"chrome_trace", {1809545, 0xa40a383c4d734929ULL}},
+      {"chrome_trace", {106144, 0xb2eb34896abda8baULL}},
   };
   std::string timeseries = service.system()->recorder()->ToJson();
   std::string traces = tracer.ToJson();
@@ -564,7 +591,7 @@ TEST(ExportGoldenTest, SectionsMatchPinnedBytes) {
       {"timeseries", DigestOf(timeseries)},
       {"traces", DigestOf(traces)},
       {"critical_path", DigestOf(CriticalPathSummary::FromCollector(tracer).ToJson())},
-      {"chrome_trace", DigestOf(ExportChromeTrace(tracer, service.system()->event_log()))},
+      {"chrome_trace", DigestOf(RenderRunArtifact(service.system(), "golden_test").json)},
   };
   for (const auto& [section, want] : pinned) {
     const ExportDigest& got = actual.at(section);

@@ -29,6 +29,7 @@
 #include "src/services/transend/transend.h"
 #include "src/sim/simulator.h"
 #include "src/sns/cache_node.h"
+#include "src/sns/worker_process.h"
 #include "src/workload/trace.h"
 
 namespace {
@@ -57,6 +58,12 @@ namespace {
 // rings and node-based request tables; each remaining one is a message
 // payload, a copied URL or key, or a flight-recorder or time-series record.
 constexpr double kRequestAllocationBudget = 16.0;
+// The same for a warm request that re-distills (RedistillOptions): it adds
+// the original's cache probe, the task, the distiller's queue and CPU work, a
+// new distilled variant and the task reply. Measured at 36.48 when this bound
+// was set (21 887 allocations for 600 requests), so one more allocation per
+// task breaks it.
+constexpr double kRedistillAllocationBudget = 37.0;
 
 // A process whose timer and span entry points the tests can call directly.
 class BookkeepingProcess : public Process {
@@ -211,30 +218,69 @@ TEST_F(ProcessBookkeepingTest, TimersAndCpuWorkWithLargeCapturesAllocateNothing)
   EXPECT_EQ(sum, 2 * (999 * 1000 / 2));
 }
 
-TEST(RequestPathAllocTest, WarmTranSendRequestsStayWithinBudget) {
-  TranSendOptions options = DefaultTranSendOptions();
-  options.universe.url_count = 200;
+// What 30 s of warm constant-rate load cost: requests sent and completed,
+// distiller tasks completed, and heap allocations.
+struct WarmWindow {
+  int64_t requests = 0;
+  int64_t completed = 0;
+  int64_t tasks = 0;
+  int64_t allocations = 0;
+
+  double PerRequest() const {
+    return static_cast<double>(allocations) / static_cast<double>(requests);
+  }
+};
+
+WarmWindow MeasureWarmWindow(const TranSendOptions& options, double rate) {
   TranSendService service(options);
   service.Start();
   PlaybackEngine* client = service.AddPlaybackEngine(7);
   service.sim()->RunFor(Seconds(3));
-  client->StartConstantRate(50, UniformUrls(service.universe(), 11, "u1"));
-  // Warm up: distillers spawned, the cache holds the universe's variants,
-  // every per-request table has reached its peak size, and the trace
-  // collector holds its 4096 traces, so it recycles rather than grows.
+  client->StartConstantRate(rate, UniformUrls(service.universe(), 11, "u1"));
+  // Warm up: distillers spawned, the cache holds the universe, every
+  // per-request table has reached its peak size, and the trace collector
+  // holds its 4096 traces, so it recycles rather than grows.
   service.sim()->RunFor(Seconds(100));
+  auto tasks = [&service] {
+    int64_t total = 0;
+    for (const WorkerProcess* worker : service.system()->live_workers()) {
+      total += worker->completed_tasks();
+    }
+    return total;
+  };
 
-  int64_t sent_before = client->sent();
-  int64_t completed_before = client->completed();
-  int64_t before = g_new_calls;
+  WarmWindow window{-client->sent(), -client->completed(), -tasks(), -g_new_calls};
   service.sim()->RunFor(Seconds(30));
-  int64_t allocations = g_new_calls - before;
-  int64_t requests = client->sent() - sent_before;
-  ASSERT_GE(requests, 1490);
-  EXPECT_GE(client->completed() - completed_before, requests - 50);
-  double per_request = static_cast<double>(allocations) / static_cast<double>(requests);
-  EXPECT_LE(per_request, kRequestAllocationBudget) << allocations << " allocations for "
-                                                   << requests << " requests";
+  window.allocations += g_new_calls;
+  window.requests += client->sent();
+  window.completed += client->completed();
+  window.tasks += tasks();
+  return window;
+}
+
+// Every variant is cached, so a warm request is a cache hit and runs no
+// distiller task.
+TEST(RequestPathAllocTest, WarmTranSendRequestsStayWithinBudget) {
+  TranSendOptions options = DefaultTranSendOptions();
+  options.universe.url_count = 200;
+  WarmWindow window = MeasureWarmWindow(options, 50);
+  ASSERT_GE(window.requests, 1490);
+  EXPECT_GE(window.completed, window.requests - 50);
+  EXPECT_LE(window.PerRequest(), kRequestAllocationBudget)
+      << window.allocations << " allocations for " << window.requests << " requests";
+}
+
+// Variants are not cached, so every warm request re-distills: the front end
+// sends a task, a distiller queues it, runs it on its CPU and replies. The
+// budget sits below the measured count plus one, so a single allocation more
+// per task (a CPU callback that spills to the heap, say) fails it.
+TEST(RequestPathAllocTest, WarmRedistillRequestsStayWithinBudget) {
+  WarmWindow window = MeasureWarmWindow(RedistillOptions(200), 20);
+  ASSERT_GE(window.requests, 590);
+  EXPECT_GE(window.completed, window.requests - 20);
+  EXPECT_GE(window.tasks, window.requests - 20);
+  EXPECT_LE(window.PerRequest(), kRedistillAllocationBudget)
+      << window.allocations << " allocations for " << window.requests << " requests";
 }
 
 TEST(RequestPathAllocTest, WarmTranSendRequestsLeaveOpaqueContentUnmaterialized) {

@@ -188,7 +188,7 @@ TEST(ScenarioCellTest, NominalZipfCellRunsCleanAndWritesArtifact) {
   EXPECT_TRUE(result.passed()) << result.invariants.ToString();
   EXPECT_EQ(result.faults_injected, 0);
   EXPECT_GT(result.metrics.sent, 0);
-  EXPECT_GT(result.metrics.goodput, 0.95);
+  EXPECT_GT(result.metrics.yield, 0.95);
   EXPECT_GT(result.metrics.latency_p50_s, 0.0);
   EXPECT_GE(result.metrics.latency_p99_s, result.metrics.latency_p50_s);
   EXPECT_GE(result.metrics.hit_rate, 0.0);
@@ -205,7 +205,7 @@ TEST(ScenarioCellTest, NominalZipfCellRunsCleanAndWritesArtifact) {
   EXPECT_NE(baseline.find("\"schema_version\":2"), std::string::npos);
   EXPECT_NE(baseline.find("\"cell\":\"zipf_w2fe1c2r2u_f0_nom\""), std::string::npos);
   // v2 baselines carry the availability ledger's run metrics so bench_diff
-  // can gate them alongside goodput.
+  // can gate them.
   EXPECT_NE(baseline.find("\"yield\":"), std::string::npos);
   EXPECT_NE(baseline.find("\"harvest\":"), std::string::npos);
 

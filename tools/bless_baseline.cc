@@ -80,8 +80,8 @@ int Run(int argc, char** argv) {
     }
     std::fputs(BaselineJson(result).c_str(), f);
     std::fclose(f);
-    std::printf("blessed %s (goodput=%.3f p99=%.0fms hit=%.3f)\n", path.c_str(),
-                result.metrics.goodput, result.metrics.latency_p99_s * 1000,
+    std::printf("blessed %s (yield=%.3f p99=%.0fms hit=%.3f)\n", path.c_str(),
+                result.metrics.yield, result.metrics.latency_p99_s * 1000,
                 result.metrics.hit_rate);
   }
   return failed == 0 ? 0 : 1;
