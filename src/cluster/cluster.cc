@@ -180,7 +180,8 @@ void Cluster::CrashNode(NodeId node) {
   for (ProcessId pid : victims) {
     Crash(pid);
   }
-  // Queued CPU work is abandoned.
+  // Queued CPU work is abandoned: it was charged but never runs.
+  state->cpu_dropped_total += CpuBacklog(*state);
   std::fill(state->cpu_busy_until.begin(), state->cpu_busy_until.end(), sim_->now());
   SNS_LOG(kInfo, "cluster") << "node " << node << " crashed";
 }
@@ -233,19 +234,41 @@ void Cluster::RunOnCpu(NodeId node, ProcessId owner, SimDuration cpu_time, SimTa
   sim_->ScheduleAt(finish, std::move(completion));
 }
 
-double Cluster::CpuBacklogSeconds(NodeId node) const {
-  const NodeState* state = GetNode(node);
-  if (state == nullptr) {
-    return 0.0;
-  }
+SimDuration Cluster::CpuBacklog(const NodeState& state) const {
   SimTime now = sim_->now();
   SimDuration backlog = 0;
-  for (SimTime busy_until : state->cpu_busy_until) {
+  for (SimTime busy_until : state.cpu_busy_until) {
     if (busy_until > now) {
       backlog += busy_until - now;
     }
   }
-  return ToSeconds(backlog);
+  return backlog;
+}
+
+double Cluster::CpuBacklogSeconds(NodeId node) const {
+  const NodeState* state = GetNode(node);
+  return state == nullptr ? 0.0 : ToSeconds(CpuBacklog(*state));
+}
+
+SimDuration Cluster::CpuTimeSpent(NodeId node) const {
+  const NodeState* state = GetNode(node);
+  if (state == nullptr) {
+    return 0;
+  }
+  return state->cpu_busy_total - state->cpu_dropped_total - CpuBacklog(*state);
+}
+
+double Cluster::CpuUtilizationSince(NodeId node, CpuMark* mark) const {
+  const NodeState* state = GetNode(node);
+  CpuMark now = MarkCpu(node);
+  double util = 0.0;
+  if (state != nullptr && now.at > mark->at) {
+    double capacity = static_cast<double>(now.at - mark->at) *
+                      static_cast<double>(state->cpu_busy_until.size());
+    util = static_cast<double>(now.spent - mark->spent) / capacity;
+  }
+  *mark = now;
+  return util;
 }
 
 Cluster::NodeState* Cluster::GetNode(NodeId node) {

@@ -56,8 +56,23 @@ class Cluster {
   // Number of live processes hosted on a node.
   int ProcessCountOnNode(NodeId node) const;
 
-  // Fraction of time the node's CPUs were busy over [0, now].
+  // Fraction of time the node's CPUs were busy over [0, now], counting work
+  // when it is queued.
   double CpuUtilization(NodeId node) const;
+
+  // CPU time the node's CPUs have spent on work up to now: the work queued,
+  // less its unfinished backlog and less the backlogs that crashes dropped.
+  SimDuration CpuTimeSpent(NodeId node) const;
+  // A point to measure CPU utilization from (see CpuUtilizationSince).
+  struct CpuMark {
+    SimTime at = 0;
+    SimDuration spent = 0;  // CpuTimeSpent at `at`.
+  };
+  CpuMark MarkCpu(NodeId node) const { return {sim_->now(), CpuTimeSpent(node)}; }
+  // The share of the node's CPU capacity spent on work between `*mark` and
+  // now, in [0, 1] (0 if no time passed); then moves `*mark` to now. The
+  // flight recorder's per-interval node.N.cpu_util.
+  double CpuUtilizationSince(NodeId node, CpuMark* mark) const;
 
   // --- Processes -------------------------------------------------------------
   // Starts `process` on `node`; assigns a pid and a fresh endpoint, binds it to the
@@ -108,12 +123,15 @@ class Cluster {
     bool up = true;
     uint64_t incarnation = 0;  // Bumped on crash so stale CPU completions drop.
     std::vector<SimTime> cpu_busy_until;
-    SimDuration cpu_busy_total = 0;
+    SimDuration cpu_busy_total = 0;    // Every CPU-time charge, when queued.
+    SimDuration cpu_dropped_total = 0;  // Queued work that node crashes dropped.
     std::vector<ProcessId> processes;
   };
 
   NodeState* GetNode(NodeId node);
   const NodeState* GetNode(NodeId node) const;
+  // Queued CPU work not yet run: the sum over CPUs of max(0, busy_until - now).
+  SimDuration CpuBacklog(const NodeState& state) const;
   void RemoveProcess(ProcessId pid, bool graceful);
 
   Simulator* sim_;

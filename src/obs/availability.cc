@@ -152,8 +152,8 @@ std::string AvailabilityLedger::ToJson(const EventLog* events) const {
   if (events != nullptr) {
     for (const FaultInstant& fault : events->faults()) {
       if (!faults.empty()) faults += ",";
-      faults += StrFormat("{\"t_s\":%.3f,\"what\":\"%s\"}", ToSeconds(fault.at),
-                          JsonEscape(fault.what).c_str());
+      faults += StrFormat("{\"t_ns\":%lld,\"what\":\"%s\"}",
+                          static_cast<long long>(fault.at), JsonEscape(fault.what).c_str());
     }
   }
 

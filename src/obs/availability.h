@@ -88,7 +88,8 @@ class AvailabilityLedger {
 
   // The artifact "availability" section: run totals, windowed
   // offered/answered/unanswered counts and yield/harvest series (columnar, by
-  // offer window), fault annotations, and derived recovery gaps.
+  // offer window), fault annotations ({"t_ns":<integer sim ns>,"what":...},
+  // the unit of span start_ns), and derived recovery gaps.
   std::string ToJson(const EventLog* events) const;
   // Paper-style figure table: one row per window with yield, harvest, and
   // fault/gap annotations. For bench/scenario console output.

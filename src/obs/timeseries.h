@@ -1,5 +1,5 @@
 // TimeSeriesRecorder: periodic sampling of the whole metrics registry into
-// bounded ring buffers, one series per instrument.
+// bounded, run-length-encoded series, one series per instrument.
 //
 // End-of-run snapshots (the monitor's ExportJson) answer "how much, in total?";
 // the figures in the paper's evaluation — queue lengths tracking an offered-load
@@ -7,15 +7,22 @@
 // need "how much, *when*?". Each sample tick records every registered counter
 // (cumulative value), gauge (instantaneous value), and histogram (count and
 // mean), plus any custom probes (per-node CPU utilization, values that live
-// outside the registry). Rings are bounded, so long experiments keep the most
-// recent window.
+// outside the registry). Series are bounded, so long experiments keep the most
+// recent window of max_samples ticks.
 //
 // Every series shares one clock. A series joins at the first tick after its
 // instrument or probe appears and gets exactly one value on every tick from
-// then on, so its values line up with the *last* v.size() entries of times():
-// value i was sampled at times()[times().size() - v.size() + i]. The clock and
-// every series drop their oldest entry together, so the rule survives
+// then on, so its values line up with the *last* size() entries of times():
+// value i was sampled at times()[times().size() - size() + i]. The clock and
+// every series drop their oldest tick together, so the rule survives
 // eviction. The clock is stored and exported once instead of once per series.
+//
+// Most sampled values repeat the value of the tick before (an idle counter, a
+// gauge at rest), so a series stores runs: (value, count) pairs. A sample whose
+// bits equal the last run's value extends that run, so +0 and -0 stay apart,
+// and so do NaNs with different payloads. Eviction shortens the first run and
+// drops it once its count reaches zero. The export writes runs too (see
+// ToJson).
 //
 // The recorder is driven externally via SampleAt(now): it has no event-loop
 // dependency of its own (obs stays below sim/net in the layer order); SnsSystem
@@ -38,8 +45,28 @@ namespace sns {
 
 class TimeSeriesRecorder {
  public:
-  struct Series {
-    std::deque<double> v;  // End-aligned with times(); see the header comment.
+  // `count` consecutive ticks that sampled the same value (bit for bit).
+  struct Run {
+    double value = 0;
+    int64_t count = 0;
+  };
+
+  // One series: its runs, oldest first, end-aligned with times() (see the
+  // header comment).
+  class Series {
+   public:
+    size_t size() const { return size_; }  // Ticks covered: the sum of the counts.
+    const std::deque<Run>& runs() const { return runs_; }
+    // Every sampled value, oldest first (each run expanded).
+    std::vector<double> Values() const;
+
+   private:
+    friend class TimeSeriesRecorder;
+    void Push(double value);
+    void PopFront();
+
+    std::deque<Run> runs_;
+    size_t size_ = 0;
   };
 
   explicit TimeSeriesRecorder(const MetricsRegistry* registry,
@@ -62,12 +89,17 @@ class TimeSeriesRecorder {
   const std::deque<SimTime>& times() const { return times_; }
   // The time value i of `s` was sampled at.
   SimTime TimeOf(const Series& s, size_t i) const {
-    return times_[times_.size() - s.v.size() + i];
+    return times_[times_.size() - s.size() + i];
   }
 
-  // Columnar JSON, the clock once and each series' values end-aligned with it:
-  //   {"interval_ns":N,"samples":N,"t_ns":[...],"series":{"name":{"v":[...]},...}}
-  // Series are sorted by name; every array is bounded by max_samples.
+  // Columnar JSON, the clock once and each series end-aligned with it:
+  //   {"interval_ns":N,"samples":N,"t_ns":[t0,step,...],
+  //    "series":{"name":{"v":[run,...]},...}}
+  // A run of one is a bare number and a longer run is [value,count]. The clock
+  // is its first tick t0 followed by the steps between consecutive ticks, run
+  // encoded the same way, so a uniform clock is [t0,[interval,n-1]]. Adjacent
+  // runs whose values print the same under %.6g are written as one run.
+  // Series are sorted by name; each decodes to at most max_samples values.
   std::string ToJson() const;
 
  private:

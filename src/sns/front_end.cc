@@ -785,6 +785,10 @@ void FrontEndProcess::AttemptTask(uint64_t task_id) {
     task_timeouts_->Increment();
     RecordSpan(timed_out->attempt_trace, "fe.task_attempt", timed_out->attempt_started,
                "timeout");
+    // The task stays pending through the retry backoff, and a reply that lands
+    // there is still accepted; the attempt's span is recorded already, so that
+    // reply must not record it a second time.
+    timed_out->attempt_trace = TraceContext{};
     stub_.NoteTaskDone(timed_out->worker);
     TaskAttemptFailed(task_id, /*worker_dead=*/false);
   });

@@ -18,11 +18,10 @@ SnsSystem::SnsSystem(const SnsConfig& config, const SystemTopology& topology)
   quorum_disk_ = std::make_unique<QuorumDisk>(&quorum_disk_store_, kQuorumDiskLease);
   membership_ = std::make_unique<MembershipService>(&san_, quorum_disk_.get());
   fence_agent_ = std::make_unique<FenceAgent>(&cluster_);
-  // Quorum regroups and fence kills land on the same fault timeline as injected
-  // failures, so the availability ledger (and its rendered timeline) annotates
-  // yield dips with the transition that caused or resolved them.
-  membership_->set_event_sink(
-      [this](SimTime at, const std::string& what) { event_log_.RecordFault({at, what}); });
+  // Quorum regroups (from Start() on) and fence kills land on the same fault
+  // timeline as injected failures, so the availability ledger (and its rendered
+  // timeline) annotates yield dips with the transition that caused or resolved
+  // them.
   fence_agent_->set_event_sink(
       [this](SimTime at, const std::string& what) { event_log_.RecordFault({at, what}); });
   availability_.BindMetrics(cluster_.metrics());
@@ -39,8 +38,12 @@ void SnsSystem::AddNodeProbes(NodeId node) {
   if (recorder_ == nullptr) {
     return;
   }
+  // Per-interval utilization: the share of CPU time spent on work finished
+  // since the previous tick (Cluster::CpuUtilization is the lifetime mean).
   recorder_->AddProbe(StrFormat("node.%d.cpu_util", node),
-                      [this, node] { return cluster_.CpuUtilization(node); });
+                      [this, node, mark = cluster_.MarkCpu(node)]() mutable {
+                        return cluster_.CpuUtilizationSince(node, &mark);
+                      });
   recorder_->AddProbe(StrFormat("node.%d.cpu_backlog_s", node),
                       [this, node] { return cluster_.CpuBacklogSeconds(node); });
 }
@@ -100,6 +103,12 @@ void SnsSystem::Start() {
   membership_->BindMetrics(cluster_.metrics());
   fence_agent_->BindMetrics(cluster_.metrics());
   membership_->Regroup(manager_node_, sim_.now(), /*renew=*/true);
+  // The bootstrap view above is the cluster forming, not a fault: it stays in
+  // the transition log but not on the fault timeline. Every later view change,
+  // including the first view of a new vantage (a manager relaunched elsewhere),
+  // is a fault annotation.
+  membership_->set_event_sink(
+      [this](SimTime at, const std::string& what) { event_log_.RecordFault({at, what}); });
 
   // --- Flight recorder: sample every metric + per-node CPU on a fixed cadence. ---
   recorder_ = std::make_unique<TimeSeriesRecorder>(cluster_.metrics(), kTimeseriesInterval);

@@ -166,6 +166,42 @@ TEST_F(ClusterTest, CpuBacklogReflectsQueuedWork) {
   EXPECT_NEAR(cluster_.CpuBacklogSeconds(node), 3.0, 1e-9);
 }
 
+TEST_F(ClusterTest, IntervalCpuUtilizationIsOneWhileBackloggedAndZeroWhileIdle) {
+  NodeId node = cluster_.AddNode();
+  Cluster::CpuMark mark = cluster_.MarkCpu(node);
+  cluster_.RunOnCpu(node, kInvalidProcess, Seconds(1), [] {});
+  std::vector<double> ticks;
+  for (int i = 1; i <= 8; ++i) {
+    sim_.RunUntil(Milliseconds(250 * i));
+    ticks.push_back(cluster_.CpuUtilizationSince(node, &mark));
+  }
+  EXPECT_EQ(ticks, (std::vector<double>{1, 1, 1, 1, 0, 0, 0, 0}));
+  EXPECT_NEAR(cluster_.CpuUtilization(node), 0.5, 1e-9);  // The lifetime mean.
+
+  // A backlog a crash drops was charged but never ran: it is not spent time.
+  cluster_.RunOnCpu(node, kInvalidProcess, Seconds(1), [] {});
+  sim_.RunUntil(Milliseconds(2250));
+  EXPECT_EQ(cluster_.CpuUtilizationSince(node, &mark), 1.0);
+  cluster_.CrashNode(node);
+  EXPECT_EQ(cluster_.CpuTimeSpent(node), Milliseconds(1250));
+  sim_.RunUntil(Milliseconds(2500));
+  EXPECT_EQ(cluster_.CpuUtilizationSince(node, &mark), 0.0);
+  EXPECT_EQ(cluster_.CpuUtilizationSince(node, &mark), 0.0);  // No time passed.
+  // The lifetime mean keeps counting work when it is queued, dropped or not.
+  EXPECT_NEAR(cluster_.CpuUtilization(node), 2.0 / 2.5, 1e-9);
+}
+
+TEST_F(ClusterTest, IntervalCpuUtilizationIsAShareOfEveryCpu) {
+  NodeConfig config;
+  config.cpus = 2;
+  NodeId node = cluster_.AddNode(config);
+  Cluster::CpuMark mark = cluster_.MarkCpu(node);
+  cluster_.RunOnCpu(node, kInvalidProcess, Seconds(1), [] {});
+  sim_.RunUntil(Milliseconds(500));
+  double util = cluster_.CpuUtilizationSince(node, &mark);
+  EXPECT_EQ(util, 0.5);  // One of two CPUs busy.
+}
+
 TEST_F(ClusterTest, NodeCrashKillsProcessesAndRestartComesBackEmpty) {
   NodeId node = cluster_.AddNode();
   std::vector<std::string> log;

@@ -3,8 +3,12 @@
 // artifact, and the monitor-snapshot metric audit.
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,27 +68,26 @@ TEST(TimeSeriesRecorderTest, SamplesCountersGaugesHistogramsAndProbes) {
 
   const TimeSeriesRecorder::Series* c = recorder.Find("fe.requests");
   ASSERT_NE(c, nullptr);
-  ASSERT_EQ(c->v.size(), 2u);
+  ASSERT_EQ(c->size(), 2u);
   EXPECT_EQ(recorder.TimeOf(*c, 0), Milliseconds(100));
-  EXPECT_DOUBLE_EQ(c->v[0], 3.0);   // Counters sample cumulative values.
-  EXPECT_DOUBLE_EQ(c->v[1], 5.0);
+  // Counters sample cumulative values.
+  EXPECT_EQ(c->Values(), (std::vector<double>{3.0, 5.0}));
 
   const TimeSeriesRecorder::Series* g = recorder.Find("fe.queue");
   ASSERT_NE(g, nullptr);
-  EXPECT_DOUBLE_EQ(g->v[0], 7.0);   // Gauges sample instantaneous values.
-  EXPECT_DOUBLE_EQ(g->v[1], 4.0);
+  // Gauges sample instantaneous values.
+  EXPECT_EQ(g->Values(), (std::vector<double>{7.0, 4.0}));
 
   const TimeSeriesRecorder::Series* hc = recorder.Find("fe.latency.count");
   const TimeSeriesRecorder::Series* hm = recorder.Find("fe.latency.mean");
   ASSERT_NE(hc, nullptr);
   ASSERT_NE(hm, nullptr);
-  EXPECT_DOUBLE_EQ(hc->v[1], 2.0);
-  EXPECT_DOUBLE_EQ(hm->v[1], 3.0);
+  EXPECT_DOUBLE_EQ(hc->Values()[1], 2.0);
+  EXPECT_DOUBLE_EQ(hm->Values()[1], 3.0);
 
   const TimeSeriesRecorder::Series* p = recorder.Find("node.0.cpu_util");
   ASSERT_NE(p, nullptr);
-  EXPECT_DOUBLE_EQ(p->v[0], 0.25);
-  EXPECT_DOUBLE_EQ(p->v[1], 0.75);
+  EXPECT_EQ(p->Values(), (std::vector<double>{0.25, 0.75}));
 
   std::string json = recorder.ToJson();
   EXPECT_NE(json.find("\"fe.requests\""), std::string::npos);
@@ -118,10 +121,10 @@ TEST(TimeSeriesRecorderTest, InstrumentsAndProbesAddedLaterJoinTheSampling) {
   for (const auto& [name, values] : want) {
     const TimeSeriesRecorder::Series* series = recorder.Find(name);
     ASSERT_NE(series, nullptr) << name;
-    EXPECT_EQ(std::vector<double>(series->v.begin(), series->v.end()), values) << name;
+    EXPECT_EQ(series->Values(), values) << name;
     SimTime joined = values.size() == 3 ? Milliseconds(10) : Milliseconds(20);
     EXPECT_EQ(recorder.TimeOf(*series, 0), joined) << name;
-    EXPECT_EQ(recorder.TimeOf(*series, series->v.size() - 1), Milliseconds(30)) << name;
+    EXPECT_EQ(recorder.TimeOf(*series, series->size() - 1), Milliseconds(30)) << name;
   }
 }
 
@@ -135,12 +138,11 @@ TEST(TimeSeriesRecorderTest, RingBuffersAreBounded) {
   }
   const TimeSeriesRecorder::Series* series = recorder.Find("c");
   ASSERT_NE(series, nullptr);
-  ASSERT_EQ(series->v.size(), 4u);  // Oldest samples evicted.
+  ASSERT_EQ(series->size(), 4u);  // Oldest samples evicted.
   ASSERT_EQ(recorder.times().size(), 4u);  // From the clock too.
   EXPECT_EQ(recorder.times().front(), Milliseconds(70));
   EXPECT_EQ(recorder.TimeOf(*series, 0), Milliseconds(70));
-  EXPECT_DOUBLE_EQ(series->v.front(), 7.0);
-  EXPECT_DOUBLE_EQ(series->v.back(), 10.0);
+  EXPECT_EQ(series->Values(), (std::vector<double>{7, 8, 9, 10}));
   EXPECT_EQ(recorder.samples_taken(), 10);
 }
 
@@ -156,16 +158,143 @@ TEST(TimeSeriesRecorderTest, RepeatedNameKeepsOneValuePerTick) {
   const TimeSeriesRecorder::Series* series = recorder.Find("x.count");
   ASSERT_NE(series, nullptr);
   // Counters are sampled first, so the counter's value is the one kept.
-  EXPECT_EQ(std::vector<double>(series->v.begin(), series->v.end()),
-            (std::vector<double>{7, 7}));
+  EXPECT_EQ(series->Values(), (std::vector<double>{7, 7}));
   ASSERT_NE(recorder.Find("x.mean"), nullptr);
-  EXPECT_EQ(recorder.Find("x.mean")->v.size(), 2u);
+  EXPECT_EQ(recorder.Find("x.mean")->size(), 2u);
+}
+
+TEST(TimeSeriesRecorderTest, RepeatedValuesExtendOneRun) {
+  MetricsRegistry registry;
+  Gauge* g = registry.GetGauge("g");
+  TimeSeriesRecorder recorder(&registry, Milliseconds(10));
+  for (double v : {1.0, 1.0, 1.0, 2.0, 1.0}) {
+    g->Set(v);
+    recorder.SampleAt(Milliseconds(10 * (recorder.samples_taken() + 1)));
+  }
+  const TimeSeriesRecorder::Series* series = recorder.Find("g");
+  ASSERT_NE(series, nullptr);
+  ASSERT_EQ(series->runs().size(), 3u);
+  EXPECT_EQ(series->runs()[0].count, 3);
+  EXPECT_EQ(series->runs()[1].count, 1);
+  EXPECT_EQ(series->size(), 5u);
+  EXPECT_EQ(series->Values(), (std::vector<double>{1, 1, 1, 2, 1}));
+}
+
+TEST(TimeSeriesRecorderTest, EvictionShortensTheFirstRunAndDropsItAtZero) {
+  MetricsRegistry registry;
+  Gauge* g = registry.GetGauge("g");
+  TimeSeriesRecorder recorder(&registry, Milliseconds(10), /*max_samples=*/4);
+  auto sample = [&](double v) {
+    g->Set(v);
+    recorder.SampleAt(Milliseconds(10 * (recorder.samples_taken() + 1)));
+  };
+  for (double v : {1.0, 1.0, 1.0, 2.0, 2.0}) {
+    sample(v);
+  }
+  const TimeSeriesRecorder::Series* series = recorder.Find("g");
+  ASSERT_NE(series, nullptr);
+  // Five ticks into a window of four: the first run lost one tick.
+  ASSERT_EQ(series->runs().size(), 2u);
+  EXPECT_EQ(series->runs()[0].count, 2);
+  EXPECT_EQ(series->Values(), (std::vector<double>{1, 1, 2, 2}));
+  EXPECT_EQ(recorder.TimeOf(*series, 0), Milliseconds(20));
+  sample(2.0);
+  sample(2.0);
+  // The first run reached zero and is gone; the window is one run of four.
+  ASSERT_EQ(series->runs().size(), 1u);
+  EXPECT_EQ(series->runs()[0].count, 4);
+  EXPECT_EQ(series->size(), 4u);
+  EXPECT_EQ(recorder.TimeOf(*series, 0), Milliseconds(40));
+}
+
+TEST(TimeSeriesRecorderTest, RunsCompareBitsSoSignedZerosStayApart) {
+  MetricsRegistry registry;
+  Gauge* g = registry.GetGauge("g");
+  TimeSeriesRecorder recorder(&registry, Milliseconds(10));
+  for (double v : {0.0, 0.0, -0.0, -0.0, 0.0}) {
+    g->Set(v);
+    recorder.SampleAt(Milliseconds(10 * (recorder.samples_taken() + 1)));
+  }
+  const TimeSeriesRecorder::Series* series = recorder.Find("g");
+  ASSERT_NE(series, nullptr);
+  ASSERT_EQ(series->runs().size(), 3u);
+  EXPECT_FALSE(std::signbit(series->runs()[0].value));
+  EXPECT_TRUE(std::signbit(series->runs()[1].value));
+  EXPECT_FALSE(std::signbit(series->runs()[2].value));
+  // "0" and "-0" print differently, so the export keeps them apart too.
+  EXPECT_NE(recorder.ToJson().find("\"g\":{\"v\":[[0,2],[-0,2],0]}"), std::string::npos)
+      << recorder.ToJson();
+}
+
+TEST(TimeSeriesRecorderTest, NaNsKeepTheirBits) {
+  MetricsRegistry registry;
+  Gauge* g = registry.GetGauge("g");
+  TimeSeriesRecorder recorder(&registry, Milliseconds(10));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double other_nan = std::bit_cast<double>(std::bit_cast<uint64_t>(nan) | 1);
+  for (double v : {nan, nan, 1.0, other_nan, nan}) {
+    g->Set(v);
+    recorder.SampleAt(Milliseconds(10 * (recorder.samples_taken() + 1)));
+  }
+  const TimeSeriesRecorder::Series* series = recorder.Find("g");
+  ASSERT_NE(series, nullptr);
+  // A NaN never equals itself, but the same bits still extend a run; a NaN
+  // with another payload starts a new one.
+  ASSERT_EQ(series->runs().size(), 4u);
+  EXPECT_EQ(series->runs()[0].count, 2);
+  std::vector<double> values = series->Values();
+  ASSERT_EQ(values.size(), 5u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(values[1]), std::bit_cast<uint64_t>(nan));
+  EXPECT_EQ(values[2], 1.0);
+  EXPECT_EQ(std::bit_cast<uint64_t>(values[3]), std::bit_cast<uint64_t>(other_nan));
+  EXPECT_EQ(std::bit_cast<uint64_t>(values[4]), std::bit_cast<uint64_t>(nan));
+}
+
+TEST(TimeSeriesRecorderTest, LateJoinerStaysEndAlignedThroughEviction) {
+  MetricsRegistry registry;
+  registry.GetCounter("a")->Increment();
+  TimeSeriesRecorder recorder(&registry, Milliseconds(10), /*max_samples=*/4);
+  for (int i = 1; i <= 8; ++i) {
+    if (i == 3) {
+      registry.GetGauge("late")->Set(5.0);  // Joins on tick 3 and never changes.
+    }
+    recorder.SampleAt(Milliseconds(10 * i));
+    const TimeSeriesRecorder::Series* late = recorder.Find("late");
+    if (i < 3) {
+      EXPECT_EQ(late, nullptr);
+      continue;
+    }
+    ASSERT_NE(late, nullptr);
+    ASSERT_EQ(late->runs().size(), 1u);
+    EXPECT_EQ(late->size(), std::min<size_t>(i - 2, 4));
+    EXPECT_EQ(recorder.TimeOf(*late, 0), Milliseconds(10 * std::max(3, i - 3)));
+    EXPECT_EQ(recorder.TimeOf(*late, late->size() - 1), Milliseconds(10 * i));
+  }
+}
+
+TEST(TimeSeriesRecorderTest, ToJsonWritesRunsAndAStepEncodedClock) {
+  MetricsRegistry registry;
+  Gauge* g = registry.GetGauge("g");
+  TimeSeriesRecorder recorder(&registry, Milliseconds(10));
+  // 1 + 1e-9 prints as "1" under %.6g, so its run merges with the 1s beside it.
+  const double values[] = {1, 1, 1 + 1e-9, 2.5, 3, 3};
+  const SimTime ticks[] = {10, 20, 30, 40, 60, 80};
+  for (int i = 0; i < 6; ++i) {
+    g->Set(values[i]);
+    recorder.SampleAt(Milliseconds(ticks[i]));
+  }
+  EXPECT_EQ(recorder.Find("g")->runs().size(), 4u);
+  EXPECT_EQ(recorder.ToJson(),
+            "{\"interval_ns\":10000000,\"samples\":6,"
+            "\"t_ns\":[10000000,[10000000,3],[20000000,2]],"
+            "\"series\":{\"g\":{\"v\":[[1,3],2.5,[3,2]]}}}");
 }
 
 // The (time, value) pairs of every series in a ToJson() document, each value
 // paired with its entry of the shared clock (series are end-aligned with it).
 using TimedValues = std::map<std::string, std::vector<std::pair<SimTime, double>>>;
 
+// Decodes the run-encoded clock and series of a ToJson() document.
 bool DecodeTimeSeries(const std::string& json, TimedValues* out) {
   JsonReader reader(json);
   std::vector<SimTime> clock;
@@ -173,8 +302,16 @@ bool DecodeTimeSeries(const std::string& json, TimedValues* out) {
     if (key == "t_ns") {
       return reader.Array([&] {
         double t = 0;
-        if (!reader.Number(&t)) return false;
-        clock.push_back(static_cast<SimTime>(t));
+        double count = 1;
+        if (clock.empty()) {  // The first tick; steps follow.
+          if (!reader.Number(&t)) return false;
+          clock.push_back(static_cast<SimTime>(t));
+          return true;
+        }
+        if (!reader.Run(&t, &count)) return false;
+        for (double k = 0; k < count; ++k) {
+          clock.push_back(clock.back() + static_cast<SimTime>(t));
+        }
         return true;
       });
     }
@@ -189,8 +326,10 @@ bool DecodeTimeSeries(const std::string& json, TimedValues* out) {
         std::vector<std::pair<SimTime, double>>& pairs = (*out)[name];
         return reader.Array([&] {
           double v = 0;
-          if (!reader.Number(&v)) return false;
-          pairs.emplace_back(0, v);  // Its time is filled in from the clock below.
+          double count = 0;
+          if (!reader.Run(&v, &count)) return false;
+          // Times are filled in from the clock below.
+          pairs.insert(pairs.end(), static_cast<size_t>(count), {0, v});
           return true;
         });
       });
@@ -228,12 +367,14 @@ TEST(TimeSeriesRecorderTest, ToJsonRoundTripsEveryTimedValue) {
       recorder.AddProbe("c.late", [&late] { return late; });  // Joins on tick 9.
     }
     registry.GetGauge("b.gauge")->Set(i * 1.5);
+    registry.GetGauge("d.steps")->Set(i / 3);  // Runs of three.
     late = -0.25 * i;
-    SimTime now = Milliseconds(10 * i);
+    SimTime now = Milliseconds(10 * i + (i >= 8 ? 5 : 0));  // One longer step.
     recorder.SampleAt(now);
     want["a.ticks"].emplace_back(now, i);
     if (i >= 4) want["b.gauge"].emplace_back(now, i * 1.5);
     if (i >= 9) want["c.late"].emplace_back(now, late);
+    want["d.steps"].emplace_back(now, i / 3);
   }
   for (auto& [name, pairs] : want) {  // The ring keeps the last 4 ticks.
     if (pairs.size() > 4) pairs.erase(pairs.begin(), pairs.end() - 4);
@@ -244,8 +385,9 @@ TEST(TimeSeriesRecorderTest, ToJsonRoundTripsEveryTimedValue) {
   for (const auto& [name, pairs] : want) {
     const TimeSeriesRecorder::Series* s = recorder.Find(name);
     ASSERT_NE(s, nullptr) << name;
-    for (size_t i = 0; i < s->v.size(); ++i) {
-      accessed[name].emplace_back(recorder.TimeOf(*s, i), s->v[i]);
+    std::vector<double> values = s->Values();
+    for (size_t i = 0; i < values.size(); ++i) {
+      accessed[name].emplace_back(recorder.TimeOf(*s, i), values[i]);
     }
   }
   EXPECT_EQ(accessed, want);
@@ -407,6 +549,107 @@ TEST(FlightRecorderIntegrationTest, RetriedTaskYieldsSiblingAttemptSubtrees) {
     break;
   }
   EXPECT_TRUE(found) << "no retained trace had a retried task with backoff";
+}
+
+// A task timeout shorter than the distiller's service time: every attempt
+// times out and its reply lands during the retry backoff, where the FE still
+// accepts it. The attempt's span must be recorded once, as the timeout.
+TEST(FlightRecorderIntegrationTest, ReplyDuringBackoffDoesNotRecordTheAttemptTwice) {
+  Logger::Get().set_min_level(LogLevel::kNone);
+  TranSendOptions options = DistillHeavyOptions();
+  options.sns.task_timeout = Milliseconds(30);
+  TranSendService service(options);
+  service.Start();
+  PlaybackEngine* client = service.AddPlaybackEngine(0xD0B1);
+  client->StartConstantRate(10, UniformUrls(service.universe(), 0xD0B1, "late"));
+  service.sim()->RunFor(Seconds(10));
+  client->StopLoad();
+  service.sim()->RunFor(Seconds(5));
+
+  int timed_out = 0;
+  int answered_late = 0;  // Traces whose only attempts timed out but whose root is ok.
+  service.system()->tracer()->ForEachTrace(
+      [&](uint64_t trace_id, const std::vector<const SpanRecord*>& spans) {
+        std::set<uint64_t> ids;
+        bool all_timed_out = true;
+        bool root_ok = false;
+        for (const SpanRecord* span : spans) {
+          EXPECT_TRUE(ids.insert(span->span_id).second)
+              << "trace " << trace_id << " records span " << span->span_id << " twice";
+          if (span->operation == "fe.task_attempt") {
+            all_timed_out &= span->outcome == "timeout";
+            timed_out += span->outcome == "timeout";
+          }
+          root_ok |= span->parent_span_id == 0 && span->outcome == "ok";
+        }
+        answered_late += all_timed_out && root_ok;
+      });
+  EXPECT_GT(timed_out, 0);
+  EXPECT_GT(answered_late, 0) << "no reply landed during a retry backoff";
+}
+
+// The per-node CPU series is a per-interval share: in [0, 1] on every tick,
+// and 0 on a crashed node from the tick after its crash on.
+TEST(FlightRecorderIntegrationTest, NodeCpuUtilIsAPerIntervalShare) {
+  Logger::Get().set_min_level(LogLevel::kNone);
+  TranSendService service(DistillHeavyOptions());
+  service.Start();
+  PlaybackEngine* client = service.AddPlaybackEngine(0xC9B0);
+  client->StartConstantRate(20, UniformUrls(service.universe(), 0xC9B0, "cpu"));
+  service.sim()->RunFor(Seconds(15));
+  auto workers = service.system()->live_workers(kJpegDistillerType);
+  ASSERT_FALSE(workers.empty());
+  NodeId crashed = workers[0]->node();
+  SimTime crash_at = service.sim()->now();
+  service.system()->cluster()->CrashNode(crashed);
+  service.sim()->RunFor(Seconds(10));
+  client->StopLoad();
+  service.sim()->RunFor(Seconds(5));
+
+  const TimeSeriesRecorder& recorder = *service.system()->recorder();
+  ASSERT_NE(recorder.Find(StrFormat("node.%d.cpu_util", crashed)), nullptr);
+  double busiest = 0;
+  for (NodeId node : service.system()->cluster()->AllNodes()) {
+    std::string name = StrFormat("node.%d.cpu_util", node);
+    const TimeSeriesRecorder::Series* series = recorder.Find(name);
+    if (series == nullptr) {
+      continue;  // A client node: clients get no node probes.
+    }
+    std::vector<double> values = series->Values();
+    for (size_t i = 0; i < values.size(); ++i) {
+      EXPECT_GE(values[i], 0.0) << name << " tick " << i;
+      EXPECT_LE(values[i], 1.0) << name << " tick " << i;
+      busiest = std::max(busiest, values[i]);
+      if (node == crashed && recorder.TimeOf(*series, i) > crash_at + recorder.interval()) {
+        EXPECT_EQ(values[i], 0.0) << name << " after the crash, tick " << i;
+      }
+    }
+  }
+  EXPECT_GT(busiest, 0.0);
+}
+
+// The membership view that forms in Start() is bootstrap, not a fault; the
+// first view of any later vantage (a manager relaunched elsewhere) is one.
+TEST(FlightRecorderIntegrationTest, BootstrapMembershipIsNotAFault) {
+  Logger::Get().set_min_level(LogLevel::kNone);
+  TranSendService service(DistillHeavyOptions());
+  service.Start();
+  service.sim()->RunFor(Seconds(5));
+  SnsSystem* system = service.system();
+  for (const FaultInstant& fault : system->event_log()->faults()) {
+    EXPECT_GT(fault.at, 0) << fault.what;
+  }
+  // The bootstrap view stays in the transition log.
+  ASSERT_FALSE(system->membership()->transitions().empty());
+  EXPECT_NE(system->membership()->transitions()[0].find("regroup#1 "), std::string::npos);
+
+  NodeId vantage = system->cluster()->AllNodes().back();
+  int64_t before = system->event_log()->faults_recorded();
+  system->membership()->Regroup(vantage, service.sim()->now());
+  ASSERT_EQ(system->event_log()->faults_recorded(), before + 1);
+  const FaultInstant& fault = system->event_log()->faults().back();
+  EXPECT_EQ(fault.at, service.sim()->now());
+  EXPECT_NE(fault.what.find(StrFormat(" node=%d ", vantage)), std::string::npos) << fault.what;
 }
 
 // ---------------------------------------------------------------------------
@@ -576,10 +819,10 @@ TEST(ExportGoldenTest, SectionsMatchPinnedBytes) {
 
   const TraceCollector& tracer = *service.system()->tracer();
   const std::map<std::string, ExportDigest> pinned = {
-      {"timeseries", {40824, 0x4bccc4bac8827cd6ULL}},
+      {"timeseries", {14944, 0x4f990acb7345d6f4ULL}},
       {"traces", {71910, 0x2d541685bff215fULL}},
       {"critical_path", {986, 0xb85b7404572e0547ULL}},
-      {"chrome_trace", {106144, 0xb2eb34896abda8baULL}},
+      {"chrome_trace", {106011, 0xf9342cbbce4b38a8ULL}},
   };
   std::string timeseries = service.system()->recorder()->ToJson();
   std::string traces = tracer.ToJson();

@@ -8,6 +8,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sns {
@@ -137,6 +138,28 @@ TEST(JsonReaderTest, ReadsArraysElementByElement) {
   EXPECT_FALSE(JsonReader("{}").Array([] { return true; }));
   JsonReader trailing("[1,]");
   EXPECT_FALSE(trailing.Array([&] { return trailing.Skip(); }));
+}
+
+TEST(JsonReaderTest, ReadsRunEncodedElements) {
+  JsonReader reader("[2.5,[-1,3],[0,1]]");
+  std::vector<std::pair<double, double>> runs;
+  ASSERT_TRUE(reader.Array([&] {
+    double value = 0;
+    double count = 0;
+    if (!reader.Run(&value, &count)) return false;
+    runs.emplace_back(value, count);
+    return true;
+  })) << reader.error();
+  EXPECT_EQ(runs, (std::vector<std::pair<double, double>>{{2.5, 1}, {-1, 3}, {0, 1}}));
+
+  for (const char* bad : {"[1,0]", "[1,2.5]", "[1,-2]", "[1,2,3]", "[1]", "[]", "[1,1e300]",
+                          "[[1,2],2]", "\"x\""}) {
+    JsonReader run(bad);
+    double value = 0;
+    double count = 0;
+    EXPECT_FALSE(run.Run(&value, &count)) << bad;
+    EXPECT_FALSE(run.error().empty()) << bad;
+  }
 }
 
 TEST(JsonReaderTest, MemberCallbackFailureStopsTheRead) {

@@ -144,6 +144,37 @@ class JsonReader {
     return Literal(*out ? "true" : "false");
   }
 
+  // Reads one element of a run-encoded array (the flight recorder's export,
+  // src/obs/timeseries.h): a number is a run of one, [value,count] a run of
+  // `count`, which must be an integer from 1 to 2^53.
+  bool Run(double* value, double* count) {
+    if (Peek() != '[') {
+      *count = 1;
+      return Number(value);
+    }
+    int items = 0;
+    bool ok = Array([&] {
+      switch (++items) {
+        case 1:
+          return Number(value);
+        case 2:
+          return Number(count);
+        default:
+          return Fail("a run has more than two elements");
+      }
+    });
+    if (!ok) {
+      return false;
+    }
+    if (items != 2) {
+      return Fail("a run is not [value,count]");
+    }
+    if (*count < 1 || *count > 0x1p53 || *count != std::floor(*count)) {
+      return Fail("a run's count is not an integer from 1 to 2^53");
+    }
+    return true;
+  }
+
   // Validates and skips one value of any type.
   bool Skip() {
     switch (Peek()) {

@@ -106,16 +106,16 @@ class TraceRenderer {
   }
 
   bool Fault(JsonReader* reader) {
-    double t_s = 0;
+    double t_ns = 0;
     std::string what;
     bool ok = reader->Object([&](const std::string& key) {
-      if (key == "t_s") return reader->Number(&t_s);
+      if (key == "t_ns") return reader->Number(&t_ns);
       if (key == "what") return reader->String(&what);
       return reader->Skip();
     });
     Add("{\"ph\":\"i\",\"s\":\"g\",\"name\":\"%s\",\"cat\":\"fault\",\"pid\":0,\"tid\":0,"
         "\"ts\":%.3f}",
-        Escaped(what).c_str(), t_s * 1e6);
+        Escaped(what).c_str(), t_ns / 1000.0);
     ++faults;
     return ok;
   }

@@ -11,20 +11,24 @@
 // on any missing/malformed artifact.
 //
 // A "timeseries" section other than {} must have the flight recorder's layout
-// (src/obs/timeseries.h): "interval_ns" > 0; one shared clock "t_ns" of
-// strictly increasing integers, no longer than "samples"; and "series", whose
-// members are each {"v":[finite numbers]} with no more values than the clock
-// has times (each series is end-aligned with the clock).
+// (src/obs/timeseries.h): "interval_ns" > 0; one shared clock "t_ns", its
+// first tick followed by run-encoded steps, all integers and every step
+// positive (the clock is strictly increasing), no longer than "samples"; and
+// "series", whose members are each {"v":[runs]} with no more values than the
+// clock has times (each series is end-aligned with the clock). A run is a
+// finite number (a run of one) or [value,count] with an integer count >= 1.
 //
 // A "traces" section other than {} must have the trace collector's layout
 // (src/obs/trace.h): exemplar trace objects whose spans carry every field
 // ({"span_id","parent_span_id","component","operation","node","start_ns",
-// "end_ns","outcome"}); classes with a count >= 1 whose exemplar ids are unique
+// "end_ns","outcome"}), each span id once per trace; classes with a count >= 1 whose exemplar ids are unique
 // and name exactly the exemplar traces; "window_s" > 0; and a window table with
 // one row of per-class counts per start time, each class's counts summing to
 // its count.
 //
-// The "availability" section's "windows" arrays (second, offered, answered,
+// Each "availability.faults" entry must carry its instant as an integer
+// "t_ns" (the unit of span start_ns) and a "what" string. The "availability"
+// section's "windows" arrays (second, offered, answered,
 // unanswered, yield, harvest) must be of one length, with yield and harvest in
 // [0, 1] and answered + unanswered <= offered in every window (answers are
 // counted in the window of their offer). With --quiesced, every window must be
@@ -106,8 +110,7 @@ bool ReadTimeseries(JsonReader* reader) {
   bool has_clock = false;
   bool has_series = false;
   size_t clock_size = 0;
-  double last_t = 0;
-  size_t longest = 0;
+  double longest = 0;
   std::string longest_name;
   bool ok = reader->Object([&](const std::string& key) {
     ++fields;
@@ -120,18 +123,27 @@ bool ReadTimeseries(JsonReader* reader) {
     if (key == "t_ns") {
       has_clock = true;
       return reader->Array([&] {
-        double t = 0;
-        if (!reader->Number(&t)) {
+        if (clock_size == 0) {  // The first tick.
+          double t = 0;
+          if (!reader->Number(&t)) {
+            return false;
+          }
+          ++clock_size;
+          return t == std::floor(t) ||
+                 reader->Fail("timeseries.t_ns holds a non-integer time");
+        }
+        double step = 0;
+        double count = 0;
+        if (!reader->Run(&step, &count)) {
           return false;
         }
-        if (t != std::floor(t)) {
-          return reader->Fail("timeseries.t_ns holds a non-integer time");
+        if (step != std::floor(step)) {
+          return reader->Fail("timeseries.t_ns holds a non-integer step");
         }
-        if (clock_size > 0 && t <= last_t) {
+        if (step <= 0) {
           return reader->Fail("timeseries.t_ns is not strictly increasing");
         }
-        last_t = t;
-        ++clock_size;
+        clock_size += static_cast<size_t>(count);
         return true;
       });
     }
@@ -140,7 +152,7 @@ bool ReadTimeseries(JsonReader* reader) {
     }
     has_series = true;
     return reader->Object([&](const std::string& name) {
-      size_t values = 0;
+      double values = 0;
       bool has_v = false;
       bool read = reader->Object([&](const std::string& field) {
         if (field != "v") {
@@ -148,8 +160,12 @@ bool ReadTimeseries(JsonReader* reader) {
         }
         has_v = true;
         return reader->Array([&] {
-          ++values;
-          return reader->Number(nullptr);
+          double count = 0;
+          if (!reader->Run(nullptr, &count)) {
+            return false;
+          }
+          values += count;
+          return true;
         });
       });
       if (read && values > longest) {
@@ -171,7 +187,7 @@ bool ReadTimeseries(JsonReader* reader) {
   if (samples < static_cast<double>(clock_size)) {
     return reader->Fail("timeseries.samples is missing or below the length of t_ns");
   }
-  if (longest > clock_size) {
+  if (longest > static_cast<double>(clock_size)) {
     return reader->Fail("timeseries.series." + longest_name +
                         " has more values than timeseries.t_ns has times");
   }
@@ -191,8 +207,9 @@ bool Numbers(JsonReader* reader, std::vector<double>* out) {
   });
 }
 
-// Reads one span object; every field must be there, with its type.
-bool ReadSpan(JsonReader* reader) {
+// Reads one span object into `span_id`; every field must be there, with its
+// type.
+bool ReadSpan(JsonReader* reader, double* span_id) {
   static const std::set<std::string> kStringFields = {"component", "operation", "outcome"};
   static const std::set<std::string> kNumberFields = {"span_id", "parent_span_id", "node",
                                                       "start_ns", "end_ns"};
@@ -204,7 +221,7 @@ bool ReadSpan(JsonReader* reader) {
                                    : reader->Fail("span field \"" + key + "\" is not a string");
     }
     if (kNumberFields.count(key) > 0) {
-      return reader->Number(nullptr);
+      return reader->Number(key == "span_id" ? span_id : nullptr);
     }
     return reader->Skip();
   });
@@ -245,8 +262,16 @@ bool ReadTraces(JsonReader* reader) {
             return reader->Number(&id) &&
                    (trace_ids.insert(id).second || reader->Fail("two exemplar traces share an id"));
           }
-          return field == "spans" ? reader->Array([&] { return ReadSpan(reader); })
-                                  : reader->Skip();
+          if (field != "spans") {
+            return reader->Skip();
+          }
+          std::set<double> span_ids;
+          return reader->Array([&] {
+            double span_id = 0;
+            return ReadSpan(reader, &span_id) &&
+                   (span_ids.insert(span_id).second ||
+                    reader->Fail("a trace records one span id twice"));
+          });
         });
       });
     }
@@ -316,11 +341,37 @@ bool ReadTraces(JsonReader* reader) {
          reader->Fail("a trace class's window counts do not sum to its count");
 }
 
-// Reads the availability section; checks its windows (see the top).
+// Reads one availability.faults entry: {"t_ns":<integer >= 0>,"what":<string>}.
+bool ReadFault(JsonReader* reader) {
+  double t_ns = -1;
+  bool has_what = false;
+  bool ok = reader->Object([&](const std::string& key) {
+    if (key == "t_ns") {
+      return reader->Number(&t_ns);
+    }
+    if (key == "what") {
+      has_what = true;
+      return reader->String(nullptr);
+    }
+    return reader->Skip();
+  });
+  if (!ok) {
+    return false;
+  }
+  if (t_ns < 0 || t_ns != std::floor(t_ns)) {
+    return reader->Fail("an availability.faults entry has no integer \"t_ns\"");
+  }
+  return has_what || reader->Fail("an availability.faults entry has no \"what\"");
+}
+
+// Reads the availability section; checks its faults and windows (see the top).
 bool ReadAvailability(JsonReader* reader, bool quiesced) {
   std::map<std::string, std::vector<double>> windows;
   bool has_windows = false;
   bool ok = reader->Object([&](const std::string& key) {
+    if (key == "faults") {
+      return reader->Array([&] { return ReadFault(reader); });
+    }
     if (key != "windows") {
       return reader->Skip();
     }
