@@ -181,11 +181,20 @@ double SimulateHitRate(int64_t cache_bytes, int64_t users) {
   return cache.HitRate();
 }
 
-void SimulateHitRates() {
+// --short keeps only the paper's 6 GB point and the two smallest populations.
+void SimulateHitRates(bool short_mode) {
+  std::vector<double> sizes_gb = {0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 9.0};
+  std::vector<int64_t> ample_users = {500, 2000, 8000, 16000, 32000};
+  std::vector<int64_t> constrained_users = {500, 1000, 2000, 4000, 8000, 16000, 32000};
+  if (short_mode) {
+    sizes_gb = {6.0};
+    ample_users = {500, 2000};
+    constrained_users = {500, 2000};
+  }
   std::printf("\n--- (3) LRU simulations: hit rate vs cache size vs population ---\n");
   std::printf("\n  hit rate vs cache size (population 8000, as traced):\n");
   std::printf("  %-12s %s\n", "cache size", "hit rate");
-  for (double gb : {0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 9.0}) {
+  for (double gb : sizes_gb) {
     double rate = SimulateHitRate(static_cast<int64_t>(gb * 1e9), 8000);
     std::printf("  %-9.3f GB %.1f%%%s\n", gb, rate * 100,
                 gb == 6.0 ? "   <- paper: 6 GB gave 56%" : "");
@@ -193,7 +202,7 @@ void SimulateHitRates() {
   std::printf("\n  hit rate vs population, ample cache (6 GB) — rises with shared locality,\n"
               "  plateauing once compulsory misses dominate:\n");
   std::printf("  %-12s %s\n", "users", "hit rate");
-  for (int64_t users : {500L, 2000L, 8000L, 16000L, 32000L}) {
+  for (int64_t users : ample_users) {
     double rate = SimulateHitRate(6000000000LL, users);
     std::printf("  %-12lld %.1f%%\n", static_cast<long long>(users), rate * 100);
   }
@@ -201,7 +210,7 @@ void SimulateHitRates() {
               "  universe) — rises, then falls once the sum of the users' concurrent working\n"
               "  sets exceeds the cache size (the paper's second observation):\n");
   std::printf("  %-12s %s\n", "users", "hit rate");
-  for (int64_t users : {500L, 1000L, 2000L, 4000L, 8000L, 16000L, 32000L}) {
+  for (int64_t users : constrained_users) {
     double rate = SimulateHitRate(128000000LL, users);
     std::printf("  %-12lld %.1f%%\n", static_cast<long long>(users), rate * 100);
   }
@@ -210,8 +219,8 @@ void SimulateHitRates() {
 // Section 4.4's final observation: "The number of simultaneous, outstanding
 // requests at a front end is equal to N x T" (Little's law), so high miss penalties
 // inflate FE state. Measured on the live system with a cold cache (every request
-// pays the wide-area fetch).
-void MeasureFrontEndState() {
+// pays the wide-area fetch). --short measures 40 s of load instead of 120 s.
+void MeasureFrontEndState(bool short_mode) {
   std::printf("\n--- (4) Front-end state under high miss penalty (N x T) ---\n");
   TranSendOptions options = DefaultTranSendOptions();
   options.universe.url_count = 60000;  // Cold: essentially every request misses.
@@ -225,7 +234,8 @@ void MeasureFrontEndState() {
   client->StartConstantRate(kRate, UniformUrls(service.universe(), 0x44F, "state"));
   RunningStats outstanding;
   SimTime t0 = service.sim()->now();
-  for (int second = 1; second <= 120; ++second) {
+  int window_s = short_mode ? 40 : 120;
+  for (int second = 1; second <= window_s; ++second) {
     service.sim()->RunUntil(t0 + Seconds(second));
     if (second > 20) {  // Let the pipeline fill first.
       FrontEndProcess* fe = service.system()->front_end(0);
@@ -248,19 +258,19 @@ void MeasureFrontEndState() {
               kRate * mean_t);
 }
 
-void Run() {
+void Run(bool short_mode) {
   Logger::Get().set_min_level(LogLevel::kError);
   benchutil::Header("Section 4.4: cache partition performance", "paper Section 4.4");
   MeasureHitTime();
   MeasureMissPenalty();
-  MeasureFrontEndState();
-  SimulateHitRates();
+  MeasureFrontEndState(short_mode);
+  SimulateHitRates(short_mode);
 }
 
 }  // namespace
 }  // namespace sns
 
-int main() {
-  sns::Run();
+int main(int argc, char** argv) {
+  sns::Run(sns::benchutil::ShortMode(argc, argv));
   return 0;
 }

@@ -21,7 +21,6 @@ NodeId Cluster::AddNode(const NodeConfig& config) {
   NodeId id = next_node_++;
   NodeState state;
   state.config = config;
-  state.cpu_busy_until.assign(static_cast<size_t>(std::max(config.cpus, 1)), 0);
   nodes_[id] = std::move(state);
   if (config.link.has_value()) {
     san_->AddNode(id, *config.link);
@@ -85,8 +84,7 @@ double Cluster::CpuUtilization(NodeId node) const {
   if (state == nullptr || now <= 0) {
     return 0.0;
   }
-  double capacity = static_cast<double>(now) * static_cast<double>(state->cpu_busy_until.size());
-  return std::min(static_cast<double>(state->cpu_busy_total) / capacity, 1.0);
+  return std::min(static_cast<double>(state->cpu_busy_total) / static_cast<double>(now), 1.0);
 }
 
 ProcessId Cluster::Spawn(NodeId node, std::unique_ptr<Process> process) {
@@ -182,7 +180,7 @@ void Cluster::CrashNode(NodeId node) {
   }
   // Queued CPU work is abandoned: it was charged but never runs.
   state->cpu_dropped_total += CpuBacklog(*state);
-  std::fill(state->cpu_busy_until.begin(), state->cpu_busy_until.end(), sim_->now());
+  state->cpu_busy_until = sim_->now();
   SNS_LOG(kInfo, "cluster") << "node " << node << " crashed";
 }
 
@@ -205,16 +203,9 @@ void Cluster::RunOnCpu(NodeId node, ProcessId owner, SimDuration cpu_time, SimTa
     cpu_time = 0;
   }
   auto scaled = static_cast<SimDuration>(static_cast<double>(cpu_time) / state->config.speed);
-  // Pick the CPU that frees up first (work-conserving multiprocessor).
-  size_t cpu = 0;
-  for (size_t i = 1; i < state->cpu_busy_until.size(); ++i) {
-    if (state->cpu_busy_until[i] < state->cpu_busy_until[cpu]) {
-      cpu = i;
-    }
-  }
-  SimTime start = std::max(sim_->now(), state->cpu_busy_until[cpu]);
+  SimTime start = std::max(sim_->now(), state->cpu_busy_until);
   SimTime finish = start + scaled;
-  state->cpu_busy_until[cpu] = finish;
+  state->cpu_busy_until = finish;
   state->cpu_busy_total += scaled;
   uint64_t incarnation = state->incarnation;
   auto completion = [this, node, owner, incarnation, done = std::move(done)]() mutable {
@@ -235,14 +226,7 @@ void Cluster::RunOnCpu(NodeId node, ProcessId owner, SimDuration cpu_time, SimTa
 }
 
 SimDuration Cluster::CpuBacklog(const NodeState& state) const {
-  SimTime now = sim_->now();
-  SimDuration backlog = 0;
-  for (SimTime busy_until : state.cpu_busy_until) {
-    if (busy_until > now) {
-      backlog += busy_until - now;
-    }
-  }
-  return backlog;
+  return std::max<SimDuration>(state.cpu_busy_until - sim_->now(), 0);
 }
 
 double Cluster::CpuBacklogSeconds(NodeId node) const {
@@ -263,9 +247,7 @@ double Cluster::CpuUtilizationSince(NodeId node, CpuMark* mark) const {
   CpuMark now = MarkCpu(node);
   double util = 0.0;
   if (state != nullptr && now.at > mark->at) {
-    double capacity = static_cast<double>(now.at - mark->at) *
-                      static_cast<double>(state->cpu_busy_until.size());
-    util = static_cast<double>(now.spent - mark->spent) / capacity;
+    util = static_cast<double>(now.spent - mark->spent) / static_cast<double>(now.at - mark->at);
   }
   *mark = now;
   return util;

@@ -27,7 +27,6 @@
 namespace sns {
 
 struct NodeConfig {
-  int cpus = 1;          // HotBot mixed single- and dual-CPU nodes (§3.2).
   double speed = 1.0;    // Relative CPU speed; cpu_time is divided by this.
   bool overflow_pool = false;  // Overflow machines are not dedicated (§2.2.3).
   // Nodes reserved for infrastructure (front ends, caches, the origin gateway) are
@@ -56,11 +55,11 @@ class Cluster {
   // Number of live processes hosted on a node.
   int ProcessCountOnNode(NodeId node) const;
 
-  // Fraction of time the node's CPUs were busy over [0, now], counting work
+  // Fraction of time the node's CPU was busy over [0, now], counting work
   // when it is queued.
   double CpuUtilization(NodeId node) const;
 
-  // CPU time the node's CPUs have spent on work up to now: the work queued,
+  // CPU time the node's CPU has spent on work up to now: the work queued,
   // less its unfinished backlog and less the backlogs that crashes dropped.
   SimDuration CpuTimeSpent(NodeId node) const;
   // A point to measure CPU utilization from (see CpuUtilizationSince).
@@ -122,7 +121,7 @@ class Cluster {
     NodeConfig config;
     bool up = true;
     uint64_t incarnation = 0;  // Bumped on crash so stale CPU completions drop.
-    std::vector<SimTime> cpu_busy_until;
+    SimTime cpu_busy_until = 0;  // Every node has one CPU, a FIFO queue.
     SimDuration cpu_busy_total = 0;    // Every CPU-time charge, when queued.
     SimDuration cpu_dropped_total = 0;  // Queued work that node crashes dropped.
     std::vector<ProcessId> processes;
@@ -130,7 +129,7 @@ class Cluster {
 
   NodeState* GetNode(NodeId node);
   const NodeState* GetNode(NodeId node) const;
-  // Queued CPU work not yet run: the sum over CPUs of max(0, busy_until - now).
+  // Queued CPU work not yet run: max(0, cpu_busy_until - now).
   SimDuration CpuBacklog(const NodeState& state) const;
   void RemoveProcess(ProcessId pid, bool graceful);
 

@@ -21,7 +21,6 @@ namespace sns {
 
 struct LinkConfig {
   double bandwidth_bps = 100e6;          // 100 Mb/s switched Ethernet default.
-  SimDuration propagation = Microseconds(50);
   SimDuration per_message_overhead = Microseconds(100);  // NIC/kernel per-packet cost.
   SimDuration max_datagram_queue_delay = Milliseconds(50);  // Drop threshold.
 };
@@ -40,7 +39,6 @@ class Link {
   SimDuration ServiceTime(int64_t size_bytes) const;
 
   SimTime busy_until() const { return busy_until_; }
-  SimDuration propagation() const { return config_.propagation; }
 
   // Observability for the monitor and the saturation benchmarks.
   int64_t messages_sent() const { return messages_sent_; }
@@ -52,7 +50,6 @@ class Link {
   double Utilization(SimTime now) const;
 
   const std::string& name() const { return name_; }
-  const LinkConfig& config() const { return config_; }
   void set_config(const LinkConfig& config) { config_ = config; }
 
  private:

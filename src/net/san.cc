@@ -12,6 +12,9 @@ namespace {
 
 // Wire size of handshake packets charged to both NICs on connection setup.
 constexpr int64_t kHandshakeBytes = 40;
+// Wire and switch latency a message adds after it leaves a link; the same on
+// every link of the switched SAN.
+constexpr SimDuration kLinkPropagation = Microseconds(50);
 
 }  // namespace
 
@@ -159,7 +162,7 @@ void San::Send(Message msg, SendOptions opts) {
     LogEvent(SanEvent::Kind::kDrop, msg, seq, "saturated");
     return;
   }
-  SimTime arrival = *departure + src_node->egress->propagation();
+  SimTime arrival = *departure + kLinkPropagation;
   DeliverToNode(std::move(msg), arrival, setup, std::move(opts), seq);
 }
 
@@ -190,7 +193,7 @@ void San::DeliverToNode(Message msg, SimTime arrival, bool setup, SendOptions op
       LogEvent(SanEvent::Kind::kDrop, msg, seq, "saturated");
       return;
     }
-    SimTime deliver_at = *finish + dst_node->ingress->propagation();
+    SimTime deliver_at = *finish + kLinkPropagation;
     if (setup) {
       deliver_at += config_.tcp_setup_cost;
     }
@@ -296,7 +299,7 @@ void San::SendMulticast(McastGroup group, Message msg) {
     CountDropped();
     return;
   }
-  SimTime arrival = *departure + src_node->egress->propagation();
+  SimTime arrival = *departure + kLinkPropagation;
   for (const auto& [node, port] : gs->members) {
     if (node == msg.src.node && port == msg.src.port) {
       continue;  // Don't loop back to the sender.

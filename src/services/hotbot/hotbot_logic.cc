@@ -77,10 +77,6 @@ void HotBotLogic::HandleRequest(RequestContext* ctx) {
     int page = page_it != c->request().params.end()
                    ? std::max(1, std::atoi(page_it->second.c_str()))
                    : 1;
-    if (!config_.cache_searches) {
-      RunQuery(c, query, page);
-      return;
-    }
     // Incremental delivery (Table 1): all pages of a query share one cached result
     // set; only a full miss re-queries the partitions.
     c->CacheGet(SearchCacheKey(query, kCachedResultDepth),
@@ -153,14 +149,12 @@ void HotBotLogic::RunQuery(RequestContext* ctx, const std::string& query, int pa
     full.partitions_total = state->expected;
     full.docs_searched = state->docs;
     full.hits = std::move(state->hits);
-    if (config_.cache_searches) {
-      // Cache the FULL result set (depth hits) so later pages of this query are
-      // incremental deliveries from the cache.
-      c->CachePut(SearchCacheKey(query, kCachedResultDepth),
-                  Content::Make(c->request().url, MimeType::kHtml,
-                                RenderResultPage(full.hits, full.partitions_reached,
-                                                 full.partitions_total, full.docs_searched)));
-    }
+    // Cache the FULL result set (depth hits) so later pages of this query are
+    // incremental deliveries from the cache.
+    c->CachePut(SearchCacheKey(query, kCachedResultDepth),
+                Content::Make(c->request().url, MimeType::kHtml,
+                              RenderResultPage(full.hits, full.partitions_reached,
+                                               full.partitions_total, full.docs_searched)));
     RespondPage(c, full, page, /*cache_hit=*/false);
   };
 

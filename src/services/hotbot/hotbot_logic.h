@@ -21,7 +21,6 @@ namespace sns {
 
 struct HotBotLogicConfig {
   int shard_count = 8;
-  bool cache_searches = true;
 };
 
 class HotBotLogic : public FrontEndLogic {

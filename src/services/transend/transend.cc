@@ -7,7 +7,6 @@ TranSendOptions DefaultTranSendOptions() {
 
   // --- SAN: switched 100 Mb/s Ethernet (§4). ---
   options.topology.san.default_link.bandwidth_bps = 100e6;
-  options.topology.san.default_link.propagation = Microseconds(50);
   options.topology.san.default_link.per_message_overhead = Microseconds(150);
   options.topology.san.default_link.max_datagram_queue_delay = Milliseconds(50);
   // Per-connection setup: part of the measured 27 ms Harvest hit time (§4.4), paid
@@ -28,13 +27,11 @@ TranSendOptions DefaultTranSendOptions() {
 
   // --- TranSend ran Harvest on four nodes with ~6 GB total cache (§4.4). ---
   options.topology.cache_nodes = 4;
-  options.topology.cache.capacity_bytes = 1500LL * 1000 * 1000;
   options.topology.cache.cpu_per_get = Milliseconds(10);
   options.topology.worker_pool_nodes = 10;
   options.topology.front_ends = 1;  // Production ran a single ~400-thread FE.
 
   options.sns.spawn_threshold_h = 10.0;
-  options.sns.spawn_cooldown_d = Seconds(12);
 
   options.universe.url_count = 20000;
   options.universe.real_image_max_bytes = 0;  // Opaque imagery for speed.

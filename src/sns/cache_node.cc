@@ -11,6 +11,8 @@ namespace {
 
 // CPU charged per put (cf. CacheNodeConfig::cpu_per_get).
 constexpr SimDuration kCpuPerPut = Milliseconds(4);
+// Byte capacity of each node's LRU store. TranSend: 6 GB over 4 nodes (§4.4).
+constexpr int64_t kCacheNodeCapacityBytes = 1500LL * 1000 * 1000;
 
 }  // namespace
 
@@ -18,7 +20,7 @@ CacheNodeProcess::CacheNodeProcess(const SnsConfig& sns_config, const CacheNodeC
     : Process("cache-node"),
       sns_config_(sns_config),
       config_(config),
-      cache_(config.capacity_bytes,
+      cache_(kCacheNodeCapacityBytes,
              [](const ContentPtr& c) { return c == nullptr ? 0 : c->size(); }),
       ring_(kCacheRingVnodes),
       settled_ring_(kCacheRingVnodes),

@@ -38,7 +38,6 @@
 namespace sns {
 
 struct CacheNodeConfig {
-  int64_t capacity_bytes = 1500LL * 1000 * 1000;  // TranSend: 6 GB over 4 nodes.
   // CPU charged per operation (request parsing, hash lookup, I/O). With the forced
   // per-request TCP connection this lands hits at ~27 ms end-to-end (§4.4).
   SimDuration cpu_per_get = Milliseconds(8);

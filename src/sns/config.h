@@ -63,9 +63,23 @@ inline constexpr double kLoadEwmaAlpha = 0.3;
 // --- Spawning policy (§4.5) -------------------------------------------------------
 // The manager never reaps a type below this many workers.
 inline constexpr int kMinWorkersPerType = 1;
+// Cooldown D: after spawning, give the system D seconds to stabilize.
+inline constexpr SimDuration kSpawnCooldown = Seconds(12);
+// How long a type's load must stay below SnsConfig::reap_threshold before the
+// manager reaps an overflow-node worker ("Once the burst subsides, the
+// distillers may be reaped", §3.1.2).
+inline constexpr SimDuration kReapIdleTime = Seconds(30);
 
 // --- Timeouts (the BASE backstop failure detector, §2.2.4) ------------------------
-// Cap on the retry backoff (SnsConfig::task_retry_backoff_base).
+// The front end's timer on one task attempt; on expiry "the request will time
+// out and another worker will be chosen" (§3.1.8), up to kTaskRetries times.
+inline constexpr SimDuration kTaskTimeout = Seconds(6);
+inline constexpr int kTaskRetries = 2;
+// Retry discipline: the n-th retry waits kTaskRetryBackoffBase * 2^(n-1),
+// capped at kTaskRetryBackoffMax, with ±50% jitter, and excludes the worker
+// that just failed — an instant re-pick would hammer the same overloaded
+// worker that caused the timeout.
+inline constexpr SimDuration kTaskRetryBackoffBase = Milliseconds(100);
 inline constexpr SimDuration kTaskRetryBackoffMax = Seconds(2);
 // Deadline-aware admission: a worker refuses a task whose remaining budget
 // cannot cover the queued backlog plus the task's own cost plus this headroom
@@ -75,6 +89,8 @@ inline constexpr SimDuration kTaskRetryBackoffMax = Seconds(2);
 inline constexpr SimDuration kTaskAdmissionHeadroom = Milliseconds(50);
 inline constexpr SimDuration kCacheTimeout = Seconds(5);
 inline constexpr SimDuration kProfileTimeout = Seconds(2);
+// The miss penalty runs "from 100 ms through 100 seconds" (§4.4).
+inline constexpr SimDuration kFetchTimeout = Seconds(110);
 
 // --- Cache partitioning (§3.1.5, §4.4) -------------------------------------------
 // Virtual points per cache node on the consistent-hash ring. The ring replaces
@@ -89,6 +105,9 @@ inline constexpr int kCacheRebalanceBatchKeys = 32;
 // --- Front end (§3.1.1, §4.4) ----------------------------------------------------
 // Per-request front-end CPU (connection shepherding, dispatch logic).
 inline constexpr SimDuration kFeCpuPerRequest = Milliseconds(1.0);
+// Byte capacity of the front end's in-process user-profile cache. Bounded (LRU)
+// so millions of distinct users cannot grow FE memory without limit.
+inline constexpr int64_t kFeProfileCacheBytes = 4 * 1024 * 1024;
 
 // --- Manager --------------------------------------------------------------------
 // CPU charged to the manager's node per load announcement processed; drives the
@@ -125,26 +144,11 @@ struct SnsConfig {
   // --- Spawning policy (§4.5) -------------------------------------------------------
   // Threshold H: spawn a new worker when a type's smoothed queue average crosses it.
   double spawn_threshold_h = 10.0;
-  // Cooldown D: after spawning, give the system D seconds to stabilize.
-  SimDuration spawn_cooldown_d = Seconds(12);
-  // Reap overflow-node workers whose smoothed queue stays below this...
+  // Reap overflow-node workers whose smoothed queue stays below this for
+  // kReapIdleTime.
   double reap_threshold = 0.25;
-  // ...for at least this long ("Once the burst subsides, the distillers may be
-  // reaped", §3.1.2).
-  SimDuration reap_idle_time = Seconds(30);
   // Max interchangeable workers colocated per node before using the next node.
   int max_workers_per_node = 1;
-
-  // --- Timeouts (the BASE backstop failure detector, §2.2.4) ------------------------
-  SimDuration task_timeout = Seconds(6);
-  int task_retries = 2;          // "the request will time out and another worker
-                                 //  will be chosen" (§3.1.8).
-  // Retry discipline: the n-th retry waits base * 2^(n-1), capped at
-  // kTaskRetryBackoffMax, with ±50% jitter, and excludes the worker that just
-  // failed — an instant re-pick would hammer the same overloaded worker that
-  // caused the timeout.
-  SimDuration task_retry_backoff_base = Milliseconds(100);
-  SimDuration fetch_timeout = Seconds(110);
 
   // --- Cache replication (Gray's "packs"; beyond the paper's single-copy tier) -----
   // Replica factor R for the cache volume: front ends write each put to the first
@@ -162,9 +166,6 @@ struct SnsConfig {
 
   // --- Front end (§3.1.1, §4.4) ----------------------------------------------------
   int fe_thread_pool_size = 400;  // "a single front-end of about 400 threads".
-  // Byte capacity of the front end's in-process user-profile cache. Bounded (LRU)
-  // so millions of distinct users cannot grow FE memory without limit.
-  int64_t fe_profile_cache_bytes = 4 * 1024 * 1024;
 };
 
 // Length R of every cache replica chain: cache_replication, clamped to at least 1.

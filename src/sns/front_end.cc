@@ -67,7 +67,7 @@ FrontEndProcess::FrontEndProcess(const SnsConfig& config, const FrontEndOptions&
       launcher_(launcher),
       rng_(options.seed ^ (0x9E3779B9ULL * static_cast<uint64_t>(options.fe_index + 1))),
       stub_(config, &rng_),
-      profile_cache_(config.fe_profile_cache_bytes,
+      profile_cache_(kFeProfileCacheBytes,
                      [](const UserProfile& p) { return p.WireSize(); }) {}
 
 void FrontEndProcess::OnStart() {
@@ -657,7 +657,7 @@ void FrontEndProcess::DoFetch(RequestContext* ctx, const std::string& url,
   msg.size_bytes = 96 + static_cast<int64_t>(url.size());
   msg.payload = std::move(payload);
   SendOp(ctx, op_id, PendingOp("fe.fetch", &FrontEndProcess::FinishFetch, std::move(cb)),
-         config_.fetch_timeout, std::move(msg));
+         kFetchTimeout, std::move(msg));
 }
 
 void FrontEndProcess::FinishFetch(PendingOp& op, RequestContext* ctx, const Message* reply) {
@@ -695,7 +695,7 @@ void FrontEndProcess::DoCallWorker(RequestContext* ctx, const std::string& type,
   task.payload = std::move(payload);
   task.cb = std::move(cb);
   task.trace = ctx->trace_;
-  task.attempts_left = config_.task_retries + 1;
+  task.attempts_left = kTaskRetries + 1;
   task.spawn_waits_left = 20;
   pending_tasks_.Set(task_id, std::move(task));
   AttemptTask(task_id);
@@ -777,19 +777,13 @@ void FrontEndProcess::AttemptTask(uint64_t task_id) {
   task.attempt_trace = ChildSpan(task.trace);
   task.attempt_started = sim()->now();
   stub_.NoteTaskSent(*worker);
-  task.timeout = After(CapToBudget(config_.task_timeout, budget), [this, task_id] {
+  task.timeout = After(CapToBudget(kTaskTimeout, budget), [this, task_id] {
     PendingTask* timed_out = pending_tasks_.Find(task_id);
     if (timed_out == nullptr) {
       return;
     }
     task_timeouts_->Increment();
-    RecordSpan(timed_out->attempt_trace, "fe.task_attempt", timed_out->attempt_started,
-               "timeout");
-    // The task stays pending through the retry backoff, and a reply that lands
-    // there is still accepted; the attempt's span is recorded already, so that
-    // reply must not record it a second time.
-    timed_out->attempt_trace = TraceContext{};
-    stub_.NoteTaskDone(timed_out->worker);
+    CloseAttempt(*timed_out, "timeout");
     TaskAttemptFailed(task_id, /*worker_dead=*/false);
   });
 
@@ -808,11 +802,16 @@ void FrontEndProcess::AttemptTask(uint64_t task_id) {
       return;
     }
     CancelTimer(broken->timeout);
-    RecordSpan(broken->attempt_trace, "fe.task_attempt", broken->attempt_started, "broken");
-    stub_.NoteTaskDone(broken->worker);
+    CloseAttempt(*broken, "broken");
     TaskAttemptFailed(task_id, /*worker_dead=*/true);
   };
   Send(std::move(msg), std::move(opts));
+}
+
+void FrontEndProcess::CloseAttempt(PendingTask& task, const char* outcome) {
+  RecordSpan(task.attempt_trace, "fe.task_attempt", task.attempt_started, outcome);
+  stub_.NoteTaskDone(task.worker);
+  task.timeout = kInvalidEventId;
 }
 
 void FrontEndProcess::TaskAttemptFailed(uint64_t task_id, bool worker_dead) {
@@ -840,10 +839,10 @@ void FrontEndProcess::TaskAttemptFailed(uint64_t task_id, bool worker_dead) {
   }
   // Timeout: back off exponentially with ±50% jitter before retrying, so a burst
   // of timed-out tasks does not stampede the surviving workers in lockstep.
-  int retry_index = config_.task_retries + 1 - task.attempts_left;  // 1st retry = 1.
+  int retry_index = kTaskRetries + 1 - task.attempts_left;  // 1st retry = 1.
   double scale = std::pow(2.0, retry_index - 1) * rng_.Uniform(0.5, 1.5);
   auto delay = static_cast<SimDuration>(
-      static_cast<double>(config_.task_retry_backoff_base) * scale);
+      static_cast<double>(kTaskRetryBackoffBase) * scale);
   delay = std::min(delay, kTaskRetryBackoffMax);
   RequestContext* ctx = FindContext(task.request_id);
   if (ctx != nullptr) {
@@ -904,22 +903,30 @@ void FrontEndProcess::HandleTaskResponse(const Message& msg) {
   if (pending == nullptr) {
     return;  // Late response after a timeout-triggered retry; drop it.
   }
-  if (reply.status.code() == StatusCode::kResourceExhausted && pending->attempts_left > 1) {
+  // A reply that lands between attempts (in the retry backoff, or while waiting
+  // for a spawn) answers an attempt that is closed already: its span is
+  // recorded and the stub was told. Do neither again, and drop a rejection,
+  // whose retry is scheduled already.
+  bool closed = pending->timeout == kInvalidEventId;
+  bool rejected = reply.status.code() == StatusCode::kResourceExhausted;
+  if (rejected && closed) {
+    return;
+  }
+  if (rejected && pending->attempts_left > 1) {
     // Overload rejection: the worker refused the task without running it (queue
     // full, or the backlog cannot meet the deadline). Retry on another worker
     // through the same backoff discipline as a timeout.
     CancelTimer(pending->timeout);
-    RecordSpan(pending->attempt_trace, "fe.task_attempt", pending->attempt_started, "rejected");
-    stub_.NoteTaskDone(pending->worker);
+    CloseAttempt(*pending, "rejected");
     TaskAttemptFailed(reply.task_id, /*worker_dead=*/false);
     return;
   }
   PendingTask task = std::move(*pending);
   pending_tasks_.Erase(reply.task_id);
   CancelTimer(task.timeout);
-  RecordSpan(task.attempt_trace, "fe.task_attempt", task.attempt_started,
-             reply.status.ok() ? "ok" : "error");
-  stub_.NoteTaskDone(task.worker);
+  if (!closed) {
+    CloseAttempt(task, reply.status.ok() ? "ok" : "error");
+  }
   RequestContext* ctx = FindContext(task.request_id);
   if (ctx == nullptr || ctx->responded_) {
     return;

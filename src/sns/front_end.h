@@ -185,6 +185,7 @@ class FrontEndProcess : public Process {
     SimTime attempt_started = 0;
     int attempts_left = 0;
     int spawn_waits_left = 0;
+    // The current attempt's timer; kInvalidEventId while no attempt is open.
     EventId timeout = kInvalidEventId;
   };
   struct AcceptedRequest {
@@ -294,6 +295,10 @@ class FrontEndProcess : public Process {
   // --- Task dispatch internals ---------------------------------------------------------
   void AttemptTask(uint64_t task_id);
   void TaskAttemptFailed(uint64_t task_id, bool worker_dead);
+  // Ends the task's current attempt, which the task may outlive: records the
+  // attempt's span, tells the stub the worker is done with it, and marks the
+  // attempt closed (timeout = kInvalidEventId) for a reply that lands later.
+  void CloseAttempt(PendingTask& task, const char* outcome);
   void FailTask(uint64_t task_id, Status status);
   void ReportWorkerDead(const Endpoint& worker, const std::string& type);
 

@@ -278,10 +278,14 @@ void ManagerProcess::ExpireSoftState() {
   front_ends_.Expire(now, [this](const Endpoint& ep, const FrontEndState& state) {
     SNS_LOG(kWarning, "manager") << "front end " << state.fe_index << " at " << ep.ToString()
                                  << " silent; restarting (process peer)";
-    fe_restarts_->Increment();
     // Pass our own vantage point: a replacement the manager cannot reach would
-    // never re-register and would be "restarted" again every TTL.
+    // never re-register and would be "restarted" again every TTL. A relaunch
+    // that finds the incumbent alive and reachable spawns nothing.
+    int64_t spawns = cluster()->total_spawns();
     launcher_->RelaunchFrontEnd(state.fe_index, node());
+    if (cluster()->total_spawns() > spawns) {
+      fe_restarts_->Increment();
+    }
   });
   cache_nodes_.Expire(now, nullptr);
   // ACID-component failover: the profile DB's heartbeats stopped — start a fresh
@@ -326,7 +330,7 @@ void ManagerProcess::RunPolicy() {
       auto it = low_load_since_.find(type);
       if (it == low_load_since_.end()) {
         low_load_since_[type] = now;
-      } else if (now - it->second >= config_.reap_idle_time) {
+      } else if (now - it->second >= kReapIdleTime) {
         // Reap one overflow-node worker; dedicated workers stay (the overflow pool
         // is released as bursts subside, §2.2.3).
         for (const Endpoint& ep : load.endpoints) {
@@ -353,7 +357,7 @@ void ManagerProcess::RunPolicy() {
 bool ManagerProcess::TrySpawn(const std::string& type, bool bypass_cooldown) {
   SimTime now = sim()->now();
   auto it = last_spawn_.find(type);
-  SimDuration guard = bypass_cooldown ? Seconds(1) : config_.spawn_cooldown_d;
+  SimDuration guard = bypass_cooldown ? Seconds(1) : kSpawnCooldown;
   if (it != last_spawn_.end() && now - it->second < guard) {
     return false;
   }

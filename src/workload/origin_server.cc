@@ -13,9 +13,6 @@ void OriginServerProcess::OnMessage(const Message& msg) {
     return;
   }
   auto fetch = std::static_pointer_cast<const FetchRequestPayload>(msg.payload);
-  if (config_.blackhole_fraction > 0 && rng_.Bernoulli(config_.blackhole_fraction)) {
-    return;  // Unreachable server; the front end's timeout handles it.
-  }
   double latency_s = rng_.LogNormal(config_.latency_mu, config_.latency_sigma);
   SimDuration delay = std::clamp(Seconds(latency_s), config_.min_latency, config_.max_latency);
   After(delay, [this, fetch] {

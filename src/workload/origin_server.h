@@ -23,9 +23,6 @@ struct OriginConfig {
   double latency_sigma = 1.1;
   SimDuration min_latency = Milliseconds(100);
   SimDuration max_latency = Seconds(100);
-  // Fraction of fetches that never return (unreachable servers); the FE's fetch
-  // timeout is the only recovery.
-  double blackhole_fraction = 0.0;
 };
 
 class OriginServerProcess : public Process {

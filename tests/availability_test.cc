@@ -213,20 +213,20 @@ TEST(AvailabilityIntegrationTest, AnswersLandInTheirOfferWindow) {
 
 TEST(AvailabilityIntegrationTest, DegradedAnswersYieldFractionalHarvest) {
   Logger::Get().set_min_level(LogLevel::kNone);
-  TranSendOptions options = DistillHeavyOptions();
-  // Task timeout shorter than any distillation: every attempt times out and
-  // the front end falls back to the BASE approximate answer (the original
-  // bytes), so the client is fully answered but every answer is degraded.
-  options.sns.task_timeout = Milliseconds(1);
-  options.sns.task_retries = 2;
-  options.sns.task_retry_backoff_base = Milliseconds(10);
-  TranSendService service(options);
+  TranSendService service(DistillHeavyOptions());
   service.Start();
+  // Every worker node's CPU is busy for the whole run, so every distillation
+  // outlives its task timeout: each attempt times out and the front end falls
+  // back to the BASE approximate answer (the original bytes), so the client is
+  // fully answered but every answer is degraded.
+  for (NodeId node : service.system()->worker_pool()) {
+    service.system()->cluster()->RunOnCpu(node, kInvalidProcess, Seconds(120), [] {});
+  }
   PlaybackEngine* client = service.AddPlaybackEngine(0xBB22);
   client->StartConstantRate(10, UniformUrls(service.universe(), 0xBB22, "degraded"));
   service.sim()->RunFor(Seconds(10));
   client->StopLoad();
-  service.sim()->RunFor(Seconds(10));
+  service.sim()->RunFor(Seconds(30));  // Past the last request's retry chain.
 
   AvailabilityLedger* ledger = service.system()->availability();
   EXPECT_GT(ledger->offered(), 0);

@@ -322,15 +322,18 @@ TEST(CacheReplicationTest, RebalancePutOfEqualBytesIsNotEchoed) {
 
 TEST(CacheReplicationTest, FrontEndProfileCacheStaysWithinConfiguredBytes) {
   Logger::Get().set_min_level(LogLevel::kNone);
-  TranSendOptions options = ReplicationOptions(2);
-  options.sns.fe_profile_cache_bytes = 2048;  // Tiny: force eviction pressure.
-  TranSendService service(options);
+  TranSendService service(ReplicationOptions(2));
   service.Start();
   // Seed stored profiles: only found profiles populate the FE's read cache.
+  // Each is a sixteenth of the cache, so 200 users put it under eviction
+  // pressure.
+  constexpr int64_t kProfileBytes = kFeProfileCacheBytes / 16;
   for (int i = 0; i < 200; ++i) {
     UserProfile profile(StrFormat("user-%d", i));
     profile.Set("quality", "high");
-    profile.Set("theme", StrFormat("theme-with-a-long-value-%d", i));
+    std::string theme = StrFormat("theme-%d-", i);
+    theme.resize(static_cast<size_t>(kProfileBytes), 'x');
+    profile.Set("theme", theme);
     service.system()->SeedProfile(profile);
   }
   PlaybackEngine* client = service.AddPlaybackEngine(0x44);
@@ -352,13 +355,13 @@ TEST(CacheReplicationTest, FrontEndProfileCacheStaysWithinConfiguredBytes) {
   FrontEndProcess* fe = service.system()->front_end(0);
   ASSERT_NE(fe, nullptr);
   const auto& cache = fe->profile_cache();
-  EXPECT_LE(cache.used_bytes(), 2048);
+  EXPECT_LE(cache.used_bytes(), kFeProfileCacheBytes);
   EXPECT_GT(cache.size(), 0u);
-  EXPECT_GT(cache.evictions(), 0);  // 200 users cannot fit in 2 KB.
+  EXPECT_GT(cache.evictions(), 0);  // 200 users cannot fit.
   // The gauge surfaces occupancy for the flight recorder.
   Gauge* gauge = service.system()->metrics()->GetGauge("fe.0.profile_cache_bytes");
   ASSERT_NE(gauge, nullptr);
-  EXPECT_LE(gauge->value(), 2048.0);
+  EXPECT_LE(gauge->value(), static_cast<double>(kFeProfileCacheBytes));
 }
 
 }  // namespace

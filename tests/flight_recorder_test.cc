@@ -551,24 +551,92 @@ TEST(FlightRecorderIntegrationTest, RetriedTaskYieldsSiblingAttemptSubtrees) {
   EXPECT_TRUE(found) << "no retained trace had a retried task with backoff";
 }
 
-// A task timeout shorter than the distiller's service time: every attempt
-// times out and its reply lands during the retry backoff, where the FE still
-// accepts it. The attempt's span must be recorded once, as the timeout.
+// One distiller, and a request A whose first task attempt times out and whose
+// reply then lands inside the retry backoff, where the FE still accepts it.
+// The worker's CPU is charged kTaskTimeout + 10 ms the moment the FE dispatches
+// A's attempt (its stub counts the task in flight, and the task needs a few
+// milliseconds to cross the SAN), so A's reply lands about 10 ms after the
+// attempt's timer fires: inside even the shortest backoff (half of
+// kTaskRetryBackoffBase). A second request B, sent 3 s after A, is still in
+// flight at that worker when A's reply lands: a further 500 ms of CPU queued
+// behind A holds B back.
+struct LateReplyRun {
+  explicit LateReplyRun(TranSendOptions options) : service(Configure(std::move(options))) {
+    service.Start();
+    service.system()->StartWorker(kJpegDistillerType);
+    client = service.AddPlaybackEngine(0xD0B1);
+    service.sim()->RunFor(Seconds(3));  // The worker is registered and in beacons.
+    auto workers = service.system()->live_workers(kJpegDistillerType);
+    EXPECT_EQ(workers.size(), 1u);
+    worker = workers.empty() ? nullptr : workers[0];
+    fe = service.system()->front_end(0);
+  }
+
+  static TranSendOptions Configure(TranSendOptions options) {
+    options.topology.worker_pool_nodes = 1;
+    // Only the fixed per-task cost: the distillation itself takes milliseconds.
+    options.jpeg_distill_per_kb = 0;
+    return options;
+  }
+
+  double PredictedQueue() { return fe->stub().PredictedQueue(worker->endpoint(), Now()); }
+  SimTime Now() { return service.sim()->now(); }
+  void Step() { service.sim()->RunFor(Microseconds(100)); }
+
+  void Send(const std::string& user, int64_t url_index) {
+    TraceRecord record;
+    record.user_id = user;
+    record.url = service.universe()->UrlAt(url_index);
+    client->SendRequest(record);
+  }
+
+  // Sends A, charges the worker's CPU when A is dispatched and again once A is
+  // queued there, then sends B. Returns false if a step never happened.
+  bool Start() {
+    Cluster* cluster = service.system()->cluster();
+    double idle = PredictedQueue();
+    Send("late-a", 0);
+    SimTime give_up = Now() + Seconds(120);
+    while (PredictedQueue() < idle + 0.5) {  // A's attempt is in flight.
+      if (Now() > give_up) {
+        return false;
+      }
+      Step();
+    }
+    a_dispatched = Now();
+    cluster->RunOnCpu(worker->node(), kInvalidProcess, kTaskTimeout + Milliseconds(10), [] {});
+    while (worker->QueueLength() < 1) {  // A has reached the worker.
+      if (Now() > a_dispatched + Seconds(1)) {
+        return false;
+      }
+      Step();
+    }
+    cluster->RunOnCpu(worker->node(), kInvalidProcess, Milliseconds(500), [] {});
+    service.sim()->RunFor(Seconds(3));
+    Send("late-b", 1);
+    return true;
+  }
+
+  TranSendService service;
+  PlaybackEngine* client = nullptr;
+  WorkerProcess* worker = nullptr;
+  FrontEndProcess* fe = nullptr;
+  SimTime a_dispatched = 0;
+};
+
+// A's attempt span must be recorded once, as the timeout, although its reply
+// is accepted during the backoff.
 TEST(FlightRecorderIntegrationTest, ReplyDuringBackoffDoesNotRecordTheAttemptTwice) {
   Logger::Get().set_min_level(LogLevel::kNone);
-  TranSendOptions options = DistillHeavyOptions();
-  options.sns.task_timeout = Milliseconds(30);
-  TranSendService service(options);
-  service.Start();
-  PlaybackEngine* client = service.AddPlaybackEngine(0xD0B1);
-  client->StartConstantRate(10, UniformUrls(service.universe(), 0xD0B1, "late"));
-  service.sim()->RunFor(Seconds(10));
-  client->StopLoad();
-  service.sim()->RunFor(Seconds(5));
+  LateReplyRun run(DistillHeavyOptions());
+  ASSERT_NE(run.worker, nullptr);
+  ASSERT_TRUE(run.Start());
+  run.service.sim()->RunFor(Seconds(20));
+  ASSERT_EQ(run.client->completed(), 2);
 
   int timed_out = 0;
   int answered_late = 0;  // Traces whose only attempts timed out but whose root is ok.
-  service.system()->tracer()->ForEachTrace(
+  run.service.system()->tracer()->ForEachTrace(
       [&](uint64_t trace_id, const std::vector<const SpanRecord*>& spans) {
         std::set<uint64_t> ids;
         bool all_timed_out = true;
@@ -584,8 +652,30 @@ TEST(FlightRecorderIntegrationTest, ReplyDuringBackoffDoesNotRecordTheAttemptTwi
         }
         answered_late += all_timed_out && root_ok;
       });
-  EXPECT_GT(timed_out, 0);
-  EXPECT_GT(answered_late, 0) << "no reply landed during a retry backoff";
+  EXPECT_EQ(timed_out, 1);
+  EXPECT_EQ(answered_late, 1) << "A's reply did not land during its retry backoff";
+}
+
+// The attempt timer already told the stub that A's attempt is done; the late
+// reply must not say so again, or the worker looks one task less loaded than
+// it is while B is still in flight there.
+TEST(RetryBackoffTest, ReplyDuringBackoffIsNotCountedDoneTwice) {
+  Logger::Get().set_min_level(LogLevel::kNone);
+  LateReplyRun run(DistillHeavyOptions());
+  ASSERT_NE(run.worker, nullptr);
+  ASSERT_TRUE(run.Start());
+  double before = run.PredictedQueue();
+  while (run.fe->completed_requests() == 0 && run.Now() < run.a_dispatched + Seconds(8)) {
+    before = run.PredictedQueue();
+    run.Step();
+  }
+  ASSERT_EQ(run.fe->completed_requests(), 1);
+  // A was answered from its late reply, inside the backoff after its timeout.
+  EXPECT_GT(run.Now(), run.a_dispatched + kTaskTimeout);
+  EXPECT_LT(run.Now(), run.a_dispatched + kTaskTimeout + kTaskRetryBackoffBase / 2);
+  EXPECT_EQ(run.fe->retries_backoff(), 1);
+  // B is still in flight at the worker, and still counted.
+  EXPECT_NEAR(run.PredictedQueue(), before, 0.25);
 }
 
 // The per-node CPU series is a per-interval share: in [0, 1] on every tick,

@@ -181,9 +181,8 @@ TEST(HotBotSystemTest, LosingAShardShrinksTheDatabaseGracefully) {
   // 54M to about 51M documents" — partial failure shrinks, not breaks (§3.2).
   Logger::Get().set_min_level(LogLevel::kNone);
   HotBotOptions options = SmallHotBot();
-  options.logic.cache_searches = false;  // Fresh scatter per query.
-  options.sns.task_retries = 0;          // Don't wait for a shard respawn.
-  options.sns.task_timeout = Seconds(2);
+  // One node per shard and no spare: a lost machine's shard cannot respawn.
+  options.topology.worker_pool_nodes = options.logic.shard_count;
   HotBotService service(options);
   service.Start();
   PlaybackEngine* client = service.AddPlaybackEngine();
@@ -193,12 +192,14 @@ TEST(HotBotSystemTest, LosingAShardShrinksTheDatabaseGracefully) {
   service.sim()->RunFor(Seconds(20));
   ASSERT_EQ(client->completed(), 1);
 
-  // Kill shard 2's worker; immediately query again (before any respawn finishes).
+  // Lose shard 2's machine and query again (a distinct query, so the answer
+  // cannot come from the search cache). The FE gives up on the shard once its
+  // wait for a respawn runs out, and answers from the other partitions.
   auto victims = service.system()->live_workers(SearchShardType(2));
   ASSERT_FALSE(victims.empty());
   int64_t full_docs = service.TotalDocuments();
   int64_t lost_docs = service.shards()[2]->doc_count();
-  service.system()->cluster()->Crash(victims[0]->pid());
+  service.system()->cluster()->CrashNode(victims[0]->node());
 
   client->SendRequest(service.MakeQuery("u", VocabularyWord(0) + " degraded"));
   service.sim()->RunFor(Seconds(30));
@@ -317,9 +318,6 @@ TEST(HotBotSystemTest, ClusterMoveHalfAtATimeNeverGoesDown) {
   // times during the move, the overall service was still up and useful."
   Logger::Get().set_min_level(LogLevel::kNone);
   HotBotOptions options = SmallHotBot();
-  options.logic.cache_searches = false;
-  options.sns.task_timeout = Seconds(2);
-  options.sns.task_retries = 1;
   HotBotService service(options);
   service.Start();
   PlaybackEngine* client = service.AddPlaybackEngine();
@@ -328,8 +326,10 @@ TEST(HotBotSystemTest, ClusterMoveHalfAtATimeNeverGoesDown) {
   // Steady query stream throughout the move.
   Rng rng(0x30E);
   auto* svc = &service;
-  client->StartConstantRate(4, [&rng, svc] {
-    std::string query = VocabularyWord(rng.Zipf(200, 0.9));
+  // A distinct query per request: each one scatters to every partition.
+  int sent = 0;
+  client->StartConstantRate(4, [&rng, svc, &sent] {
+    std::string query = StrFormat("%s %d", VocabularyWord(rng.Zipf(200, 0.9)).c_str(), sent++);
     return svc->MakeQuery("mover", query);
   });
   service.sim()->RunFor(Seconds(10));
@@ -375,9 +375,7 @@ TEST(HotBotSystemTest, ClusterMoveHalfAtATimeNeverGoesDown) {
 
 TEST(HotBotSystemTest, CrashedShardIsRespawnedAndServiceHeals) {
   Logger::Get().set_min_level(LogLevel::kNone);
-  HotBotOptions options = SmallHotBot();
-  options.logic.cache_searches = false;
-  HotBotService service(options);
+  HotBotService service(SmallHotBot());
   service.Start();
   PlaybackEngine* client = service.AddPlaybackEngine();
   service.sim()->RunFor(Seconds(3));

@@ -136,7 +136,6 @@ TEST(FaultTest, BurstRecruitsOverflowPoolAndReapsAfterwards) {
   options.logic.cache_distilled = false;   // Sustained distillation load.
   options.topology.worker_pool_nodes = 2;  // Dedicated pool saturates quickly.
   options.topology.overflow_nodes = 4;
-  options.sns.reap_idle_time = Seconds(15);
   TranSendService service(options);
   service.Start();
   PlaybackEngine* client = service.AddPlaybackEngine(0xB00);
@@ -155,9 +154,10 @@ TEST(FaultTest, BurstRecruitsOverflowPoolAndReapsAfterwards) {
   }
   EXPECT_GT(on_overflow, 0);
 
-  // Burst subsides: overflow workers are reaped ("the distillers may be reaped").
+  // Burst subsides: overflow workers are reaped ("the distillers may be reaped"),
+  // one per kReapIdleTime of low load.
   client->SetRate(2);
-  service.sim()->RunFor(Seconds(120));
+  service.sim()->RunFor(Seconds(135));
   int on_overflow_after = 0;
   for (WorkerProcess* worker : service.system()->live_workers()) {
     if (service.system()->cluster()->IsOverflowNode(worker->node())) {
@@ -196,6 +196,44 @@ TEST(FaultTest, SimultaneousManagerAndWorkerFailure) {
   double answered = static_cast<double>(client->completed()) /
                     static_cast<double>(client->completed() + client->timeouts());
   EXPECT_GT(answered, 0.95);
+}
+
+// Overload is not a fault. A front end offered far more than it can carry
+// saturates its own NIC, which drops the load reports that are its liveness,
+// so the manager finds it silent; but the incumbent is alive and reachable, so
+// the relaunch leaves it running, and that is no restart.
+TEST(FaultTest, SaturatedFrontEndIsNotCountedAsRestarted) {
+  Logger::Get().set_min_level(LogLevel::kNone);
+  TranSendService service(DefaultTranSendOptions());
+  service.Start();
+  PlaybackEngine* client = service.AddPlaybackEngine(0xFE5A);
+  service.sim()->RunFor(Seconds(3));
+  ProcessId fe_pid = service.system()->front_end(0)->pid();
+
+  client->StartConstantRate(200, UniformUrls(service.universe(), 0xFE5A, "flood"));
+  service.sim()->RunFor(Seconds(30));
+  client->StopLoad();
+
+  EXPECT_GT(service.system()->metrics()->CounterValue("san.datagrams_dropped"), 0);
+  ASSERT_NE(service.system()->front_end(0), nullptr);
+  EXPECT_EQ(service.system()->front_end(0)->pid(), fe_pid);
+  EXPECT_EQ(service.system()->manager()->fe_restarts(), 0);
+}
+
+// A crashed front end is restarted once, as a new process.
+TEST(FaultTest, CrashedFrontEndCountsOneRestart) {
+  Logger::Get().set_min_level(LogLevel::kNone);
+  TranSendService service(DefaultTranSendOptions());
+  service.Start();
+  service.sim()->RunFor(Seconds(3));
+  ProcessId fe_pid = service.system()->front_end(0)->pid();
+
+  service.system()->cluster()->Crash(fe_pid);
+  service.sim()->RunFor(Seconds(15));
+
+  ASSERT_NE(service.system()->front_end(0), nullptr);
+  EXPECT_NE(service.system()->front_end(0)->pid(), fe_pid);
+  EXPECT_EQ(service.system()->manager()->fe_restarts(), 1);
 }
 
 }  // namespace

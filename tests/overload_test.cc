@@ -121,13 +121,7 @@ TEST(DeadlineTest, ExpiresMidPipelineWithoutLateCompletion) {
 
 TEST(RetryBackoffTest, RetriesBackOffAndSpreadAcrossWorkers) {
   Logger::Get().set_min_level(LogLevel::kNone);
-  TranSendOptions options = TinyOptions();
-  // Task timeout shorter than any distillation: every attempt times out, so the
-  // request exercises the full retry chain and falls back to the original bytes.
-  options.sns.task_timeout = Milliseconds(1);
-  options.sns.task_retries = 2;
-  options.sns.task_retry_backoff_base = Milliseconds(10);
-  TranSendService service(options);
+  TranSendService service(TinyOptions());
   service.Start();
   service.system()->StartWorker(kJpegDistillerType);
   service.system()->StartWorker(kJpegDistillerType);
@@ -135,6 +129,13 @@ TEST(RetryBackoffTest, RetriesBackOffAndSpreadAcrossWorkers) {
   service.sim()->RunFor(Seconds(3));  // Both workers registered and in beacons.
   auto workers = service.system()->live_workers(kJpegDistillerType);
   ASSERT_EQ(workers.size(), 2u);
+  // Both distillers' CPUs are busy for longer than the fetch plus the whole
+  // retry chain (kTaskRetries + 1 timeouts and their backoffs), so every
+  // attempt times out and no reply lands before the FE falls back to the
+  // original bytes. The request carries no deadline, so the chain runs in full.
+  for (WorkerProcess* worker : workers) {
+    service.system()->cluster()->RunOnCpu(worker->node(), kInvalidProcess, Seconds(40), [] {});
+  }
 
   std::string url = BigJpegUrl(&service);
   ASSERT_FALSE(url.empty());
@@ -142,12 +143,12 @@ TEST(RetryBackoffTest, RetriesBackOffAndSpreadAcrossWorkers) {
   record.user_id = "retry";
   record.url = url;
   client->SendRequest(record);
-  service.sim()->RunFor(Seconds(30));
+  service.sim()->RunFor(Seconds(60));
 
   FrontEndProcess* fe = service.system()->front_end(0);
   ASSERT_NE(fe, nullptr);
   // Two timed-out attempts were retried after a backoff delay.
-  EXPECT_EQ(fe->retries_backoff(), 2);
+  EXPECT_EQ(fe->retries_backoff(), kTaskRetries);
   // Exclusion: the retry after a timeout must go to the OTHER worker, so both
   // received (and eventually completed) at least one delivered task.
   EXPECT_GE(workers[0]->completed_tasks(), 1);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/cluster/failure_injector.h"
 #include "src/services/transend/transend.h"
 #include "src/util/logging.h"
 #include "src/workload/origin_server.h"
@@ -149,12 +150,16 @@ TEST(OriginTest, LatencyClampedToPaperRange) {
 
 TEST(OriginTest, BlackholedFetchesTimeOutAtTheFrontEnd) {
   Logger::Get().set_min_level(LogLevel::kNone);
-  TranSendOptions options = TinyOptions();
-  options.origin.blackhole_fraction = 1.0;  // Every server unreachable.
-  options.sns.fetch_timeout = Seconds(5);
-  TranSendService service(options);
+  TranSendService service(TinyOptions());
   service.Start();
-  PlaybackEngine* client = service.AddPlaybackEngine();
+  // Every server unreachable: the origin's node is cut off from the rest of
+  // the SAN, and nothing tells the FE, so its fetch can only time out. The
+  // request's deadline caps that timeout.
+  FailureInjector injector(service.system()->cluster(), service.system()->san());
+  injector.PartitionAt(service.sim()->now(), {service.system()->origin_node()}, kTimeNever);
+  PlaybackConfig config;
+  config.request_deadline = Seconds(5);
+  PlaybackEngine* client = service.AddPlaybackEngine(std::move(config));
   service.sim()->RunFor(Seconds(2));
 
   TraceRecord record;

@@ -112,7 +112,6 @@ TEST(ManagerTest, NoWorkerNodesFallsBackToApproximateAnswer) {
   Logger::Get().set_min_level(LogLevel::kNone);
   TranSendOptions options = TinyOptions();
   options.topology.worker_pool_nodes = 0;  // No capacity for workers at all.
-  options.sns.task_retries = 0;
   TranSendService service(options);
   service.Start();
   PlaybackEngine* client = service.AddPlaybackEngine();

@@ -221,12 +221,10 @@ TEST(TranSendOptionsTest, RedistillOptionsIsAllJpegWithVariantCachingOff) {
   EXPECT_EQ(options.universe.real_image_max_bytes, defaults.universe.real_image_max_bytes);
   EXPECT_DOUBLE_EQ(options.universe.zipf_skew, defaults.universe.zipf_skew);
   EXPECT_DOUBLE_EQ(options.sns.spawn_threshold_h, defaults.sns.spawn_threshold_h);
-  EXPECT_EQ(options.sns.spawn_cooldown_d, defaults.sns.spawn_cooldown_d);
   EXPECT_EQ(options.topology.front_ends, defaults.topology.front_ends);
   EXPECT_EQ(options.topology.cache_nodes, defaults.topology.cache_nodes);
   EXPECT_EQ(options.topology.worker_pool_nodes, defaults.topology.worker_pool_nodes);
   EXPECT_EQ(options.topology.with_origin, defaults.topology.with_origin);
-  EXPECT_EQ(options.topology.cache.capacity_bytes, defaults.topology.cache.capacity_bytes);
   EXPECT_EQ(options.topology.san.tcp_setup_cost, defaults.topology.san.tcp_setup_cost);
   EXPECT_EQ(options.topology.fe_link->per_message_overhead,
             defaults.topology.fe_link->per_message_overhead);
